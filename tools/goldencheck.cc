@@ -4,7 +4,8 @@
  *
  * Runs a fixed set of pinned-seed, reduced-budget simulations -- the
  * full preset ladder plus representative Fig. 5 (write policy) and
- * Fig. 6 (L2 organisation) design points -- dumps each result as a
+ * Fig. 6 (L2 organisation) design points, and sampled twins of six
+ * of them (core::runSampled) -- dumps each result as a
  * gem5-style flat statistics file, and diffs it bit-exactly against
  * the checked-in golden copy in tests/golden/.  Any PRNG-stream,
  * timing-model, or accounting change shows up as a first-divergence
@@ -38,6 +39,7 @@
 #include <vector>
 
 #include "core/config.hh"
+#include "core/sampling.hh"
 #include "core/simulator.hh"
 #include "core/stats_dump.hh"
 #include "obs/json.hh"
@@ -52,11 +54,13 @@ using namespace gaas;
 /** One golden design point: a named, fully pinned simulation. */
 struct GoldenPoint
 {
-    const char *name;
+    std::string name;
     core::SystemConfig config;
     unsigned mpLevel;
     Count instructions;
     Count warmup;
+    /** Enabled: run through core::runSampled with this plan. */
+    core::SamplingConfig sampling = {};
 };
 
 /**
@@ -131,6 +135,34 @@ goldenPoints()
         add("sched-short-slice", cfg);
     }
 
+    // Sampled twins: the same points through the sampled regime, so
+    // functional warming, fast-forward and the estimator are pinned
+    // too.  The plan is small enough that the schedule fits the
+    // golden budget (the dump shows sampling.intervals > 0, not the
+    // full-detail fallback) and covers all four write policies, the
+    // concurrent I-refill and the dirty-bit load bypass.
+    core::SamplingConfig plan;
+    plan.enabled = true;
+    plan.measureInstructions = 2'000;
+    plan.headInstructions = 4'000;
+    plan.warmInstructions = 6'000;
+    plan.minIntervals = 4;
+    plan.maxIntervals = 8;
+    for (const char *base :
+         {"ladder-base", "ladder-write-only", "fig5-invalidate-6cy",
+          "fig5-subblock-6cy", "ladder-concurrent",
+          "ladder-load-bypass"}) {
+        for (std::size_t i = 0; i < points.size(); ++i) {
+            if (points[i].name != base)
+                continue;
+            GoldenPoint twin = points[i];
+            twin.name += "-sampled";
+            twin.sampling = plan;
+            points.push_back(std::move(twin));
+            break;
+        }
+    }
+
     return points;
 }
 
@@ -141,6 +173,10 @@ void reportDiff(const std::string &name, const std::string &expected,
 core::SimResult
 runPointResult(const GoldenPoint &point)
 {
+    if (point.sampling.enabled)
+        return core::runSampled(point.config, point.sampling,
+                                point.instructions, point.mpLevel,
+                                point.warmup);
     return core::runStandard(point.config, point.instructions,
                              point.mpLevel, point.warmup);
 }
