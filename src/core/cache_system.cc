@@ -98,6 +98,7 @@ CacheSystem::extraTransferCycles(unsigned fetch_words) const
     return divCeil(fetch_words - 4, cfg.transferWordsPerCycle);
 }
 
+template <bool Measure>
 CacheSystem::L2Result
 CacheSystem::l2Access(bool is_inst, Addr paddr, Cycles now,
                       unsigned fetch_words)
@@ -106,65 +107,74 @@ CacheSystem::l2Access(bool is_inst, Addr paddr, Cycles now,
     const L2SideConfig &side =
         is_inst ? cfg.l2InstSide() : cfg.l2DataSide();
 
-    (is_inst ? st.l2iAccesses : st.l2dAccesses) += 1;
+    if constexpr (Measure)
+        (is_inst ? st.l2iAccesses : st.l2dAccesses) += 1;
 
+    // Warming leaves both terms 0, so memory sees the bare clock.
     L2Result res;
-    res.access = side.accessTime + extraTransferCycles(fetch_words);
+    res.access = measured<Measure>(side.accessTime +
+                                   extraTransferCycles(fetch_words));
 
     if (cache::TagStore::Ref line = store.find(paddr)) {
         store.touch(line);
         return res;
     }
 
-    (is_inst ? st.l2iMisses : st.l2dMisses) += 1;
+    if constexpr (Measure)
+        (is_inst ? st.l2iMisses : st.l2dMisses) += 1;
 
     cache::Eviction evicted;
     store.allocate(paddr, evicted);
     const bool dirty_victim = evicted.valid && evicted.dirty;
     if (dirty_victim)
-        ++st.l2DirtyMisses;
+        tally<Measure>(st.l2DirtyMisses);
 
-    res.memory = memory.fetchLine(now + res.access, dirty_victim);
+    res.memory = measured<Measure>(
+        memory.fetchLine(now + res.access, dirty_victim));
     return res;
 }
 
+// The miss paths take the stall their access has charged so far.
+// Those that turn it into time arguments first pin it to the
+// compile-time 0 a warming caller passes (see measured()).
+
+template <bool Measure>
 Cycles
 CacheSystem::ifetchMiss(Cycles now, Cycles stall, Addr paddr)
 {
-    ++st.l1iMisses;
+    stall = measured<Measure>(stall);
+    tally<Measure>(st.l1iMisses);
 
     // The base architecture makes both primary caches wait for the
     // write buffer to empty before processing a miss (Section 2).
     // With a split L2, the I-refill can proceed concurrently with
     // the drain into L2-D (Section 9).
-    if (!cfg.concurrentIRefill) {
-        const Cycles wait = wb.drainAll(now + stall);
-        stall += wait;
-        comp.wbWait += wait;
-    }
+    if (!cfg.concurrentIRefill)
+        charge<Measure>(stall, comp.wbWait, wb.drainAll(now + stall));
 
-    const L2Result r =
-        l2Access(true, paddr, now + stall, cfg.l1i.fetchWords);
-    stall += r.access + r.memory;
-    comp.l1iMiss += r.access;
-    comp.l2iMiss += r.memory;
+    const L2Result r = l2Access<Measure>(true, paddr, now + stall,
+                                         cfg.l1i.fetchWords);
+    charge<Measure>(stall, comp.l1iMiss, r.access);
+    charge<Measure>(stall, comp.l2iMiss, r.memory);
 
     cache::Eviction evicted;
     l1i.allocate(paddr, evicted);
     return stall;
 }
 
-Cycles
-CacheSystem::dataMissWriteBufferWait(Addr paddr, Cycles now)
+template <bool Measure>
+void
+CacheSystem::dataMissWriteBufferWait(Addr paddr, Cycles now,
+                                     Cycles &stall)
 {
-    Cycles wait = 0;
     switch (cfg.loadBypass) {
       case LoadBypass::None:
-        wait = wb.drainAll(now);
+        charge<Measure>(stall, comp.wbWait, wb.drainAll(now));
         break;
       case LoadBypass::Associative:
-        wait = wb.drainLine(now, l1d.lineAddr(paddr),
-                            cfg.l1d.lineBytes());
+        charge<Measure>(stall, comp.wbWait,
+                        wb.drainLine(now, l1d.lineAddr(paddr),
+                                     cfg.l1d.lineBytes()));
         break;
       case LoadBypass::DirtyBit: {
         // Only flush when the line being replaced is dirty; the
@@ -176,16 +186,15 @@ CacheSystem::dataMissWriteBufferWait(Addr paddr, Cycles now)
         const cache::TagStore::Ref victim =
             line ? line : l1d.victim(paddr);
         if (victim.valid() && victim.dirty())
-            wait = wb.drainAll(now);
-        else
+            charge<Measure>(stall, comp.wbWait, wb.drainAll(now));
+        else if constexpr (Measure)
             wb.noteBypass();
         break;
       }
     }
-    comp.wbWait += wait;
-    return wait;
 }
 
+template <bool Measure>
 cache::TagStore::Ref
 CacheSystem::refillL1D(Addr paddr, Cycles now, Cycles &stall)
 {
@@ -206,32 +215,32 @@ CacheSystem::refillL1D(Addr paddr, Cycles now, Cycles &stall)
     // buffer as one full-line entry.
     if (cfg.writePolicy == WritePolicy::WriteBack && evicted.valid &&
         evicted.dirty) {
-        const Cycles wait = wb.push(now + stall, evicted.lineAddr);
-        stall += wait;
-        comp.wbWait += wait;
+        charge<Measure>(stall, comp.wbWait,
+                        wb.push(now + stall, evicted.lineAddr));
         applyWriteToL2(evicted.lineAddr);
     }
     return line;
 }
 
+template <bool Measure>
 Cycles
 CacheSystem::loadMiss(Cycles now, Cycles stall, Addr paddr,
                       cache::TagStore::LineIndex idx)
 {
+    stall = measured<Measure>(stall);
     if (idx != cache::TagStore::npos &&
         (l1d.stateAt(idx) & cache::TagStore::kWriteOnlyBit))
-        ++st.writeOnlyReadMisses;
-    ++st.l1dReadMisses;
+        tally<Measure>(st.writeOnlyReadMisses);
+    tally<Measure>(st.l1dReadMisses);
 
-    stall += dataMissWriteBufferWait(paddr, now + stall);
+    dataMissWriteBufferWait<Measure>(paddr, now + stall, stall);
 
-    const L2Result r =
-        l2Access(false, paddr, now + stall, cfg.l1d.fetchWords);
-    stall += r.access + r.memory;
-    comp.l1dMiss += r.access;
-    comp.l2dMiss += r.memory;
+    const L2Result r = l2Access<Measure>(false, paddr, now + stall,
+                                         cfg.l1d.fetchWords);
+    charge<Measure>(stall, comp.l1dMiss, r.access);
+    charge<Measure>(stall, comp.l2dMiss, r.memory);
 
-    refillL1D(paddr, now, stall);
+    refillL1D<Measure>(paddr, now, stall);
     return stall;
 }
 
@@ -256,46 +265,47 @@ CacheSystem::applyWriteToL2(Addr paddr)
     // bus cost is folded into the effective drain time (DESIGN.md).
 }
 
+template <bool Measure>
 Cycles
 CacheSystem::storeMissWriteBack(Cycles now, Cycles stall, Addr paddr)
 {
+    stall = measured<Measure>(stall);
     // Write-allocate: fetch the line like a read miss; the write
     // itself needs no extra cycle (Section 6).
-    ++st.l1dWriteMisses;
-    stall += dataMissWriteBufferWait(paddr, now + stall);
-    const L2Result r =
-        l2Access(false, paddr, now + stall, cfg.l1d.fetchWords);
-    stall += r.access + r.memory;
-    comp.l1dMiss += r.access;
-    comp.l2dMiss += r.memory;
-    cache::TagStore::Ref nl = refillL1D(paddr, now, stall);
+    tally<Measure>(st.l1dWriteMisses);
+    dataMissWriteBufferWait<Measure>(paddr, now + stall, stall);
+    const L2Result r = l2Access<Measure>(false, paddr, now + stall,
+                                         cfg.l1d.fetchWords);
+    charge<Measure>(stall, comp.l1dMiss, r.access);
+    charge<Measure>(stall, comp.l2dMiss, r.memory);
+    cache::TagStore::Ref nl = refillL1D<Measure>(paddr, now, stall);
     nl.setDirty(true);
     return stall;
 }
 
+template <bool Measure>
 Cycles
 CacheSystem::storeMissInvalidate(Cycles stall, Addr paddr)
 {
-    ++st.l1dWriteMisses;
+    tally<Measure>(st.l1dWriteMisses);
     // The data array was written while the tag mismatched; a second
     // cycle invalidates the corrupted line.  (Only meaningful for a
     // direct-mapped L1-D, where the way is implied; the design
     // study's L1-D is always direct mapped.)
-    stall += 1;
-    comp.l1Writes += 1;
+    charge<Measure>(stall, comp.l1Writes, 1);
     if (cfg.l1d.assoc == 1)
         l1d.victim(paddr).invalidate();
     return stall;
 }
 
+template <bool Measure>
 Cycles
 CacheSystem::storeMissWriteOnly(Cycles stall, Addr paddr)
 {
-    ++st.l1dWriteMisses;
+    tally<Measure>(st.l1dWriteMisses);
     // The second cycle updates the tag and marks the line
     // write-only; subsequent writes to it hit (Section 6).
-    stall += 1;
-    comp.l1Writes += 1;
+    charge<Measure>(stall, comp.l1Writes, 1);
     cache::Eviction evicted;
     cache::TagStore::Ref nl = l1d.allocate(paddr, evicted);
     nl.setWriteOnly(true);
@@ -304,15 +314,15 @@ CacheSystem::storeMissWriteOnly(Cycles stall, Addr paddr)
     return stall;
 }
 
+template <bool Measure>
 Cycles
 CacheSystem::storeMissSubblock(Cycles stall, Addr paddr,
                                bool partial_word)
 {
-    ++st.l1dWriteMisses;
+    tally<Measure>(st.l1dWriteMisses);
     // Second cycle: update the tag; only the written word (if a
     // full-word write) becomes valid.
-    stall += 1;
-    comp.l1Writes += 1;
+    charge<Measure>(stall, comp.l1Writes, 1);
     cache::Eviction evicted;
     cache::TagStore::Ref nl = l1d.allocate(paddr, evicted);
     nl.setDirty(true);
@@ -320,118 +330,22 @@ CacheSystem::storeMissSubblock(Cycles stall, Addr paddr,
     return stall;
 }
 
-// Warm miss paths: state-only twins of the miss paths above.  They
-// keep the same `now` plumbing so the write buffer's entry completion
-// times and main memory's bus/dirty-buffer state evolve on the warm
-// clock, but the stall cycles every call returns are discarded and no
-// CPI bucket is charged.
-
-void
-CacheSystem::warmL2Touch(bool is_inst, Addr paddr, Cycles now)
-{
-    cache::TagStore &store = l2Store(is_inst);
-    if (cache::TagStore::Ref line = store.find(paddr)) {
-        store.touch(line);
-        return;
-    }
-    cache::Eviction evicted;
-    store.allocate(paddr, evicted);
-    memory.fetchLine(now, evicted.valid && evicted.dirty);
-}
-
-void
-CacheSystem::warmIfetchMiss(Cycles now, Addr paddr)
-{
-    if (!cfg.concurrentIRefill)
-        wb.drainAll(now);
-    warmL2Touch(true, paddr, now);
-    cache::Eviction evicted;
-    l1i.allocate(paddr, evicted);
-}
-
-void
-CacheSystem::warmDataMissWbState(Addr paddr, Cycles now)
-{
-    switch (cfg.loadBypass) {
-      case LoadBypass::None:
-        wb.drainAll(now);
-        break;
-      case LoadBypass::Associative:
-        wb.drainLine(now, l1d.lineAddr(paddr), cfg.l1d.lineBytes());
-        break;
-      case LoadBypass::DirtyBit: {
-        cache::TagStore::Ref line = l1d.find(paddr);
-        const cache::TagStore::Ref victim =
-            line ? line : l1d.victim(paddr);
-        if (victim.valid() && victim.dirty())
-            wb.drainAll(now);
-        break;
-      }
-    }
-}
-
-cache::TagStore::Ref
-CacheSystem::warmRefillL1D(Addr paddr, Cycles now)
-{
-    if (cache::TagStore::Ref line = l1d.find(paddr)) {
-        line.setWriteOnly(false);
-        line.setDirty(false);
-        line.setValidMask(l1d.fullMask());
-        l1d.touch(line);
-        return line;
-    }
-    cache::Eviction evicted;
-    cache::TagStore::Ref line = l1d.allocate(paddr, evicted);
-    if (cfg.writePolicy == WritePolicy::WriteBack && evicted.valid &&
-        evicted.dirty) {
-        wb.push(now, evicted.lineAddr);
-        applyWriteToL2(evicted.lineAddr);
-    }
-    return line;
-}
-
-void
-CacheSystem::warmLoadMiss(Cycles now, Addr paddr)
-{
-    warmDataMissWbState(paddr, now);
-    warmL2Touch(false, paddr, now);
-    warmRefillL1D(paddr, now);
-}
-
-void
-CacheSystem::warmStoreMissWriteBack(Cycles now, Addr paddr)
-{
-    warmDataMissWbState(paddr, now);
-    warmL2Touch(false, paddr, now);
-    cache::TagStore::Ref nl = warmRefillL1D(paddr, now);
-    nl.setDirty(true);
-}
-
-void
-CacheSystem::warmStoreMissInvalidate(Addr paddr)
-{
-    if (cfg.l1d.assoc == 1)
-        l1d.victim(paddr).invalidate();
-}
-
-void
-CacheSystem::warmStoreMissWriteOnly(Addr paddr)
-{
-    cache::Eviction evicted;
-    cache::TagStore::Ref nl = l1d.allocate(paddr, evicted);
-    nl.setWriteOnly(true);
-    nl.setDirty(true);
-    nl.setValidMask(0);
-}
-
-void
-CacheSystem::warmStoreMissSubblock(Addr paddr, bool partial_word)
-{
-    cache::Eviction evicted;
-    cache::TagStore::Ref nl = l1d.allocate(paddr, evicted);
-    nl.setDirty(true);
-    nl.setValidMask(partial_word ? 0 : l1d.wordBit(paddr));
-}
+// Both accounting modes of every miss path: measured for the detailed
+// simulate loops, warm for functional warming.
+template Cycles CacheSystem::ifetchMiss<true>(Cycles, Cycles, Addr);
+template Cycles CacheSystem::ifetchMiss<false>(Cycles, Cycles, Addr);
+template Cycles CacheSystem::loadMiss<true>(Cycles, Cycles, Addr,
+                                            cache::TagStore::LineIndex);
+template Cycles CacheSystem::loadMiss<false>(Cycles, Cycles, Addr,
+                                             cache::TagStore::LineIndex);
+template Cycles CacheSystem::storeMissWriteBack<true>(Cycles, Cycles, Addr);
+template Cycles CacheSystem::storeMissWriteBack<false>(Cycles, Cycles, Addr);
+template Cycles CacheSystem::storeMissInvalidate<true>(Cycles, Addr);
+template Cycles CacheSystem::storeMissInvalidate<false>(Cycles, Addr);
+template Cycles CacheSystem::storeMissWriteOnly<true>(Cycles, Addr);
+template Cycles CacheSystem::storeMissWriteOnly<false>(Cycles, Addr);
+template Cycles CacheSystem::storeMissSubblock<true>(Cycles, Addr, bool);
+template Cycles CacheSystem::storeMissSubblock<false>(Cycles, Addr, bool);
 
 void
 CacheSystem::resetStats()

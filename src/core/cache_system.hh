@@ -23,6 +23,12 @@
  * path out of the host I-cache).  GenericAccessSpec instantiates
  * the exact same code with runtime config reads, so the generic and
  * specialized paths are bit-identical by construction.
+ *
+ * Accounting is a compile-time property of the spec too: WarmSpec
+ * turns any spec into its functional-warming variant (sampled
+ * simulation), which runs the same code with every stall, CPI-bucket
+ * charge and event counter compiled out.  Warming therefore makes
+ * exactly the state updates measuring makes.
  */
 
 #ifndef GAAS_CORE_CACHE_SYSTEM_HH
@@ -54,6 +60,8 @@ struct GenericAccessSpec
     /** Unused when !specialized; present so the template compiles. */
     static constexpr bool dmL1 = false;
     static constexpr WritePolicy policy = WritePolicy::WriteBack;
+    /** Charge stalls, CPI buckets and event counters (see WarmSpec). */
+    static constexpr bool measure = true;
 };
 
 /**
@@ -68,7 +76,38 @@ struct FastAccessSpec
     static constexpr bool specialized = true;
     static constexpr bool dmL1 = DmL1;
     static constexpr WritePolicy policy = Policy;
+    static constexpr bool measure = true;
 };
+
+/**
+ * The functional-warming variant of access spec @p Spec: the same
+ * geometry and write policy with accounting compiled out.  Every
+ * state update of the measured path happens, in the same order, but
+ * no stall is computed and no CPI bucket or event counter is
+ * charged.  Every stall therefore stays 0, so the write buffer, L2
+ * and main memory see the bare base-cycle clock as their time.  The
+ * few counters the state updates keep themselves (TLB, write-buffer
+ * and memory statistics, L2 write allocates) are zeroed by the
+ * resetStats() that starts every measurement.
+ */
+template <class Spec>
+struct WarmSpec : Spec
+{
+    static constexpr bool measure = false;
+};
+
+/**
+ * @p stall under a measuring spec, the constant 0 under a warming
+ * one.  Applied wherever a stall crosses an out-of-line call, so a
+ * warming caller or callee knows at compile time that its stall is
+ * 0 and its time arguments are the bare warm clock.
+ */
+template <bool Measure>
+constexpr Cycles
+measured(Cycles stall)
+{
+    return Measure ? stall : 0;
+}
 
 /** The memory side of the machine; see file comment. */
 class CacheSystem
@@ -117,29 +156,6 @@ class CacheSystem
     template <class Spec>
     Cycles storeT(Cycles now, Pid pid, Addr vaddr,
                   bool partial_word);
-    ///@}
-
-    /** @name Functional-warming paths (sampled simulation)
-     *  Mirror every *state* mutation of ifetchT/loadT/storeT -- TLB
-     *  fills, L1/L2 lookups/LRU touches/allocations, dirty and
-     *  valid-mask updates, write-buffer pushes and drains, main
-     *  memory's bus and dirty-buffer evolution -- without computing
-     *  stall cycles or charging CPI-bucket losses.  The few event
-     *  counters shared helpers do bump are cleared by the
-     *  resetStats() that precedes every measurement interval, so
-     *  warming is invisible in the measured statistics.  Defined
-     *  after the class, next to the detailed paths they shadow.
-     */
-    ///@{
-    template <class Spec>
-    void warmIfetchT(Cycles now, Pid pid, Addr vaddr);
-
-    template <class Spec>
-    void warmLoadT(Cycles now, Pid pid, Addr vaddr);
-
-    template <class Spec>
-    void warmStoreT(Cycles now, Pid pid, Addr vaddr,
-                    bool partial_word);
     ///@}
 
     /** Data-side L2 tag-set software prefetch, for the batched
@@ -216,53 +232,73 @@ class CacheSystem
             store.touchIdx(idx);
     }
 
+    /** @name Accounting under a spec's `measure` flag
+     *  Both compile to nothing when warming, so a stall that only
+     *  charge() adds to stays the 0 it started at (see measured()). */
+    ///@{
+    /** Add @p cycles to the running @p stall and to CPI bucket
+     *  @p bucket. */
+    template <bool Measure>
+    static void
+    charge(Cycles &stall, Cycles &bucket, Cycles cycles)
+    {
+        if constexpr (Measure) {
+            stall += cycles;
+            bucket += cycles;
+        }
+    }
+
+    /** Count one event in @p counter. */
+    template <bool Measure>
+    static void
+    tally(Count &counter)
+    {
+        if constexpr (Measure)
+            ++counter;
+    }
+    ///@}
+
     /** @name Out-of-line miss paths
      *  Kept out of the inlined hit paths on purpose: misses are the
      *  rare case, and the compiler would otherwise inline hundreds
      *  of instructions of drain/refill logic into every simulate
-     *  loop specialization.
+     *  loop specialization.  Templates on the spec's `measure` flag,
+     *  instantiated for both in cache_system.cc.
      */
     ///@{
+    template <bool Measure>
     [[gnu::noinline]] Cycles ifetchMiss(Cycles now, Cycles stall,
                                         Addr paddr);
+    template <bool Measure>
     [[gnu::noinline]] Cycles
     loadMiss(Cycles now, Cycles stall, Addr paddr,
              cache::TagStore::LineIndex idx);
+    template <bool Measure>
     [[gnu::noinline]] Cycles storeMissWriteBack(Cycles now,
                                                 Cycles stall,
                                                 Addr paddr);
+    template <bool Measure>
     [[gnu::noinline]] Cycles storeMissInvalidate(Cycles stall,
                                                  Addr paddr);
+    template <bool Measure>
     [[gnu::noinline]] Cycles storeMissWriteOnly(Cycles stall,
                                                 Addr paddr);
+    template <bool Measure>
     [[gnu::noinline]] Cycles storeMissSubblock(Cycles stall,
                                                Addr paddr,
                                                bool partial_word);
     ///@}
 
-    /** @name Out-of-line warm miss paths (state-only twins of the
-     *  miss paths above; same rationale for staying out of line). */
-    ///@{
-    [[gnu::noinline]] void warmIfetchMiss(Cycles now, Addr paddr);
-    [[gnu::noinline]] void warmLoadMiss(Cycles now, Addr paddr);
-    [[gnu::noinline]] void warmStoreMissWriteBack(Cycles now,
-                                                  Addr paddr);
-    [[gnu::noinline]] void warmStoreMissInvalidate(Addr paddr);
-    [[gnu::noinline]] void warmStoreMissWriteOnly(Addr paddr);
-    [[gnu::noinline]] void warmStoreMissSubblock(Addr paddr,
-                                                 bool partial_word);
-    ///@}
-
-    void warmL2Touch(bool is_inst, Addr paddr, Cycles now);
-    void warmDataMissWbState(Addr paddr, Cycles now);
-    cache::TagStore::Ref warmRefillL1D(Addr paddr, Cycles now);
-
     cache::TagStore &l2Store(bool is_inst);
+    template <bool Measure>
     L2Result l2Access(bool is_inst, Addr paddr, Cycles now,
                       unsigned fetch_words);
     Cycles extraTransferCycles(unsigned fetch_words) const;
-    Cycles dataMissWriteBufferWait(Addr paddr, Cycles now);
+    template <bool Measure>
+    void dataMissWriteBufferWait(Addr paddr, Cycles now,
+                                 Cycles &stall);
     void applyWriteToL2(Addr paddr);
+    template <bool Measure>
     cache::TagStore::Ref refillL1D(Addr paddr, Cycles now,
                                    Cycles &stall);
 
@@ -288,14 +324,13 @@ template <class Spec>
 Cycles
 CacheSystem::ifetchT(Cycles now, Pid pid, Addr vaddr)
 {
-    ++st.ifetches;
+    constexpr bool M = Spec::measure;
+    tally<M>(st.ifetches);
     const auto tr = mmuUnit.translateInst(pid, vaddr);
 
     Cycles stall = 0;
-    if (tr.tlbMiss && cfg.mmu.tlbMissPenalty) [[unlikely]] {
-        stall += cfg.mmu.tlbMissPenalty;
-        comp.tlb += cfg.mmu.tlbMissPenalty;
-    }
+    if (tr.tlbMiss && cfg.mmu.tlbMissPenalty) [[unlikely]]
+        charge<M>(stall, comp.tlb, cfg.mmu.tlbMissPenalty);
 
     const cache::TagStore::LineIndex idx =
         l1Lookup<Spec>(l1i, tr.paddr);
@@ -303,21 +338,20 @@ CacheSystem::ifetchT(Cycles now, Pid pid, Addr vaddr)
         l1Touch<Spec>(l1i, idx);
         return stall;
     }
-    return ifetchMiss(now, stall, tr.paddr);
+    return measured<M>(ifetchMiss<M>(now, stall, tr.paddr));
 }
 
 template <class Spec>
 Cycles
 CacheSystem::loadT(Cycles now, Pid pid, Addr vaddr)
 {
-    ++st.loads;
+    constexpr bool M = Spec::measure;
+    tally<M>(st.loads);
     const auto tr = mmuUnit.translateData(pid, vaddr);
 
     Cycles stall = 0;
-    if (tr.tlbMiss && cfg.mmu.tlbMissPenalty) [[unlikely]] {
-        stall += cfg.mmu.tlbMissPenalty;
-        comp.tlb += cfg.mmu.tlbMissPenalty;
-    }
+    if (tr.tlbMiss && cfg.mmu.tlbMissPenalty) [[unlikely]]
+        charge<M>(stall, comp.tlb, cfg.mmu.tlbMissPenalty);
 
     WritePolicy wp;
     if constexpr (Spec::specialized)
@@ -336,7 +370,7 @@ CacheSystem::loadT(Cycles now, Pid pid, Addr vaddr)
         l1Touch<Spec>(l1d, idx);
         return stall;
     }
-    return loadMiss(now, stall, tr.paddr, idx);
+    return measured<M>(loadMiss<M>(now, stall, tr.paddr, idx));
 }
 
 template <class Spec>
@@ -344,14 +378,13 @@ Cycles
 CacheSystem::storeT(Cycles now, Pid pid, Addr vaddr,
                     bool partial_word)
 {
-    ++st.stores;
+    constexpr bool M = Spec::measure;
+    tally<M>(st.stores);
     const auto tr = mmuUnit.translateData(pid, vaddr);
 
     Cycles stall = 0;
-    if (tr.tlbMiss && cfg.mmu.tlbMissPenalty) [[unlikely]] {
-        stall += cfg.mmu.tlbMissPenalty;
-        comp.tlb += cfg.mmu.tlbMissPenalty;
-    }
+    if (tr.tlbMiss && cfg.mmu.tlbMissPenalty) [[unlikely]]
+        charge<M>(stall, comp.tlb, cfg.mmu.tlbMissPenalty);
 
     WritePolicy wp;
     if constexpr (Spec::specialized)
@@ -366,23 +399,18 @@ CacheSystem::storeT(Cycles now, Pid pid, Addr vaddr,
         if (idx != cache::TagStore::npos) [[likely]] {
             // Write hits take two cycles: the tag is checked before
             // the write commits (Section 2).
-            stall += 1;
-            comp.l1Writes += 1;
+            charge<M>(stall, comp.l1Writes, 1);
             l1d.setDirtyAt(idx, true);
             l1Touch<Spec>(l1d, idx);
             return stall;
         }
-        return storeMissWriteBack(now, stall, tr.paddr);
+        return measured<M>(storeMissWriteBack<M>(now, stall, tr.paddr));
     }
 
     // Write-through family: every write enters the write buffer and
     // is applied to L2 when it drains.
-    {
-        const Cycles wait = wb.push(now + stall, tr.paddr);
-        stall += wait;
-        comp.wbWait += wait;
-        applyWriteToL2(tr.paddr);
-    }
+    charge<M>(stall, comp.wbWait, wb.push(now + stall, tr.paddr));
+    applyWriteToL2(tr.paddr);
 
     switch (wp) {
       case WritePolicy::WriteMissInvalidate:
@@ -392,7 +420,7 @@ CacheSystem::storeT(Cycles now, Pid pid, Addr vaddr,
             l1d.setDirtyAt(idx, true);
             return stall;
         }
-        return storeMissInvalidate(stall, tr.paddr);
+        return measured<M>(storeMissInvalidate<M>(stall, tr.paddr));
 
       case WritePolicy::WriteOnly:
         if (idx != cache::TagStore::npos) [[likely]] {
@@ -402,7 +430,7 @@ CacheSystem::storeT(Cycles now, Pid pid, Addr vaddr,
             l1d.setDirtyAt(idx, true);
             return stall;
         }
-        return storeMissWriteOnly(stall, tr.paddr);
+        return measured<M>(storeMissWriteOnly<M>(stall, tr.paddr));
 
       case WritePolicy::SubblockPlacement:
         if (idx != cache::TagStore::npos) [[likely]] {
@@ -414,118 +442,8 @@ CacheSystem::storeT(Cycles now, Pid pid, Addr vaddr,
                 l1d.orMaskAt(idx, l1d.wordBit(tr.paddr));
             return stall;
         }
-        return storeMissSubblock(stall, tr.paddr, partial_word);
-
-      case WritePolicy::WriteBack:
-        break; // handled above
-    }
-    gaas_panic("unreachable write policy");
-}
-
-// The warm twins.  Each repeats its detailed path's control flow with
-// the cycle arithmetic and CPI attribution deleted; a state mutation
-// here without a counterpart above (or vice versa) is a bug.
-
-template <class Spec>
-void
-CacheSystem::warmIfetchT(Cycles now, Pid pid, Addr vaddr)
-{
-    const auto tr = mmuUnit.translateInst(pid, vaddr);
-    const cache::TagStore::LineIndex idx =
-        l1Lookup<Spec>(l1i, tr.paddr);
-    if (idx != cache::TagStore::npos) [[likely]] {
-        l1Touch<Spec>(l1i, idx);
-        return;
-    }
-    warmIfetchMiss(now, tr.paddr);
-}
-
-template <class Spec>
-void
-CacheSystem::warmLoadT(Cycles now, Pid pid, Addr vaddr)
-{
-    const auto tr = mmuUnit.translateData(pid, vaddr);
-
-    WritePolicy wp;
-    if constexpr (Spec::specialized)
-        wp = Spec::policy;
-    else
-        wp = cfg.writePolicy;
-
-    const cache::TagStore::LineIndex idx =
-        l1Lookup<Spec>(l1d, tr.paddr);
-    bool usable = idx != cache::TagStore::npos &&
-                  !(l1d.stateAt(idx) & cache::TagStore::kWriteOnlyBit);
-    if (wp == WritePolicy::SubblockPlacement && usable)
-        usable = (l1d.maskAt(idx) & l1d.wordBit(tr.paddr)) != 0;
-
-    if (usable) [[likely]] {
-        l1Touch<Spec>(l1d, idx);
-        return;
-    }
-    warmLoadMiss(now, tr.paddr);
-}
-
-template <class Spec>
-void
-CacheSystem::warmStoreT(Cycles now, Pid pid, Addr vaddr,
-                        bool partial_word)
-{
-    const auto tr = mmuUnit.translateData(pid, vaddr);
-
-    WritePolicy wp;
-    if constexpr (Spec::specialized)
-        wp = Spec::policy;
-    else
-        wp = cfg.writePolicy;
-
-    const cache::TagStore::LineIndex idx =
-        l1Lookup<Spec>(l1d, tr.paddr);
-
-    if (wp == WritePolicy::WriteBack) {
-        if (idx != cache::TagStore::npos) [[likely]] {
-            l1d.setDirtyAt(idx, true);
-            l1Touch<Spec>(l1d, idx);
-            return;
-        }
-        warmStoreMissWriteBack(now, tr.paddr);
-        return;
-    }
-
-    // Write-through family: the buffer entry and the L2 write-state
-    // update happen regardless of hit or miss, as in storeT.
-    wb.push(now, tr.paddr);
-    applyWriteToL2(tr.paddr);
-
-    switch (wp) {
-      case WritePolicy::WriteMissInvalidate:
-        if (idx != cache::TagStore::npos) [[likely]] {
-            l1Touch<Spec>(l1d, idx);
-            l1d.setDirtyAt(idx, true);
-            return;
-        }
-        warmStoreMissInvalidate(tr.paddr);
-        return;
-
-      case WritePolicy::WriteOnly:
-        if (idx != cache::TagStore::npos) [[likely]] {
-            l1Touch<Spec>(l1d, idx);
-            l1d.setDirtyAt(idx, true);
-            return;
-        }
-        warmStoreMissWriteOnly(tr.paddr);
-        return;
-
-      case WritePolicy::SubblockPlacement:
-        if (idx != cache::TagStore::npos) [[likely]] {
-            l1Touch<Spec>(l1d, idx);
-            l1d.setDirtyAt(idx, true);
-            if (!partial_word)
-                l1d.orMaskAt(idx, l1d.wordBit(tr.paddr));
-            return;
-        }
-        warmStoreMissSubblock(tr.paddr, partial_word);
-        return;
+        return measured<M>(
+            storeMissSubblock<M>(stall, tr.paddr, partial_word));
 
       case WritePolicy::WriteBack:
         break; // handled above

@@ -49,10 +49,11 @@ class Simulator
      * The sampling controller drives the machine through its
      * interval schedule with these three: fastForward() seeks each
      * process's trace past a gap without simulating it,
-     * runWarm() executes instructions through the functional-warming
-     * access paths (hierarchy state evolves, no loss accounting),
-     * and resetMeasurement() starts a measurement interval, whose
-     * counters the next run(n, 0) call then reports.
+     * runWarm() executes instructions through the simulate loop's
+     * WarmSpec instantiation (hierarchy state evolves, no loss
+     * accounting), and resetMeasurement() starts a measurement
+     * interval, whose counters the next run(n, 0) call then
+     * reports.
      */
     ///@{
     /**
@@ -64,8 +65,9 @@ class Simulator
      */
     void fastForward(const std::vector<Count> &per_process_refs);
 
-    /** Advance the machine by up to @p instructions through the
-     *  functional-warming paths (same scheduler, no stats). */
+    /** Advance the machine by up to @p instructions with accounting
+     *  compiled out (same scheduler and state updates, no stats;
+     *  the clock advances by base cycles only). */
     void runWarm(Count instructions);
 
     /**
@@ -155,6 +157,7 @@ class Simulator
      * access path selected by @p Spec.
      *
      * @param cycles   filled with the instruction's total cycles
+     *                 (base cycles only under a WarmSpec)
      * @param syscall  true if the instruction was a system call
      * @retval false   the process's trace is exhausted
      */
@@ -162,24 +165,15 @@ class Simulator
     bool stepInstruction(ProcState &p, Cycles now, Cycles &cycles,
                          bool &syscall);
 
-    /** stepInstruction through the functional-warming access paths:
-     *  state updates only, base cycles keep the clock moving. */
-    template <class Spec>
-    bool stepWarmInstruction(ProcState &p, Cycles now, Cycles &cycles,
-                             bool &syscall);
-
     /** Advance the scheduler/machine by up to @p n instructions
      *  (dispatches to the runLoopT selected at construction). */
     void runLoop(Count n);
 
-    /** The simulate loop, specialized per access-path spec. */
+    /** The simulate loop, specialized per access-path spec; under a
+     *  WarmSpec it keeps the scheduler and drops every measured
+     *  counter and the watchdog. */
     template <class Spec>
     void runLoopT(Count n);
-
-    /** The warming loop: runLoopT's scheduler structure over
-     *  stepWarmInstruction, with no measured counters. */
-    template <class Spec>
-    void warmLoopT(Count n);
 
     using LoopFn = void (Simulator::*)(Count);
 
@@ -195,7 +189,7 @@ class Simulator
     loopFnsFor()
     {
         return {&Simulator::runLoopT<Spec>,
-                &Simulator::warmLoopT<Spec>};
+                &Simulator::runLoopT<WarmSpec<Spec>>};
     }
 
     /** Select the loop instantiations for the configuration
