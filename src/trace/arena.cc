@@ -158,9 +158,8 @@ ArenaStream::ensure(std::size_t want)
             generator->nextBatch(scratch.data(), ask);
         append(scratch.data(), got);
         if (got < ask) {
-            // The generator's pass ended: freeze the length and drop
-            // the generator (replays come from the blocks).
-            passLen.store(total, std::memory_order_release);
+            // The generator's pass ended: drop the generator
+            // (replays come from the blocks).
             generator.reset();
             done = true;
             break;
@@ -175,11 +174,15 @@ ArenaStream::ensure(std::size_t want)
                        streamKey, "' exceeded its pass bound of ",
                        passRefBound, " references");
         }
-        passLen.store(total, std::memory_order_release);
         generator.reset();
         done = true;
     }
+    // Publish the records before freezing the pass length: a caller
+    // that sees the length returns from ensure() without the lock,
+    // and then relies on `published` covering the whole pass.
     published.store(total, std::memory_order_release);
+    if (done)
+        passLen.store(total, std::memory_order_release);
 
     const std::uint64_t generated = total - before;
     const double seconds = secondsSince(start);

@@ -141,7 +141,9 @@ class ArenaStream
 
     std::atomic<std::size_t> published{0};
 
-    /** Pass length; SIZE_MAX until the generator exhausts. */
+    /** Pass length; SIZE_MAX until the generator exhausts.  Stored
+     *  after `published`, so a reader that sees it also sees every
+     *  record of the pass published. */
     std::atomic<std::size_t> passLen;
 
     std::atomic<std::size_t> allocatedBytes{0};

@@ -3,12 +3,15 @@
  * Tests for the shared trace arena: packed replay is bit-identical
  * to running the generators fresh (per stream and end-to-end across
  * mp levels), concurrent first-touch growth is safe (exercised under
- * TSan), the high-water mark makes second jobs generation-free, and
+ * TSan), concurrent skips across a pass end are exact, the
+ * high-water mark makes second jobs generation-free, and
  * GAAS_BENCH_ARENA=0 restores the per-job generator path.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstdlib>
 #include <sstream>
 #include <string>
@@ -208,6 +211,77 @@ TEST(ArenaStream, ConcurrentFirstTouchGrowth)
         t.join();
     for (std::size_t r = 0; r < kReaders; ++r)
         EXPECT_EQ(seen[r], expected) << "reader " << r;
+}
+
+/** A vector source with a slow teardown, as a generator with a large
+ *  model state can have: the arena drops its generator inside
+ *  ensure(), between the pass end and the end of the call. */
+class SlowTeardownSource : public VectorSource
+{
+  public:
+    using VectorSource::VectorSource;
+
+    ~SlowTeardownSource() override
+    {
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+};
+
+TEST(ArenaSource, ConcurrentSkipsAcrossPassEndAreExact)
+{
+    // Readers with their own views skip across the end of one fresh,
+    // finite stream while another reader's ensure() is finishing it.
+    // The generator's slow teardown holds that writer between the
+    // pass end and the end of its call; the staggered starts land
+    // the other readers inside that window.  Every skip must return
+    // exactly min(n, passLen - pos): a reader that sees the pass
+    // length must also see the whole pass published.
+    const synth::BenchmarkSpec spec = smallSpec(5'000);
+    auto fresh = synth::makeBenchmark(spec);
+    const std::vector<MemRef> records = drain(*fresh);
+    const std::size_t passLen = records.size();
+    ASSERT_GT(passLen, 5'000u);
+
+    constexpr std::size_t kReaders = 4;
+    const std::size_t step[kReaders] = {passLen + 1, 4099, 1021, 97};
+    for (int round = 0; round < 8; ++round) {
+        TraceArena arena;
+        ArenaStream *stream =
+            arena.acquire("skip-race", 2 * passLen, 0, [&records] {
+                return std::make_unique<SlowTeardownSource>("slow",
+                                                            records);
+            });
+        std::vector<std::string> errors(kReaders);
+        std::vector<std::thread> readers;
+        for (std::size_t r = 0; r < kReaders; ++r) {
+            readers.emplace_back([&, r] {
+                std::this_thread::sleep_for(
+                    std::chrono::microseconds(500 * r));
+                ArenaSource view(stream, "view");
+                std::size_t pos = 0;
+                while (true) {
+                    const std::size_t want =
+                        std::min(step[r], passLen - pos);
+                    const std::size_t got = view.skip(step[r]);
+                    if (got != want) {
+                        errors[r] = "skip(" + std::to_string(step[r]) +
+                                    ") at " + std::to_string(pos) +
+                                    " returned " + std::to_string(got) +
+                                    ", want " + std::to_string(want);
+                        return;
+                    }
+                    pos += got;
+                    if (got < step[r])
+                        return; // clamped at the pass end
+                }
+            });
+        }
+        for (auto &t : readers)
+            t.join();
+        for (std::size_t r = 0; r < kReaders; ++r)
+            EXPECT_EQ(errors[r], "")
+                << "round " << round << " reader " << r;
+    }
 }
 
 TEST(ArenaStream, HighWaterMarkMakesSecondReaderFree)
