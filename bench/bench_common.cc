@@ -53,6 +53,10 @@ std::size_t sweepCounter = 0;
 /** Failed points so far, process-wide (drives exitCode()). */
 std::size_t failedPoints = 0;
 
+/** Of those, points a SIGTERM/SIGINT drain cancelled before they
+ *  started (exit 3). */
+std::size_t cancelledPoints = 0;
+
 std::string
 csvDir()
 {
@@ -269,7 +273,9 @@ samplingPlan()
 int
 exitCode()
 {
-    if (core::sweepCancelRequested())
+    // A signal that lands after the last point was dispatched
+    // cancels nothing: the run is complete and exits as usual.
+    if (cancelledPoints > 0)
         return 3; // graceful SIGTERM/SIGINT drain
     return failedPoints > 0 ? 1 : 0;
 }
@@ -287,6 +293,8 @@ notePoint(core::SweepOutcome &outcome)
 
     if (outcome.status == core::PointStatus::Failed) {
         ++failedPoints;
+        if (outcome.errorCode == ErrorCode::Cancelled)
+            ++cancelledPoints;
         warn("point ", point, " (", result.configName, ") failed [",
              errorCodeName(outcome.errorCode),
              "]: ", firstLine(outcome.error));

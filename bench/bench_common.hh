@@ -62,7 +62,8 @@
  * (proc/executor.hh).  SIGTERM/SIGINT request a graceful drain:
  * in-flight points finish and journal, queued ones fail with the
  * stable `cancelled` code, the partial CSVs are still written
- * atomically, and exitCode() becomes 3.
+ * atomically, and exitCode() becomes 3 if the drain cancelled at
+ * least one point.
  */
 
 #ifndef GAAS_BENCH_COMMON_HH
@@ -135,9 +136,11 @@ core::SamplingConfig samplingPlan();
 unsigned mprocWorkerCount();
 
 /**
- * Process exit status for main(): 3 after a SIGTERM/SIGINT drain,
- * else 1 if any point Failed (or a fatal setup error was noted),
- * else 0.  Reading it does not reset it.
+ * Process exit status for main(): 3 if a SIGTERM/SIGINT drain
+ * cancelled at least one point, else 1 if any point Failed (or a
+ * fatal setup error was noted), else 0.  A signal that arrives after
+ * the last point was dispatched cancels nothing, so that run exits 0
+ * (or 1).  Reading it does not reset it.
  */
 int exitCode();
 
