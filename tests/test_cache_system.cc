@@ -21,6 +21,17 @@
 
 namespace gaas::core
 {
+
+/**
+ * Prints a preset by name in test listings.  Without it gtest dumps
+ * the config's raw bytes, which include a heap pointer, so the listed
+ * test names would change from one run to the next.
+ */
+void PrintTo(const SystemConfig &cfg, std::ostream *os)
+{
+    *os << cfg.name;
+}
+
 namespace
 {
 
