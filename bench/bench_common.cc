@@ -383,60 +383,10 @@ mpLevel()
     return static_cast<unsigned>(envU64("GAAS_BENCH_MP", 8));
 }
 
-core::SimResult
-run(const core::SystemConfig &config)
-{
-    return run(config, mpLevel());
-}
-
 Count
 warmupBudget()
 {
     return envU64("GAAS_BENCH_WARMUP", instructionBudget() / 2);
-}
-
-namespace
-{
-
-/**
- * The immediate-run path shares the sweep engine's fault isolation:
- * one job, serially, failure noted instead of thrown.  A failed run
- * returns the zeroed result (every derived ratio guards division by
- * zero) so the figure can finish its other points.
- */
-core::SimResult
-runOne(core::SweepJob job)
-{
-    job.watchdogCycles = watchdogBudget();
-    job.sampling = samplingPlan();
-    std::vector<core::SweepOutcome> outcomes =
-        core::runSweepOutcomes({std::move(job)}, 1);
-    notePoint(outcomes.front());
-    return std::move(outcomes.front().result);
-}
-
-} // namespace
-
-core::SimResult
-run(const core::SystemConfig &config, unsigned mp_level)
-{
-    core::SweepJob job;
-    job.config = config;
-    job.mpLevel = mp_level;
-    job.instructions = instructionBudget();
-    job.warmup = warmupBudget();
-    return runOne(std::move(job));
-}
-
-core::SimResult
-runScaled(const core::SystemConfig &config, unsigned factor)
-{
-    core::SweepJob job;
-    job.config = config;
-    job.mpLevel = mpLevel();
-    job.instructions = instructionBudget() * factor;
-    job.warmup = warmupBudget() * factor;
-    return runOne(std::move(job));
 }
 
 std::size_t
@@ -448,25 +398,25 @@ Sweep::add(const core::SystemConfig &config)
 std::size_t
 Sweep::add(const core::SystemConfig &config, unsigned mp_level)
 {
-    core::SweepJob job;
-    job.config = config;
-    job.mpLevel = mp_level;
-    job.instructions = instructionBudget();
-    job.warmup = warmupBudget();
-    job.watchdogCycles = watchdogBudget();
-    job.sampling = samplingPlan();
-    jobs.push_back(std::move(job));
-    return jobs.size() - 1;
+    return add(config, mp_level, instructionBudget(), warmupBudget());
 }
 
 std::size_t
 Sweep::addScaled(const core::SystemConfig &config, unsigned factor)
 {
+    return add(config, mpLevel(), instructionBudget() * factor,
+               warmupBudget() * factor);
+}
+
+std::size_t
+Sweep::add(const core::SystemConfig &config, unsigned mp_level,
+           Count instructions, Count warmup)
+{
     core::SweepJob job;
     job.config = config;
-    job.mpLevel = mpLevel();
-    job.instructions = instructionBudget() * factor;
-    job.warmup = warmupBudget() * factor;
+    job.mpLevel = mp_level;
+    job.instructions = instructions;
+    job.warmup = warmup;
     job.watchdogCycles = watchdogBudget();
     job.sampling = samplingPlan();
     jobs.push_back(std::move(job));

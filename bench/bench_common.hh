@@ -1,14 +1,16 @@
 /**
  * @file
  * Shared plumbing for the figure/table bench binaries: instruction
- * budgets (overridable via environment), timed simulation runs, the
- * parallel sweep front end, CSV output placement, and per-point
- * observability (progress lines, JSON stats dumps).
+ * budgets (overridable via environment), the sweep front end every
+ * figure point enters through (bench::Sweep over core::driveSweep,
+ * on threads or forked worker processes), CSV output placement, and
+ * per-point observability (progress lines, JSON stats dumps).
  *
  * Environment knobs:
  *   GAAS_BENCH_INSTRUCTIONS  per-configuration instruction budget
  *                            (default 4,000,000; L2-size sweeps
- *                            scale it up further -- see runScaled)
+ *                            scale it up further -- see
+ *                            Sweep::addScaled)
  *   GAAS_BENCH_MP            multiprogramming level (default 8)
  *   GAAS_BENCH_JOBS          sweep worker threads (default
  *                            hardware_concurrency)
@@ -74,7 +76,6 @@
 #include <vector>
 
 #include "core/config.hh"
-#include "core/simulator.hh"
 #include "core/sweep.hh"
 #include "stats/table.hh"
 #include "util/types.hh"
@@ -177,32 +178,16 @@ Count warmupBudget();
 /** Multiprogramming level for workload construction. */
 unsigned mpLevel();
 
-/** Run @p config on the standard workload for the budget. */
-core::SimResult run(const core::SystemConfig &config);
-
-/** Run @p config at an explicit multiprogramming level. */
-core::SimResult run(const core::SystemConfig &config,
-                    unsigned mp_level);
-
 /**
- * Run with the budget scaled by @p factor.  The L2-sweep figures
- * (6, 7, 8 / Table 2) need several-times-longer traces than the CPI
- * ladders: short windows overstate large-cache miss ratios with
- * unamortised first-touch misses (the [BKW90] long-trace effect the
- * paper discusses in Section 3).
- */
-core::SimResult runScaled(const core::SystemConfig &config,
-                          unsigned factor);
-
-/**
- * Deferred-execution front end to core::runSweep: a figure binary
- * enqueues its whole configuration ladder up front, then reads the
- * results back in enqueue order -- turning the figure's wall clock
- * from the sum of its configurations into (roughly) the max.
+ * The sweep front end every figure point enters through: a figure
+ * binary enqueues its whole configuration ladder up front, then
+ * reads the outcomes back in enqueue order -- turning the figure's
+ * wall clock from the sum of its configurations into (roughly) the
+ * max, and giving every point the shared --resume, --mproc,
+ * --sample, --stats-json and failure handling.
  *
- * The add() overloads mirror the immediate run()/runScaled() calls
- * they replace and return the job's index into run()'s result
- * vector.  Results are bit-identical to the serial path.
+ * The add() overloads return the job's index into run()'s result
+ * vector.  Results are bit-identical to a serial run.
  */
 class Sweep
 {
@@ -214,10 +199,24 @@ class Sweep
     std::size_t add(const core::SystemConfig &config,
                     unsigned mp_level);
 
-    /** Enqueue with the budget scaled by @p factor (see
-     *  runScaled). */
+    /**
+     * Enqueue with the budget scaled by @p factor.  The L2-sweep
+     * figures (6, 7, 8 / Table 2) need several-times-longer traces
+     * than the CPI ladders: short windows overstate large-cache miss
+     * ratios with unamortised first-touch misses (the [BKW90]
+     * long-trace effect the paper discusses in Section 3).
+     */
     std::size_t addScaled(const core::SystemConfig &config,
                           unsigned factor);
+
+    /**
+     * Enqueue at an explicit MP level and budget.  The one place a
+     * bench job is stamped with the watchdog budget and sampling
+     * plan; the other add()s delegate here.
+     */
+    std::size_t add(const core::SystemConfig &config,
+                    unsigned mp_level, Count instructions,
+                    Count warmup);
 
     /** Number of jobs enqueued so far. */
     std::size_t size() const { return jobs.size(); }

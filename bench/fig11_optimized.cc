@@ -22,16 +22,25 @@ main(int argc, char **argv)
     bench::init(argc, argv);
     bench::banner("Fig. 11", "the optimized architecture");
 
-    const auto base = bench::runScaled(core::baseline(), 3);
     const auto opt_cfg = core::optimized();
-    const auto opt = bench::runScaled(opt_cfg, 3);
+    bench::Sweep sweep;
+    sweep.addScaled(core::baseline(), 3);
+    sweep.addScaled(opt_cfg, 3);
+    const auto results = sweep.run();
+    const auto &base_out = results[0];
+    const auto &opt_out = results[1];
+    const auto &base = base_out.result;
+    const auto &opt = opt_out.result;
 
     std::cout << opt_cfg.describe() << "\n\n";
 
     stats::Table t({"metric", "base", "optimized"});
     t.setTitle("Base vs optimized architecture");
     auto row = [&](const char *name, double b, double o) {
-        t.newRow().cell(name).cell(b, 4).cell(o, 4);
+        t.newRow()
+            .cell(name)
+            .cell(bench::cell(base_out, b, 4))
+            .cell(bench::cell(opt_out, o, 4));
     };
     row("CPI", base.cpi(), opt.cpi());
     row("memory CPI", base.memCpi(), opt.memCpi());

@@ -29,10 +29,18 @@ main(int argc, char **argv)
                "(level n runs the first n suite benchmarks, so the "
                "instruction mix shifts with n)");
 
+    const unsigned levels[] = {1u, 2u, 4u, 8u, 16u};
+    bench::Sweep sweep;
+    for (unsigned mp : levels)
+        sweep.add(core::baseline(), mp);
+    const auto results = sweep.run();
+
     double l2_first = 0.0, l2_last = 0.0;
     double l1i_first = 0.0, l1i_last = 0.0;
-    for (unsigned mp : {1u, 2u, 4u, 8u, 16u}) {
-        const auto res = bench::run(core::baseline(), mp);
+    std::size_t job = 0;
+    for (unsigned mp : levels) {
+        const auto &out = results[job++];
+        const auto &res = out.result;
         const auto &s = res.sys;
         const double instr = static_cast<double>(res.instructions);
         const double l1i = static_cast<double>(s.l1iMisses) / instr;
@@ -48,10 +56,10 @@ main(int argc, char **argv)
         l1i_last = l1i;
         t.newRow()
             .cell(static_cast<std::uint64_t>(mp))
-            .cell(l1i, 4)
-            .cell(l1d, 4)
-            .cell(l2, 4)
-            .cell(res.cpi(), 4);
+            .cell(bench::cell(out, l1i, 4))
+            .cell(bench::cell(out, l1d, 4))
+            .cell(bench::cell(out, l2, 4))
+            .cell(bench::cell(out, res.cpi(), 4));
     }
     bench::emit(t, "fig2_multiprogramming");
 

@@ -10,9 +10,8 @@
  * switches yields an average of ~310k cycles between switches.
  */
 
-#include <iostream>
-
 #include <algorithm>
+#include <iostream>
 
 #include "bench_common.hh"
 #include "core/config.hh"
@@ -31,9 +30,11 @@ main(int argc, char **argv)
     t.setTitle("Base architecture, MP=8 "
                "(slice in cycles; paper's x-axis is 10k..10M)");
 
-    for (Cycles slice : {10'000ull, 50'000ull, 100'000ull,
-                         500'000ull, 1'000'000ull, 5'000'000ull,
-                         10'000'000ull}) {
+    const Cycles slices[] = {10'000ull,    50'000ull,    100'000ull,
+                             500'000ull,   1'000'000ull, 5'000'000ull,
+                             10'000'000ull};
+    bench::Sweep sweep;
+    for (Cycles slice : slices) {
         auto cfg = core::baseline();
         cfg.timeSliceCycles = slice;
         // A fair measurement must cover several full rotations of
@@ -41,24 +42,35 @@ main(int argc, char **argv)
         // slice (10M-cycle slices need ~50M+ instructions).
         const Count budget = std::max<Count>(
             bench::instructionBudget(), 8 * slice);
-        const auto res = core::runStandard(cfg, budget,
-                                           bench::mpLevel(),
-                                           budget / 2);
+        sweep.add(cfg, bench::mpLevel(), budget, budget / 2);
+    }
+    const auto results = sweep.run();
+
+    std::size_t job = 0;
+    for (Cycles slice : slices) {
+        const auto &out = results[job++];
+        const auto &res = out.result;
         const auto &s = res.sys;
         const double instr = static_cast<double>(res.instructions);
         t.newRow()
             .cell(static_cast<std::uint64_t>(slice))
-            .cell(static_cast<double>(s.l1iMisses) / instr, 4)
-            .cell(static_cast<double>(s.l1dReadMisses +
-                                      s.l1dWriteMisses) /
-                      instr,
-                  4)
-            .cell(s.l2MissRatio(), 4)
-            .cell(res.cpi(), 4)
-            .cell(res.contextSwitches
-                      ? static_cast<std::uint64_t>(
-                            res.cycles / res.contextSwitches)
-                      : 0);
+            .cell(bench::cell(out,
+                              static_cast<double>(s.l1iMisses) / instr,
+                              4))
+            .cell(bench::cell(out,
+                              static_cast<double>(s.l1dReadMisses +
+                                                  s.l1dWriteMisses) /
+                                  instr,
+                              4))
+            .cell(bench::cell(out, s.l2MissRatio(), 4))
+            .cell(bench::cell(out, res.cpi(), 4))
+            .cell(bench::cell(
+                out,
+                res.contextSwitches
+                    ? static_cast<double>(res.cycles /
+                                          res.contextSwitches)
+                    : 0.0,
+                0));
     }
     bench::emit(t, "fig3_timeslice");
     std::cout << "expected: CPI falls as the slice grows (line reuse); "

@@ -21,17 +21,24 @@ main(int argc, char **argv)
     bench::banner("Fig. 4",
                   "performance losses of the base architecture");
 
-    const auto res = bench::run(core::baseline());
+    bench::Sweep sweep;
+    sweep.add(core::baseline());
+    const auto results = sweep.run();
+    const auto &out = results.front();
+    const auto &res = out.result;
 
     stats::Table t({"component", "CPI contribution", "cumulative"});
     t.setTitle("Base architecture CPI breakdown (paper: 1.238 floor, "
                "~1.65 total)");
-    double cum = res.baseCpi();
-    t.newRow().cell("base machine").cell(res.baseCpi(), 4).cell(cum, 4);
+    double cum = 0.0;
     auto add = [&](const char *label, double value) {
         cum += value;
-        t.newRow().cell(label).cell(value, 4).cell(cum, 4);
+        t.newRow()
+            .cell(label)
+            .cell(bench::cell(out, value, 4))
+            .cell(bench::cell(out, cum, 4));
     };
+    add("base machine", res.baseCpi());
     add("L1-I miss", res.perInstruction(res.comp.l1iMiss));
     add("L1-D miss", res.perInstruction(res.comp.l1dMiss));
     add("L1 writes", res.perInstruction(res.comp.l1Writes));

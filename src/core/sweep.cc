@@ -171,7 +171,7 @@ cancelledOutcome(const SweepJob &job)
 }
 
 SweepOutcome
-runSweepJobIsolated(const SweepJob &job, SweepJobStats *stats)
+runSweepJobIsolated(const SweepJob &job)
 {
     SweepOutcome out;
     try {
@@ -180,7 +180,7 @@ runSweepJobIsolated(const SweepJob &job, SweepJobStats *stats)
                        "injected fault: sweep-job (config '",
                        job.config.name, "')");
         }
-        out.result = runSweepJob(job, stats);
+        out.result = runSweepJob(job, &out.stats);
     } catch (const SimError &e) {
         out.status = PointStatus::Failed;
         out.errorCode = e.code();
@@ -198,62 +198,55 @@ runSweepJobIsolated(const SweepJob &job, SweepJobStats *stats)
 }
 
 std::vector<SweepOutcome>
-runSweepOutcomes(const std::vector<SweepJob> &jobs, unsigned workers,
-                 SweepStats *stats, const SweepProgress &progress,
-                 RunJournal *journal)
+driveSweep(const std::vector<SweepJob> &jobs, SweepExecutor &executor,
+           SweepStats *stats, const SweepProgress &progress,
+           RunJournal *journal)
 {
-    if (workers == 0)
-        workers = sweepWorkers();
-
     const obs::Stopwatch wall;
     const std::size_t n = jobs.size();
-
-    // Resolve journal reuse up front so the pool only ever sees the
-    // points that actually need simulating.
+    std::vector<SweepOutcome> outcomes(n);
     std::vector<std::string> keys(n);
-    std::vector<const JournalRecord *> reuse(n, nullptr);
-    std::size_t to_run = n;
-    if (journal) {
-        for (std::size_t i = 0; i < n; ++i) {
+    std::vector<char> ready(n, 0);
+    std::vector<std::size_t> todo;
+
+    // Resolve journal reuse up front so the executor only ever sees
+    // the points that actually need simulating.
+    for (std::size_t i = 0; i < n; ++i) {
+        const JournalRecord *rec = nullptr;
+        if (journal) {
             keys[i] = sweepJobKey(jobs[i]);
-            if (keys[i].empty())
-                continue;
-            const JournalRecord *rec = journal->find(keys[i]);
-            if (rec && rec->status != PointStatus::Failed) {
-                reuse[i] = rec;
-                --to_run;
-            }
+            if (!keys[i].empty())
+                rec = journal->find(keys[i]);
+        }
+        if (rec && rec->status != PointStatus::Failed) {
+            outcomes[i].status = rec->status;
+            outcomes[i].result = rec->result;
+            outcomes[i].reused = true;
+            ready[i] = 1;
+        } else {
+            todo.push_back(i);
         }
     }
 
-    std::vector<SweepOutcome> outcomes(n);
-    std::vector<SweepJobStats> job_stats(n);
-
-    auto reusedOutcome = [&reuse](std::size_t i) {
-        SweepOutcome out;
-        out.status = reuse[i]->status;
-        out.result = reuse[i]->result;
-        out.reused = true;
-        return out;
-    };
-
-    // Runs on the gathering thread, in submission order: hand the
-    // telemetry over, let the caller see (and possibly downgrade)
-    // the point, then make it durable.
-    auto finalize = [&](std::size_t i, SweepOutcome &out) {
-        out.stats = job_stats[i];
-        if (progress)
-            progress(i, out);
-        // Cancelled points are never journaled: they carry no
-        // result, and a resumed run must re-simulate them.
-        if (journal && !out.reused && !keys[i].empty() &&
-            out.errorCode != ErrorCode::Cancelled) {
+    // Finalize the ready prefix in submission order: let the caller
+    // see (and possibly downgrade) each point, then make it durable.
+    std::size_t next = 0;
+    auto finalizeReady = [&] {
+        for (; next < n && ready[next]; ++next) {
+            SweepOutcome &out = outcomes[next];
+            if (progress)
+                progress(next, out);
+            // Cancelled points are never journaled: they carry no
+            // result, and a resumed run must re-simulate them.
+            if (!journal || out.reused || keys[next].empty() ||
+                out.errorCode == ErrorCode::Cancelled)
+                continue;
             JournalRecord rec;
             rec.status = out.status;
             rec.result = out.result;
             rec.errorCode = out.errorCode;
             rec.error = out.error;
-            if (!journal->append(keys[i], rec) &&
+            if (!journal->append(keys[next], rec) &&
                 out.status == PointStatus::Ok) {
                 // The point itself is fine; only its durability is
                 // lost.  Never abort a sweep over journal I/O.
@@ -262,37 +255,87 @@ runSweepOutcomes(const std::vector<SweepJob> &jobs, unsigned workers,
         }
     };
 
-    if (workers <= 1 || to_run <= 1) {
-        // Serial reference path: also the pooled path's ground truth.
-        for (std::size_t i = 0; i < n; ++i) {
-            outcomes[i] =
-                reuse[i] ? reusedOutcome(i)
-                : sweepCancelRequested()
-                    ? cancelledOutcome(jobs[i])
-                    : runSweepJobIsolated(jobs[i], &job_stats[i]);
-            finalize(i, outcomes[i]);
+    SweepStats local;
+    SweepStats &st = stats ? *stats : local;
+    st = SweepStats{};
+    finalizeReady();
+    executor.run(jobs, todo, st,
+                 [&](std::size_t i, SweepOutcome &&out) {
+                     outcomes[i] = std::move(out);
+                     ready[i] = 1;
+                     finalizeReady();
+                 });
+    st.wallSeconds = wall.seconds();
+
+    st.jobs = n;
+    st.perJob.reserve(n);
+    for (const SweepOutcome &out : outcomes) {
+        st.references += out.result.references();
+        if (out.status == PointStatus::Failed)
+            ++st.failedPoints;
+        else
+            ++st.okPoints;
+        if (out.status == PointStatus::Degraded)
+            ++st.degradedPoints;
+        if (out.reused)
+            ++st.reusedPoints;
+        const SweepJobStats &js = out.stats;
+        st.arenaStreamsGenerated += js.arenaStreamsGenerated;
+        st.arenaStreamsReused += js.arenaStreamsReused;
+        st.arenaRefsGenerated += js.arenaRefsGenerated;
+        st.arenaGenSeconds += js.arenaGenSeconds;
+        st.perJob.push_back(js);
+    }
+    st.arenaBytes = trace::TraceArena::global().totalBytes();
+    return outcomes;
+}
+
+namespace
+{
+
+/** The in-process executor: serial below two workers or two points,
+ *  else a ThreadPool whose futures are gathered in submission order. */
+class ThreadExecutor : public SweepExecutor
+{
+  public:
+    explicit ThreadExecutor(unsigned workers) : workers(workers) {}
+
+    void
+    run(const std::vector<SweepJob> &jobs,
+        const std::vector<std::size_t> &todo, SweepStats &stats,
+        const Sink &done) override
+    {
+        stats.workers = workers;
+        if (workers <= 1 || todo.size() <= 1) {
+            // Serial reference path: also the pooled path's ground
+            // truth.
+            for (const std::size_t i : todo)
+                done(i, sweepCancelRequested()
+                            ? cancelledOutcome(jobs[i])
+                            : runSweepJobIsolated(jobs[i]));
+            return;
         }
-    } else {
-        ThreadPool pool(workers);
+
+        // The pool is declared after what its tasks use, so it joins
+        // its workers before those die, on exception paths too.
         std::mutex id_mutex;
         std::map<std::thread::id, unsigned> worker_ids;
+        ThreadPool pool(workers);
         std::vector<std::future<SweepOutcome>> futures;
-        futures.reserve(to_run);
-        for (std::size_t i = 0; i < n; ++i) {
-            if (reuse[i])
-                continue;
+        futures.reserve(todo.size());
+        for (const std::size_t i : todo) {
             const SweepJob &job = jobs[i];
-            SweepJobStats &slot = job_stats[i];
             const obs::Stopwatch submitted;
-            futures.push_back(pool.submit([&job, &slot, &id_mutex,
+            futures.push_back(pool.submit([&job, &id_mutex,
                                            &worker_ids, submitted] {
-                slot.queueWaitSeconds = submitted.seconds();
+                const double wait = submitted.seconds();
+                unsigned worker = 0;
                 {
                     // Dense worker indices, assigned in first-job
                     // order -- stable enough to spot an idle or
                     // overloaded worker in the telemetry.
                     std::lock_guard<std::mutex> lock(id_mutex);
-                    slot.worker = static_cast<unsigned>(
+                    worker = static_cast<unsigned>(
                         worker_ids
                             .emplace(std::this_thread::get_id(),
                                      worker_ids.size())
@@ -300,79 +343,34 @@ runSweepOutcomes(const std::vector<SweepJob> &jobs, unsigned workers,
                 }
                 // A cancel drains the queue: jobs already running
                 // finish, queued ones return immediately.
-                if (sweepCancelRequested())
-                    return cancelledOutcome(job);
-                return runSweepJobIsolated(job, &slot);
+                SweepOutcome out = sweepCancelRequested()
+                                       ? cancelledOutcome(job)
+                                       : runSweepJobIsolated(job);
+                out.stats.queueWaitSeconds = wait;
+                out.stats.worker = worker;
+                return out;
             }));
         }
         // Futures are held in submission order, so gathering them in
         // order restores determinism no matter how the workers
         // interleaved.
-        std::size_t next_future = 0;
-        for (std::size_t i = 0; i < n; ++i) {
-            outcomes[i] = reuse[i] ? reusedOutcome(i)
-                                   : futures[next_future++].get();
-            finalize(i, outcomes[i]);
-        }
+        for (std::size_t k = 0; k < todo.size(); ++k)
+            done(todo[k], futures[k].get());
     }
 
-    if (stats) {
-        stats->jobs = n;
-        stats->workers = workers;
-        stats->wallSeconds = wall.seconds();
-        stats->mproc = false;
-        stats->workerRespawns = 0;
-        stats->requeuedJobs = 0;
-        stats->references = 0;
-        stats->okPoints = 0;
-        stats->failedPoints = 0;
-        stats->degradedPoints = 0;
-        stats->reusedPoints = 0;
-        for (const auto &out : outcomes) {
-            stats->references += out.result.references();
-            if (out.status == PointStatus::Failed)
-                ++stats->failedPoints;
-            else
-                ++stats->okPoints;
-            if (out.status == PointStatus::Degraded)
-                ++stats->degradedPoints;
-            if (out.reused)
-                ++stats->reusedPoints;
-        }
-        stats->arenaStreamsGenerated = 0;
-        stats->arenaStreamsReused = 0;
-        stats->arenaRefsGenerated = 0;
-        stats->arenaGenSeconds = 0.0;
-        for (const auto &js : job_stats) {
-            stats->arenaStreamsGenerated += js.arenaStreamsGenerated;
-            stats->arenaStreamsReused += js.arenaStreamsReused;
-            stats->arenaRefsGenerated += js.arenaRefsGenerated;
-            stats->arenaGenSeconds += js.arenaGenSeconds;
-        }
-        stats->arenaBytes = trace::TraceArena::global().totalBytes();
-        stats->perJob = std::move(job_stats);
-    }
-    return outcomes;
-}
+  private:
+    unsigned workers;
+};
 
-std::vector<SimResult>
-runSweep(const std::vector<SweepJob> &jobs, unsigned workers,
-         SweepStats *stats, const SweepProgress &progress)
+} // namespace
+
+std::vector<SweepOutcome>
+runSweepOutcomes(const std::vector<SweepJob> &jobs, unsigned workers,
+                 SweepStats *stats, const SweepProgress &progress,
+                 RunJournal *journal)
 {
-    std::vector<SweepOutcome> outcomes =
-        runSweepOutcomes(jobs, workers, stats, progress);
-
-    std::vector<SimResult> results;
-    results.reserve(outcomes.size());
-    const SweepOutcome *first_failed = nullptr;
-    for (auto &out : outcomes) {
-        if (!first_failed && out.status == PointStatus::Failed)
-            first_failed = &out;
-        results.push_back(std::move(out.result));
-    }
-    if (first_failed)
-        throw SimError(first_failed->errorCode, first_failed->error);
-    return results;
+    ThreadExecutor executor(workers ? workers : sweepWorkers());
+    return driveSweep(jobs, executor, stats, progress, journal);
 }
 
 } // namespace gaas::core

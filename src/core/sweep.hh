@@ -170,7 +170,7 @@ struct SweepOutcome
     bool ok() const { return status != PointStatus::Failed; }
 };
 
-/** Aggregate wall-clock accounting of one runSweep() call. */
+/** Aggregate wall-clock accounting of one sweep. */
 struct SweepStats
 {
     std::size_t jobs = 0;
@@ -233,7 +233,7 @@ using SweepProgress =
     std::function<void(std::size_t, SweepOutcome &)>;
 
 /**
- * Worker count used when runSweep is called with workers == 0:
+ * Worker count used when runSweepOutcomes gets workers == 0:
  * GAAS_BENCH_JOBS if it parses strictly as a positive integer that
  * fits an unsigned (anything else -- trailing garbage, overflow,
  * zero -- warns and is ignored), else hardware_concurrency (floor 1).
@@ -254,12 +254,13 @@ SimResult runSweepJob(const SweepJob &job,
 
 /**
  * runSweepJob with the fault fence around it: any throw becomes a
- * Failed outcome (code + message) instead of escaping.  This is the
- * unit of work both the in-process pool and the multi-process
- * worker children (proc/executor.hh) execute.
+ * Failed outcome (code + message) instead of escaping.  The
+ * outcome's stats carry the job's build/sim phases and arena tally;
+ * queue wait, worker and requeues are left to the executor.  This
+ * is the unit of work both the in-process pool and the
+ * multi-process worker children (proc/executor.hh) execute.
  */
-SweepOutcome runSweepJobIsolated(const SweepJob &job,
-                                 SweepJobStats *stats = nullptr);
+SweepOutcome runSweepJobIsolated(const SweepJob &job);
 
 /**
  * @name Cooperative sweep cancellation
@@ -281,18 +282,63 @@ SweepOutcome cancelledOutcome(const SweepJob &job);
 ///@}
 
 /**
+ * Where a sweep's points actually run.  driveSweep owns the sweep
+ * policy -- journal reuse, submission-order finalization,
+ * disposition counting -- and hands an executor only the indices
+ * that still need simulating.  Two executors exist: the
+ * in-process serial/thread-pool one behind runSweepOutcomes, and
+ * the forked-worker supervisor behind proc::runSweepMproc.
+ */
+class SweepExecutor
+{
+  public:
+    /** Receives one finished point: (submission index, outcome with
+     *  its SweepJobStats filled in). */
+    using Sink = std::function<void(std::size_t, SweepOutcome &&)>;
+
+    virtual ~SweepExecutor() = default;
+
+    /**
+     * Run jobs[i] for every i in @p todo (ascending) and hand each
+     * result to @p done exactly once, on the calling thread, in any
+     * order.  Stop starting jobs once sweepCancelRequested() and
+     * report the rest as cancelledOutcome().  Set the executor's own
+     * SweepStats fields -- workers, mproc, workerRespawns,
+     * requeuedJobs -- and add any arena work done outside the jobs
+     * (the mproc prewarm) to the arena counters; driveSweep fills
+     * everything else.
+     */
+    virtual void run(const std::vector<SweepJob> &jobs,
+                     const std::vector<std::size_t> &todo,
+                     SweepStats &stats, const Sink &done) = 0;
+};
+
+/**
+ * The one owner of the sweep policy.  Resolves journal reuse, runs
+ * the remaining points on @p executor, and finalizes every point in
+ * submission order on the calling thread as soon as all earlier
+ * points have:
+ * telemetry, then @p progress (which may downgrade the point), then
+ * the journal append.  A failed append downgrades Ok to Degraded; a
+ * Cancelled point is never journaled.  @p stats (if non-null) gets
+ * the wall clock -- journal resolution and everything the executor
+ * did included -- plus disposition counts and per-job telemetry.
+ */
+std::vector<SweepOutcome>
+driveSweep(const std::vector<SweepJob> &jobs, SweepExecutor &executor,
+           SweepStats *stats, const SweepProgress &progress,
+           RunJournal *journal);
+
+/**
  * Run @p jobs across @p workers threads (0 = sweepWorkers()) with
  * per-job fault isolation: a job that throws becomes a Failed
  * outcome carrying the error's code and message, and every other
  * point still runs to completion.
  *
- * With a @p journal (opened by the caller), points whose key is
- * already journaled as Ok/Degraded are reused without simulating
- * (reused = true, zero sim seconds); Failed and missing points are
- * re-simulated.  Every freshly simulated point is appended to the
- * journal -- after @p progress ran, so a Degraded downgrade is
- * recorded -- and an append failure downgrades the point instead of
- * aborting the sweep.
+ * Journal reuse and appends, progress and stats follow driveSweep:
+ * with a @p journal (opened by the caller), points journaled as
+ * Ok/Degraded are reused without simulating (reused = true, zero
+ * sim seconds); Failed and missing points are re-simulated.
  *
  * @param stats filled with wall-clock/throughput totals, disposition
  *        counts and per-job telemetry if non-null
@@ -307,16 +353,6 @@ runSweepOutcomes(const std::vector<SweepJob> &jobs,
                  unsigned workers = 0, SweepStats *stats = nullptr,
                  const SweepProgress &progress = {},
                  RunJournal *journal = nullptr);
-
-/**
- * Compatibility wrapper over runSweepOutcomes: returns the bare
- * results and rethrows the first failure (as SimError) after the
- * whole sweep drained.
- */
-std::vector<SimResult> runSweep(const std::vector<SweepJob> &jobs,
-                                unsigned workers = 0,
-                                SweepStats *stats = nullptr,
-                                const SweepProgress &progress = {});
 
 } // namespace gaas::core
 

@@ -122,11 +122,8 @@ workerLoop(const std::vector<core::SweepJob> &jobs, int requestFd,
         if (req.flags & kFlagKill)
             ::raise(SIGKILL);
 
-        core::SweepJobStats jobStats;
-        core::SweepOutcome out = core::runSweepJobIsolated(
-            jobs[req.job], &jobStats);
-        out.stats = jobStats;
-        const std::string frame = encodeResult(req.job, out);
+        const std::string frame = encodeResult(
+            req.job, core::runSweepJobIsolated(jobs[req.job]));
         std::lock_guard<std::mutex> lock(writeMutex);
         if (!writeFrameBlocking(responseFd, frame))
             break;
@@ -160,11 +157,11 @@ class ScopedSigpipeIgnore
  *  One prewarm per distinct mp level, sized to the largest budget. */
 void
 prewarmArena(const std::vector<core::SweepJob> &jobs,
-             const std::vector<const core::JournalRecord *> &reuse)
+             const std::vector<std::size_t> &todo)
 {
     std::vector<std::pair<unsigned, Count>> levels;
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        if (reuse[i] || jobs[i].workload)
+    for (const std::size_t i : todo) {
+        if (jobs[i].workload)
             continue;
         const Count hint =
             jobs[i].warmup + jobs[i].instructions;
@@ -180,48 +177,42 @@ prewarmArena(const std::vector<core::SweepJob> &jobs,
         core::Workload::prewarmStandardStreams(mp, hint);
 }
 
-} // namespace
-
-std::vector<core::SweepOutcome>
-runSweepMproc(const std::vector<core::SweepJob> &jobs,
-              const MprocOptions &opts, core::SweepStats *stats,
-              const core::SweepProgress &progress,
-              core::RunJournal *journal)
+/**
+ * The supervisor: forks the worker pool, shards the points
+ * core::driveSweep hands it over the workers and reports each
+ * finished index exactly once.  Journal, finalize order and
+ * dispositions belong to driveSweep; this class only keeps workers
+ * alive and results flowing.
+ */
+class Supervisor : public core::SweepExecutor
 {
-    MprocOptions o = opts;
-    if (o.workers == 0)
-        o.workers = core::sweepWorkers();
-    o.maxAttempts = std::max(1u, o.maxAttempts);
-    o.heartbeatMs = std::max(1u, o.heartbeatMs);
-    o.heartbeatMiss = std::max(1u, o.heartbeatMiss);
-
-    if (!mprocSupported() || jobs.empty())
-        return core::runSweepOutcomes(jobs, o.workers, stats,
-                                      progress, journal);
-
-    const obs::Stopwatch wall;
-    const std::size_t n = jobs.size();
-
-    // Journal reuse, resolved up front exactly like the in-process
-    // engine, so workers only ever see points that need simulating.
-    std::vector<std::string> keys(n);
-    std::vector<const core::JournalRecord *> reuse(n, nullptr);
-    std::size_t to_run = n;
-    if (journal) {
-        for (std::size_t i = 0; i < n; ++i) {
-            keys[i] = core::sweepJobKey(jobs[i]);
-            if (keys[i].empty())
-                continue;
-            const core::JournalRecord *rec = journal->find(keys[i]);
-            if (rec && rec->status != core::PointStatus::Failed) {
-                reuse[i] = rec;
-                --to_run;
-            }
-        }
+  public:
+    Supervisor(const MprocOptions &opts, core::RunJournal *journal)
+        : o(opts), journal(journal)
+    {
     }
 
+    void run(const std::vector<core::SweepJob> &jobs,
+             const std::vector<std::size_t> &todo,
+             core::SweepStats &stats, const Sink &done) override;
+
+  private:
+    MprocOptions o;
+    /** Only closed in each child, never read or written here. */
+    core::RunJournal *journal;
+};
+
+void
+Supervisor::run(const std::vector<core::SweepJob> &jobs,
+                const std::vector<std::size_t> &todo,
+                core::SweepStats &stats, const Sink &done)
+{
+    const obs::Stopwatch started;
+    const std::size_t n = jobs.size();
+    const std::size_t to_run = todo.size();
+
     trace::TraceArena::resetThreadTally();
-    prewarmArena(jobs, reuse);
+    prewarmArena(jobs, todo);
     const trace::ArenaTally prewarm = trace::TraceArena::threadTally();
 
     ScopedSigpipeIgnore sigpipe;
@@ -241,84 +232,55 @@ runSweepMproc(const std::vector<core::SweepJob> &jobs,
         1, std::min<std::size_t>(o.workers, to_run ? to_run : 1)));
     std::vector<Slot> slots(nworkers);
 
-    std::vector<core::SweepOutcome> outcomes(n);
-    std::vector<core::SweepJobStats> job_stats(n);
-    std::vector<char> done(n, 0);
+    std::vector<double> queueWait(n, 0.0);
+    // Indices driveSweep did not hand over count as finished, so a
+    // stray result frame can never be reported for them.
+    std::vector<char> finished(n, 1);
+    for (const std::size_t i : todo)
+        finished[i] = 0;
     std::vector<unsigned> attempts(n, 0);
     std::vector<Clock::time_point> eligibleAt(n, Clock::now());
-    std::deque<std::size_t> pending;
-    for (std::size_t i = 0; i < n; ++i)
-        if (!reuse[i])
-            pending.push_back(i);
+    std::deque<std::size_t> pending(todo.begin(), todo.end());
+    // Results recorded since the last report(), handed to driveSweep
+    // at the same loop points every iteration.
+    std::vector<std::pair<std::size_t, core::SweepOutcome>> arrived;
 
-    std::size_t completed = 0; //!< non-reused jobs with a result
-    std::size_t nextFinal = 0;
+    std::size_t completed = 0; //!< jobs with a recorded result
     std::uint64_t respawns = 0;
     std::uint64_t requeues = 0;
 
-    auto reusedOutcome = [&reuse](std::size_t i) {
-        core::SweepOutcome out;
-        out.status = reuse[i]->status;
-        out.result = reuse[i]->result;
-        out.reused = true;
-        return out;
-    };
-
-    // Same submission-order finalize as the in-process engine:
-    // telemetry, progress (which may downgrade), then the journal.
-    auto finalizePrefix = [&] {
-        while (nextFinal < n &&
-               (reuse[nextFinal] || done[nextFinal])) {
-            const std::size_t i = nextFinal++;
-            if (reuse[i])
-                outcomes[i] = reusedOutcome(i);
-            core::SweepOutcome &out = outcomes[i];
-            out.stats = job_stats[i];
-            if (progress)
-                progress(i, out);
-            if (journal && !out.reused && !keys[i].empty() &&
-                out.errorCode != ErrorCode::Cancelled) {
-                core::JournalRecord rec;
-                rec.status = out.status;
-                rec.result = out.result;
-                rec.errorCode = out.errorCode;
-                rec.error = out.error;
-                if (!journal->append(keys[i], rec) &&
-                    out.status == core::PointStatus::Ok) {
-                    out.status = core::PointStatus::Degraded;
-                }
-            }
-        }
+    auto report = [&] {
+        for (auto &[i, out] : arrived)
+            done(i, std::move(out));
+        arrived.clear();
     };
 
     auto recordOutcome = [&](std::size_t i, core::SweepOutcome &&out,
                              unsigned workerSlot) {
-        if (done[i])
+        if (finished[i])
             return;
         // The child's stats frame carries timing and arena tallies;
         // queue wait, worker slot and requeues are supervisor-side.
-        const double queueWait = job_stats[i].queueWaitSeconds;
-        job_stats[i] = out.stats;
-        job_stats[i].queueWaitSeconds = queueWait;
-        job_stats[i].worker = workerSlot;
-        job_stats[i].requeues =
-            attempts[i] > 0 ? attempts[i] - 1 : 0;
-        outcomes[i] = std::move(out);
-        done[i] = 1;
+        out.stats.queueWaitSeconds = queueWait[i];
+        out.stats.worker = workerSlot;
+        out.stats.requeues = attempts[i] > 0 ? attempts[i] - 1 : 0;
+        arrived.emplace_back(i, std::move(out));
+        finished[i] = 1;
         ++completed;
     };
 
     auto spawnWorker = [&](std::size_t s) {
         Slot &slot = slots[s];
         const unsigned hb = o.heartbeatMs;
-        slot.child = spawnChild([&jobs, hb, journal](int rfd,
-                                                     int wfd) {
+        core::RunJournal *inherited = journal;
+        slot.child = spawnChild([&jobs, hb, inherited](int rfd,
+                                                       int wfd) {
             // Drop the inherited journal descriptor: flock lives on
             // the shared open-file description, so a worker that
             // outlives a killed supervisor must not keep the
             // journal locked against the --resume rerun.
-            if (journal)
-                journal->close();
+            if (inherited)
+                inherited->close();
             workerLoop(jobs, rfd, wfd, hb);
         });
         slot.frames = FrameSplitter{};
@@ -373,7 +335,7 @@ runSweepMproc(const std::vector<core::SweepJob> &jobs,
         reapChild(slot.child.pid, true, cause);
         closeChildPipes(slot.child);
         slot.alive = false;
-        if (slot.hasJob && !done[slot.job]) {
+        if (slot.hasJob && !finished[slot.job]) {
             const std::size_t j = slot.job;
             if (core::sweepCancelRequested()) {
                 recordOutcome(j, core::cancelledOutcome(jobs[j]),
@@ -439,7 +401,7 @@ runSweepMproc(const std::vector<core::SweepJob> &jobs,
         if (fault::shouldFail("worker-hang"))
             flags |= kFlagHang;
         if (attempts[j] == 0)
-            job_stats[j].queueWaitSeconds = wall.seconds();
+            queueWait[j] = started.seconds();
         ++attempts[j];
         slot.hasJob = true;
         slot.job = j;
@@ -466,7 +428,7 @@ runSweepMproc(const std::vector<core::SweepJob> &jobs,
                 recordOutcome(j, core::cancelledOutcome(jobs[j]), 0);
             pending.clear();
         }
-        finalizePrefix();
+        report();
         if (completed >= to_run)
             break;
 
@@ -484,14 +446,11 @@ runSweepMproc(const std::vector<core::SweepJob> &jobs,
                      pending.size(), " point(s) in-process");
                 for (const std::size_t j : pending) {
                     ++attempts[j];
-                    core::SweepJobStats st;
-                    core::SweepOutcome out =
-                        core::sweepCancelRequested()
-                            ? core::cancelledOutcome(jobs[j])
-                            : core::runSweepJobIsolated(jobs[j],
-                                                        &st);
-                    out.stats = st;
-                    recordOutcome(j, std::move(out), 0);
+                    recordOutcome(j,
+                                  core::sweepCancelRequested()
+                                      ? core::cancelledOutcome(jobs[j])
+                                      : core::runSweepJobIsolated(jobs[j]),
+                                  0);
                 }
                 pending.clear();
                 continue;
@@ -531,9 +490,9 @@ runSweepMproc(const std::vector<core::SweepJob> &jobs,
             handleWorkerLoss(s);
         }
 
-        finalizePrefix();
+        report();
     }
-    finalizePrefix();
+    report();
 
     // Orderly shutdown: every still-live worker is idle by now.
     const std::string bye = encodeShutdown();
@@ -547,45 +506,39 @@ runSweepMproc(const std::vector<core::SweepJob> &jobs,
         slot.alive = false;
     }
 
-    if (stats) {
-        stats->jobs = n;
-        stats->workers = nworkers;
-        stats->wallSeconds = wall.seconds();
-        stats->mproc = true;
-        stats->workerRespawns = respawns;
-        stats->requeuedJobs = requeues;
-        stats->references = 0;
-        stats->okPoints = 0;
-        stats->failedPoints = 0;
-        stats->degradedPoints = 0;
-        stats->reusedPoints = 0;
-        for (const auto &out : outcomes) {
-            stats->references += out.result.references();
-            if (out.status == core::PointStatus::Failed)
-                ++stats->failedPoints;
-            else
-                ++stats->okPoints;
-            if (out.status == core::PointStatus::Degraded)
-                ++stats->degradedPoints;
-            if (out.reused)
-                ++stats->reusedPoints;
-        }
-        // Generation done in the supervisor's prewarm plus whatever
-        // the workers reported back over the pipe.
-        stats->arenaStreamsGenerated = prewarm.streamsGenerated;
-        stats->arenaStreamsReused = prewarm.streamsReused;
-        stats->arenaRefsGenerated = prewarm.refsGenerated;
-        stats->arenaGenSeconds = prewarm.genSeconds;
-        for (const auto &js : job_stats) {
-            stats->arenaStreamsGenerated += js.arenaStreamsGenerated;
-            stats->arenaStreamsReused += js.arenaStreamsReused;
-            stats->arenaRefsGenerated += js.arenaRefsGenerated;
-            stats->arenaGenSeconds += js.arenaGenSeconds;
-        }
-        stats->arenaBytes = trace::TraceArena::global().totalBytes();
-        stats->perJob = std::move(job_stats);
-    }
-    return outcomes;
+    stats.workers = nworkers;
+    stats.mproc = true;
+    stats.workerRespawns = respawns;
+    stats.requeuedJobs = requeues;
+    // Generation done in the supervisor's prewarm; the workers'
+    // share arrives per job over the pipe.
+    stats.arenaStreamsGenerated += prewarm.streamsGenerated;
+    stats.arenaStreamsReused += prewarm.streamsReused;
+    stats.arenaRefsGenerated += prewarm.refsGenerated;
+    stats.arenaGenSeconds += prewarm.genSeconds;
+}
+
+} // namespace
+
+std::vector<core::SweepOutcome>
+runSweepMproc(const std::vector<core::SweepJob> &jobs,
+              const MprocOptions &opts, core::SweepStats *stats,
+              const core::SweepProgress &progress,
+              core::RunJournal *journal)
+{
+    MprocOptions o = opts;
+    if (o.workers == 0)
+        o.workers = core::sweepWorkers();
+    o.maxAttempts = std::max(1u, o.maxAttempts);
+    o.heartbeatMs = std::max(1u, o.heartbeatMs);
+    o.heartbeatMiss = std::max(1u, o.heartbeatMiss);
+
+    if (!mprocSupported() || jobs.empty())
+        return core::runSweepOutcomes(jobs, o.workers, stats,
+                                      progress, journal);
+    Supervisor supervisor(o, journal);
+    return core::driveSweep(jobs, supervisor, stats, progress,
+                            journal);
 }
 
 #else // _WIN32

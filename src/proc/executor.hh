@@ -26,11 +26,13 @@
  *    process death always was: every finalized point was appended
  *    to the fsynced resume journal, so `--resume` replays it.
  *
- * Results cross the pipe in core/result_io's bit-exact encoding,
- * and the supervisor finalizes points in submission order through
- * the same progress/journal path as the in-process engine -- so
- * CSVs, per-point JSON dumps and journals are byte-identical to a
- * serial run no matter how many workers died along the way.
+ * Results cross the pipe in core/result_io's bit-exact encoding.
+ * The supervisor is only a core::SweepExecutor: it reports each
+ * finished index once, and core::driveSweep -- which the in-process
+ * engine uses too -- resolves journal reuse, finalizes points in
+ * submission order and counts dispositions.  CSVs,
+ * per-point JSON dumps and journals are therefore byte-identical
+ * to a serial run no matter how many workers died along the way.
  *
  * Workers are forked after the supervisor pre-generates the trace
  * arena streams the ladder needs, so children replay shared
@@ -89,11 +91,11 @@ struct MprocOptions
 unsigned mprocWorkers();
 
 /**
- * Run @p jobs across opts.workers forked worker processes.  Same
- * contract as core::runSweepOutcomes -- submission-order outcomes
- * and progress, journal reuse/append, per-job isolation,
- * cooperative cancellation -- plus the cross-process fault model
- * described in the file comment.  SweepStats gains mproc=true,
+ * Run @p jobs across opts.workers forked worker processes:
+ * core::driveSweep, as behind core::runSweepOutcomes (so the same
+ * submission-order outcomes and progress, journal reuse/append and
+ * cooperative cancellation), with the supervisor as executor, which
+ * adds the cross-process fault model described in the file comment.  SweepStats gains mproc=true,
  * workerRespawns and requeuedJobs; per-job telemetry carries the
  * worker slot and requeue count.
  *

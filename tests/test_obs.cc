@@ -272,13 +272,15 @@ TEST(StatsJson, SerialAndParallelSweepsDumpIdentically)
         jobs[i].warmup = 2'000;
     }
 
-    const auto serial = core::runSweep(jobs, 1);
-    const auto pooled = core::runSweep(jobs, 4);
+    const auto serial = core::runSweepOutcomes(jobs, 1);
+    const auto pooled = core::runSweepOutcomes(jobs, 4);
     ASSERT_EQ(serial.size(), pooled.size());
     for (std::size_t i = 0; i < serial.size(); ++i) {
+        EXPECT_EQ(serial[i].status, core::PointStatus::Ok);
+        EXPECT_EQ(pooled[i].status, core::PointStatus::Ok);
         std::ostringstream a, b;
-        core::dumpStatsJson(serial[i], a);
-        core::dumpStatsJson(pooled[i], b);
+        core::dumpStatsJson(serial[i].result, a);
+        core::dumpStatsJson(pooled[i].result, b);
         EXPECT_EQ(a.str(), b.str()) << "job " << i;
     }
 }

@@ -113,7 +113,7 @@ TEST(Sweep, PoolIsBitIdenticalToSerialAtAnyWorkerCount)
 
     for (unsigned workers : {1u, 2u, 8u}) {
         SweepStats stats;
-        const auto pooled = runSweep(jobs, workers, &stats);
+        const auto pooled = runSweepOutcomes(jobs, workers, &stats);
         ASSERT_EQ(pooled.size(), jobs.size()) << workers;
         EXPECT_EQ(stats.jobs, jobs.size());
         EXPECT_EQ(stats.workers, workers);
@@ -121,7 +121,7 @@ TEST(Sweep, PoolIsBitIdenticalToSerialAtAnyWorkerCount)
         for (std::size_t i = 0; i < jobs.size(); ++i) {
             SCOPED_TRACE("workers=" + std::to_string(workers) +
                          " job=" + std::to_string(i));
-            expectSameResult(pooled[i], serial[i]);
+            expectSameResult(pooled[i].result, serial[i]);
         }
     }
 }
@@ -129,10 +129,10 @@ TEST(Sweep, PoolIsBitIdenticalToSerialAtAnyWorkerCount)
 TEST(Sweep, ResultsComeBackInSubmissionOrder)
 {
     const auto jobs = ladder();
-    const auto results = runSweep(jobs, 8);
+    const auto results = runSweepOutcomes(jobs, 8);
     ASSERT_EQ(results.size(), jobs.size());
     for (std::size_t i = 0; i < jobs.size(); ++i)
-        EXPECT_EQ(results[i].configName, jobs[i].config.name);
+        EXPECT_EQ(results[i].result.configName, jobs[i].config.name);
 }
 
 TEST(Sweep, ExhaustedTraceEndsIdenticallySerialAndPooled)
@@ -166,11 +166,11 @@ TEST(Sweep, ExhaustedTraceEndsIdenticallySerialAndPooled)
         serial.push_back(runSweepJob(job));
     EXPECT_EQ(serial[0].instructions, 32u);
 
-    const auto pooled = runSweep(jobs, 4);
+    const auto pooled = runSweepOutcomes(jobs, 4);
     ASSERT_EQ(pooled.size(), jobs.size());
     for (std::size_t i = 0; i < jobs.size(); ++i) {
         SCOPED_TRACE(i);
-        expectSameResult(pooled[i], serial[i]);
+        expectSameResult(pooled[i].result, serial[i]);
     }
 }
 
@@ -181,12 +181,12 @@ TEST(Sweep, SingleJobAndEmptyJobLists)
 
     const auto serial = runSweepJob(one[0]);
     SweepStats stats;
-    const auto pooled = runSweep(one, 8, &stats);
+    const auto pooled = runSweepOutcomes(one, 8, &stats);
     ASSERT_EQ(pooled.size(), 1u);
-    expectSameResult(pooled[0], serial);
+    expectSameResult(pooled[0].result, serial);
     EXPECT_EQ(stats.jobs, 1u);
 
-    const auto none = runSweep({}, 4, &stats);
+    const auto none = runSweepOutcomes({}, 4, &stats);
     EXPECT_TRUE(none.empty());
     EXPECT_EQ(stats.jobs, 0u);
 }
@@ -227,7 +227,7 @@ TEST(Sweep, PerJobTelemetryIsRecorded)
     const auto jobs = ladder();
 
     SweepStats serial_stats;
-    runSweep(jobs, 1, &serial_stats);
+    runSweepOutcomes(jobs, 1, &serial_stats);
     ASSERT_EQ(serial_stats.perJob.size(), jobs.size());
     for (const auto &js : serial_stats.perJob) {
         EXPECT_EQ(js.worker, 0u);
@@ -241,7 +241,7 @@ TEST(Sweep, PerJobTelemetryIsRecorded)
 
     const unsigned workers = 3;
     SweepStats pooled_stats;
-    runSweep(jobs, workers, &pooled_stats);
+    runSweepOutcomes(jobs, workers, &pooled_stats);
     ASSERT_EQ(pooled_stats.perJob.size(), jobs.size());
     for (const auto &js : pooled_stats.perJob) {
         EXPECT_LT(js.worker, workers);
@@ -255,7 +255,7 @@ TEST(Sweep, ProgressCallbackRunsInSubmissionOrder)
 {
     const auto jobs = ladder();
     std::vector<std::string> seen;
-    const auto results = runSweep(
+    const auto results = runSweepOutcomes(
         jobs, 4, nullptr,
         [&seen](std::size_t index, SweepOutcome &outcome) {
             EXPECT_EQ(index, seen.size());
@@ -307,20 +307,6 @@ TEST(Sweep, FailedJobIsIsolatedAndEveryOtherPointCompletes)
     }
 }
 
-TEST(Sweep, RunSweepRethrowsTheFirstFailureAfterDraining)
-{
-    const auto jobs = ladder();
-    FaultGuard guard("sweep-job:2");
-    try {
-        runSweep(jobs, 1);
-        FAIL() << "runSweep did not rethrow the failure";
-    } catch (const SimError &e) {
-        EXPECT_EQ(e.code(), ErrorCode::Internal);
-        EXPECT_NE(std::string(e.what()).find("injected fault"),
-                  std::string::npos);
-    }
-}
-
 TEST(Sweep, WatchdogTripsAsAStructuredFailure)
 {
     // One cycle per instruction is an impossible budget: the very
@@ -346,14 +332,15 @@ TEST(Sweep, GenerousWatchdogBudgetChangesNothing)
 {
     auto jobs = ladder();
     jobs.resize(2);
-    const auto plain = runSweep(jobs, 1);
+    const auto plain = runSweepOutcomes(jobs, 1);
     for (auto &job : jobs)
         job.watchdogCycles = 1'000'000;
-    const auto watched = runSweep(jobs, 1);
+    const auto watched = runSweepOutcomes(jobs, 1);
     ASSERT_EQ(watched.size(), plain.size());
     for (std::size_t i = 0; i < plain.size(); ++i) {
         SCOPED_TRACE(i);
-        expectSameResult(watched[i], plain[i]);
+        EXPECT_EQ(watched[i].status, PointStatus::Ok);
+        expectSameResult(watched[i].result, plain[i].result);
     }
 }
 

@@ -34,13 +34,13 @@
  * sampled ladder's refs/s recorded next to the full-detail floor.
  *
  * `--mproc` benchmarks the multi-process sweep executor instead:
- * the same ladder runs once on the in-process thread pool and once
- * across forked worker processes (proc/executor.hh, same worker
- * count), every point's stats dump is byte-compared across the two
- * (the executor's bit-identity contract), and the wall-clock
- * comparison -- worker count, respawns, requeues, and the process
- * mode's overhead percentage -- goes to `BENCH_8.json`.
- * `--overhead PCT` makes that overhead a hard assertion, the
+ * after one untimed warm pass, the same ladder runs in five
+ * thread-pool/forked-worker pairs (proc/executor.hh, same worker
+ * count), alternating which side goes first; every pair's stats
+ * dumps are byte-compared (the executor's bit-identity contract),
+ * and every pair's wall clocks plus the median overhead, worker
+ * count, respawns and requeues go to `BENCH_8.json`.
+ * `--overhead PCT` makes the median overhead a hard assertion, the
  * perfsmoke guard that cross-process sharding stays cheap.
  *
  * `--stream` benchmarks trace-file ingestion instead: it encodes a
@@ -68,6 +68,7 @@
  *                   [--grefs G] [--ratio R]
  */
 
+#include <algorithm>
 #include <array>
 #include <chrono>
 #include <cmath>
@@ -258,6 +259,22 @@ emitRateContext(obs::JsonValue &doc, double floor_refs,
                                  num(floor_refs));
     doc.members.emplace_back("calibration_refs_per_second",
                              num(calibration));
+}
+
+/** Thread/process pairs the --mproc benchmark times. */
+constexpr int kMprocPairs = 5;
+
+/** Median of @p values (mean of the middle two when even; 0 if
+ *  empty). */
+double
+median(std::vector<double> values)
+{
+    if (values.empty())
+        return 0.0;
+    std::sort(values.begin(), values.end());
+    const std::size_t mid = values.size() / 2;
+    return values.size() % 2 ? values[mid]
+                             : (values[mid - 1] + values[mid]) / 2.0;
 }
 
 /** @return refs/s scaled by the calibration yardstick (0-safe). */
@@ -501,56 +518,94 @@ runMprocBench(bool smoke, std::string outPath, double floorRefs,
     // process machinery (fork, pipes, result re-encoding) -- which
     // is exactly what the overhead assertion is about.
     (void)runMode(jobs, true);
-    const ModeRun threads = runMode(jobs, true);
-    std::cout << "  threads:   " << threads.wallSeconds
-              << " s wall, " << threads.refsPerSecond
-              << " refs/s\n";
-    const ModeRun procs = runMode(jobs, true, workers);
-    std::cout << "  processes: " << procs.wallSeconds
-              << " s wall, " << procs.refsPerSecond << " refs/s, "
-              << procs.stats.workerRespawns << " respawn(s), "
-              << procs.stats.requeuedJobs << " requeue(s)\n";
 
+    // One ~0.1 s pair is at the mercy of host noise, so time
+    // kMprocPairs thread/process pairs, alternating which side runs
+    // first, byte-compare every pair, and gate the median overhead.
     int rc = 0;
-    if (!procs.stats.mproc) {
-        std::cerr << "benchspeed: FAIL: the process run did not use "
-                     "the multi-process executor\n";
-        rc = 1;
-    }
-    if (threads.dumps != procs.dumps) {
-        for (std::size_t i = 0; i < threads.dumps.size(); ++i) {
-            if (threads.dumps[i] != procs.dumps[i])
-                std::cerr << "benchspeed: FAIL: point " << i << " ('"
-                          << jobs[i].config.name
-                          << "') differs between threads and "
-                             "processes\n";
+    std::vector<double> threadWall, threadRate, procWall, procRate,
+        overheads;
+    std::uint64_t respawns = 0, requeues = 0;
+    unsigned workerProcesses = 0;
+    obs::JsonValue pairsJson = obs::JsonValue::array();
+    for (int p = 0; p < kMprocPairs; ++p) {
+        const bool threadsFirst = p % 2 == 0;
+        ModeRun threads, procs;
+        if (threadsFirst) {
+            threads = runMode(jobs, true);
+            procs = runMode(jobs, true, workers);
+        } else {
+            procs = runMode(jobs, true, workers);
+            threads = runMode(jobs, true);
         }
-        rc = 1;
+        const double overheadPct =
+            threads.wallSeconds > 0.0
+                ? (procs.wallSeconds - threads.wallSeconds) /
+                      threads.wallSeconds * 100.0
+                : 0.0;
+        std::cout << "  pair " << p << " ("
+                  << (threadsFirst ? "threads" : "processes")
+                  << " first): threads " << threads.wallSeconds
+                  << " s, processes " << procs.wallSeconds << " s, "
+                  << procs.stats.workerRespawns << " respawn(s), "
+                  << procs.stats.requeuedJobs << " requeue(s), overhead "
+                  << overheadPct << " %\n";
+
+        if (!procs.stats.mproc) {
+            std::cerr << "benchspeed: FAIL: the process run did not "
+                         "use the multi-process executor\n";
+            rc = 1;
+        }
+        if (threads.dumps != procs.dumps) {
+            for (std::size_t i = 0; i < threads.dumps.size(); ++i) {
+                if (threads.dumps[i] != procs.dumps[i])
+                    std::cerr << "benchspeed: FAIL: point " << i
+                              << " ('" << jobs[i].config.name
+                              << "') differs between threads and "
+                                 "processes in pair "
+                              << p << "\n";
+            }
+            rc = 1;
+        }
+        threadWall.push_back(threads.wallSeconds);
+        threadRate.push_back(threads.refsPerSecond);
+        procWall.push_back(procs.wallSeconds);
+        procRate.push_back(procs.refsPerSecond);
+        overheads.push_back(overheadPct);
+        respawns += procs.stats.workerRespawns;
+        requeues += procs.stats.requeuedJobs;
+        workerProcesses = procs.stats.workers;
+
+        obs::JsonValue pair = obs::JsonValue::object();
+        pair.members.emplace_back(
+            "first", obs::JsonValue::string(threadsFirst ? "threads"
+                                                         : "processes"));
+        pair.members.emplace_back("threads_wall_seconds",
+                                  num(threads.wallSeconds));
+        pair.members.emplace_back("processes_wall_seconds",
+                                  num(procs.wallSeconds));
+        pair.members.emplace_back("overhead_pct", num(overheadPct));
+        pairsJson.items.push_back(std::move(pair));
     }
-    if (procs.stats.workerRespawns != 0 ||
-        procs.stats.requeuedJobs != 0) {
+
+    if (respawns != 0 || requeues != 0) {
         std::cerr << "benchspeed: FAIL: fault-free ladder respawned "
-                  << procs.stats.workerRespawns
-                  << " worker(s) / requeued "
-                  << procs.stats.requeuedJobs << " job(s)\n";
+                  << respawns << " worker(s) / requeued " << requeues
+                  << " job(s)\n";
         rc = 1;
     }
-    if (floorRefs > 0.0 && procs.refsPerSecond < floorRefs) {
-        std::cerr << "benchspeed: FAIL: process-mode rate "
-                  << procs.refsPerSecond
-                  << " refs/s is below the floor " << floorRefs
-                  << " refs/s\n";
+    const double procRefs = median(procRate);
+    if (floorRefs > 0.0 && procRefs < floorRefs) {
+        std::cerr << "benchspeed: FAIL: median process-mode rate "
+                  << procRefs << " refs/s is below the floor "
+                  << floorRefs << " refs/s\n";
         rc = 1;
     }
 
-    const double overheadPct =
-        threads.wallSeconds > 0.0
-            ? (procs.wallSeconds - threads.wallSeconds) /
-                  threads.wallSeconds * 100.0
-            : 0.0;
-    std::cout << "  overhead: " << overheadPct << " %\n";
+    const double overheadPct = median(overheads);
+    std::cout << "  median overhead: " << overheadPct << " %\n";
     if (maxOverheadPct > 0.0 && overheadPct > maxOverheadPct) {
-        std::cerr << "benchspeed: FAIL: multi-process overhead "
+        std::cerr << "benchspeed: FAIL: median multi-process overhead "
                   << overheadPct << " % exceeds the "
                   << maxOverheadPct << " % budget\n";
         rc = 1;
@@ -575,36 +630,33 @@ runMprocBench(bool smoke, std::string outPath, double floorRefs,
                              num(maxOverheadPct));
     emitRateContext(doc, floorRefs, calibration);
 
+    // The side summaries are per-side medians over the pairs.
+    const double threadRefs = median(threadRate);
     obs::JsonValue thr = obs::JsonValue::object();
-    thr.members.emplace_back("wall_seconds",
-                             num(threads.wallSeconds));
-    thr.members.emplace_back("refs_per_second",
-                             num(threads.refsPerSecond));
+    thr.members.emplace_back("wall_seconds", num(median(threadWall)));
+    thr.members.emplace_back("refs_per_second", num(threadRefs));
     thr.members.emplace_back(
         "machine_relative",
-        num(machineRelative(threads.refsPerSecond, calibration)));
+        num(machineRelative(threadRefs, calibration)));
     doc.members.emplace_back("threads", std::move(thr));
 
     obs::JsonValue prc = obs::JsonValue::object();
-    prc.members.emplace_back("wall_seconds",
-                             num(procs.wallSeconds));
-    prc.members.emplace_back("refs_per_second",
-                             num(procs.refsPerSecond));
+    prc.members.emplace_back("wall_seconds", num(median(procWall)));
+    prc.members.emplace_back("refs_per_second", num(procRefs));
     prc.members.emplace_back(
         "machine_relative",
-        num(machineRelative(procs.refsPerSecond, calibration)));
+        num(machineRelative(procRefs, calibration)));
     prc.members.emplace_back(
         "worker_processes",
-        num(static_cast<double>(procs.stats.workers)));
-    prc.members.emplace_back(
-        "worker_respawns",
-        num(static_cast<double>(procs.stats.workerRespawns)));
-    prc.members.emplace_back(
-        "requeued_jobs",
-        num(static_cast<double>(procs.stats.requeuedJobs)));
+        num(static_cast<double>(workerProcesses)));
+    prc.members.emplace_back("worker_respawns",
+                             num(static_cast<double>(respawns)));
+    prc.members.emplace_back("requeued_jobs",
+                             num(static_cast<double>(requeues)));
     doc.members.emplace_back("mproc", std::move(prc));
 
     doc.members.emplace_back("overhead_pct", num(overheadPct));
+    doc.members.emplace_back("pairs", std::move(pairsJson));
 
     std::string error;
     if (!util::writeFileAtomicRetry(
@@ -613,7 +665,7 @@ runMprocBench(bool smoke, std::string outPath, double floorRefs,
                   << error << "\n";
         rc = 1;
     } else {
-        std::cout << "  overhead " << overheadPct << " % -> "
+        std::cout << "  median overhead " << overheadPct << " % -> "
                   << outPath << "\n";
     }
     return rc;

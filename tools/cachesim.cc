@@ -2,21 +2,25 @@
  * @file
  * Single-cache trace simulator (a Dinero-style utility).
  *
- * Runs one cache of arbitrary geometry over a binary trace file and
- * reports miss ratios -- useful for characterising captured traces
- * independently of the full two-level system.
+ * Runs one cache of arbitrary geometry over a binary trace file
+ * (v1/v2 or v3) and reports miss ratios -- useful for characterising
+ * captured traces independently of the full two-level system.  A
+ * malformed or zero --size/--assoc/--line, or an unknown --kind,
+ * exits 1 naming the flag before the trace is read.
  *
  * Usage:
  *   cachesim <trace-file> [--size WORDS] [--assoc N] [--line WORDS]
  *            [--kind inst|data|unified]
  */
 
-#include <cstring>
+#include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <string>
 
 #include "cache/tag_store.hh"
-#include "trace/file.hh"
+#include "trace/v3.hh"
+#include "util/env.hh"
 #include "util/logging.hh"
 
 namespace
@@ -25,6 +29,21 @@ namespace
 using namespace gaas;
 
 enum class Kind { Inst, Data, Unified };
+
+/** Strict positive numeric flag value no larger than @p max;
+ *  anything else exits 1 naming the flag. */
+std::uint64_t
+flagValue(const std::string &flag, const char *text,
+          std::uint64_t max = std::numeric_limits<unsigned>::max())
+{
+    const auto v = parseU64(text);
+    if (!v || *v == 0 || *v > max) {
+        std::cerr << "cachesim: bad value '" << text << "' for " << flag
+                  << " (positive decimal integer required)\n";
+        std::exit(1);
+    }
+    return *v;
+}
 
 } // namespace
 
@@ -52,18 +71,26 @@ main(int argc, char **argv)
             return argv[i];
         };
         if (arg == "--size") {
-            cfg.sizeWords = std::strtoull(next(), nullptr, 10);
+            cfg.sizeWords = flagValue(
+                arg, next(), std::numeric_limits<std::uint64_t>::max());
         } else if (arg == "--assoc") {
-            cfg.assoc = static_cast<unsigned>(
-                std::strtoul(next(), nullptr, 10));
+            cfg.assoc = static_cast<unsigned>(flagValue(arg, next()));
         } else if (arg == "--line") {
-            cfg.lineWords = cfg.fetchWords = static_cast<unsigned>(
-                std::strtoul(next(), nullptr, 10));
+            cfg.lineWords = cfg.fetchWords =
+                static_cast<unsigned>(flagValue(arg, next()));
         } else if (arg == "--kind") {
             const std::string k = next();
-            kind = k == "inst" ? Kind::Inst
-                   : k == "data" ? Kind::Data
-                                 : Kind::Unified;
+            if (k == "inst") {
+                kind = Kind::Inst;
+            } else if (k == "data") {
+                kind = Kind::Data;
+            } else if (k == "unified") {
+                kind = Kind::Unified;
+            } else {
+                std::cerr << "cachesim: bad value '" << k
+                          << "' for --kind (inst, data or unified)\n";
+                return 1;
+            }
         } else {
             std::cerr << "unknown option " << arg << '\n';
             return 1;
@@ -72,12 +99,12 @@ main(int argc, char **argv)
 
     try {
         cache::TagStore store(cfg, "cachesim");
-        trace::TraceFileReader reader(path);
+        const auto reader = trace::openTraceFile(path);
 
         Count accesses = 0, misses = 0;
         Count inst = 0, loads = 0, stores = 0;
         trace::MemRef ref;
-        while (reader.next(ref)) {
+        while (reader->next(ref)) {
             switch (ref.kind) {
               case trace::RefKind::Inst:
                 ++inst;

@@ -3,8 +3,11 @@
  * gaassim: the main simulator front end.
  *
  * Runs a configuration (a preset name or a config file) over the
- * standard synthetic workload or a set of trace files, and writes a
- * gem5-style flat statistics dump.
+ * standard synthetic workload or a set of trace files (v1/v2 or v3,
+ * each looped), and writes a gem5-style flat statistics dump.
+ * Numeric flags parse strictly: a malformed value, or a zero
+ * --instructions/--mp/--slice, exits 1 naming the flag before any
+ * simulation (--warmup 0 is legal).
  *
  * Usage:
  *   gaassim [--preset NAME | --config FILE]
@@ -17,12 +20,15 @@
  *
  * Examples:
  *   gaassim --preset optimized --instructions 8000000
- *   gaassim --config my.cfg --trace a.gtrc --trace b.gtrc \
+ *   tracepack synth a.v3 --instructions 2000000
+ *   gaassim --config my.cfg --trace a.v3 --trace b.gtrc \
  *           --stats out/stats.txt
  */
 
 #include <cstdlib>
 #include <iostream>
+#include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -31,7 +37,8 @@
 #include "core/simulator.hh"
 #include "core/stats_dump.hh"
 #include "trace/compose.hh"
-#include "trace/file.hh"
+#include "trace/v3.hh"
+#include "util/env.hh"
 #include "util/logging.hh"
 
 namespace
@@ -74,6 +81,24 @@ usage()
     std::exit(1);
 }
 
+/** Strict numeric flag value: positive (or, with @p zero_ok, any)
+ *  decimal integer no larger than @p max.  Anything else ("abc",
+ *  "4x", "-1", zero, overflow) exits 1 naming the flag. */
+std::uint64_t
+flagValue(const std::string &flag, const std::string &text,
+          bool zero_ok = false,
+          std::uint64_t max = std::numeric_limits<std::uint64_t>::max())
+{
+    const auto v = parseU64(text);
+    if (!v || (*v == 0 && !zero_ok) || *v > max) {
+        std::cerr << "gaassim: bad value '" << text << "' for " << flag
+                  << (zero_ok ? " (decimal integer required)\n"
+                              : " (positive decimal integer required)\n");
+        std::exit(1);
+    }
+    return *v;
+}
+
 } // namespace
 
 int
@@ -82,7 +107,7 @@ main(int argc, char **argv)
     auto cfg = core::baseline();
     std::vector<std::string> traces;
     Count instructions = 4'000'000;
-    Count warmup = ~Count{0}; // default: half the budget
+    std::optional<Count> warmup; // default: half the budget
     unsigned mp = 8;
     std::string stats_path;
     std::string stats_json_path;
@@ -102,16 +127,15 @@ main(int argc, char **argv)
             } else if (arg == "--trace") {
                 traces.push_back(next());
             } else if (arg == "--instructions") {
-                instructions =
-                    std::strtoull(next().c_str(), nullptr, 10);
+                instructions = flagValue(arg, next());
             } else if (arg == "--warmup") {
-                warmup = std::strtoull(next().c_str(), nullptr, 10);
+                warmup = flagValue(arg, next(), true);
             } else if (arg == "--mp") {
-                mp = static_cast<unsigned>(
-                    std::strtoul(next().c_str(), nullptr, 10));
+                mp = static_cast<unsigned>(flagValue(
+                    arg, next(), false,
+                    std::numeric_limits<unsigned>::max()));
             } else if (arg == "--slice") {
-                cfg.timeSliceCycles =
-                    std::strtoull(next().c_str(), nullptr, 10);
+                cfg.timeSliceCycles = flagValue(arg, next());
             } else if (arg == "--stats") {
                 stats_path = next();
             } else if (arg == "--stats-json") {
@@ -121,8 +145,6 @@ main(int argc, char **argv)
                 usage();
             }
         }
-        if (warmup == ~Count{0})
-            warmup = instructions / 2;
 
         core::Workload wl;
         if (traces.empty()) {
@@ -130,15 +152,15 @@ main(int argc, char **argv)
         } else {
             for (const auto &path : traces) {
                 wl.add(std::make_unique<trace::LoopSource>(
-                           std::make_unique<trace::TraceFileReader>(
-                               path)),
+                           trace::openTraceFile(path)),
                        1.238, path);
             }
         }
 
         std::cout << cfg.describe() << "\n\n";
         core::Simulator sim(cfg, std::move(wl));
-        const auto res = sim.run(instructions, warmup);
+        const auto res =
+            sim.run(instructions, warmup.value_or(instructions / 2));
         std::cout << res.formatBreakdown();
 
         if (!stats_json_path.empty()) {
