@@ -57,6 +57,9 @@ std::size_t failedPoints = 0;
  *  started (exit 3). */
 std::size_t cancelledPoints = 0;
 
+/** CSV files emit() could not write (exit 1). */
+std::size_t failedCsvs = 0;
+
 std::string
 csvDir()
 {
@@ -277,7 +280,7 @@ exitCode()
     // cancels nothing: the run is complete and exits as usual.
     if (cancelledPoints > 0)
         return 3; // graceful SIGTERM/SIGINT drain
-    return failedPoints > 0 ? 1 : 0;
+    return failedPoints > 0 || failedCsvs > 0 ? 1 : 0;
 }
 
 void
@@ -592,10 +595,12 @@ emit(const stats::Table &table, const std::string &name)
     // CSVs are the figures' product, and a silently missing one
     // reads as "nothing changed" to any diff-based consumer.
     const std::string path = csvDir() + "/" + name + ".csv";
-    if (table.writeCsv(path))
+    if (table.writeCsv(path)) {
         std::cout << "[csv: " << path << "]\n";
-    else
+    } else {
         std::cout << "[csv FAILED: " << path << "]\n";
+        ++failedCsvs;
+    }
     std::cout << '\n';
 }
 

@@ -138,10 +138,11 @@ unsigned mprocWorkerCount();
 
 /**
  * Process exit status for main(): 3 if a SIGTERM/SIGINT drain
- * cancelled at least one point, else 1 if any point Failed (or a
- * fatal setup error was noted), else 0.  A signal that arrives after
- * the last point was dispatched cancels nothing, so that run exits 0
- * (or 1).  Reading it does not reset it.
+ * cancelled at least one point, else 1 if any point Failed or a CSV
+ * could not be written (or a fatal setup error was noted), else 0.
+ * A signal that arrives after the last point was dispatched cancels
+ * nothing, so that run exits 0 (or 1).  Reading it does not reset
+ * it.
  */
 int exitCode();
 
@@ -242,7 +243,9 @@ class Sweep
     std::vector<core::SweepJob> jobs;
 };
 
-/** Print @p table to stdout and write bench_out/<name>.csv. */
+/** Print @p table to stdout and write bench_out/<name>.csv; a
+ *  failed write prints `[csv FAILED: path]` and makes exitCode()
+ *  nonzero. */
 void emit(const stats::Table &table, const std::string &name);
 
 /** Standard banner: figure id + paper caption + knob values. */

@@ -1,19 +1,21 @@
-# Trace-format and flag-parsing test for the gaassim and cachesim
-# front ends.
+# Trace-format and argument-parsing test for the gaassim, cachesim
+# and calibrate front ends.
 #
-# Usage: test_cli_traces.sh <tracepack> <gaassim> <cachesim>
+# Usage: test_cli_traces.sh <tracepack> <gaassim> <cachesim> <calibrate>
 #
 # Synthesizes a small v3 trace with tracepack and makes a v2 copy of
 # it with `tracepack unpack`.  On both files, `gaassim --trace` and
 # `cachesim` must exit 0 and report nonzero instruction and access
-# counts.  Malformed or zero numeric flags, and an unknown
-# cachesim --kind, must exit nonzero before any simulation.
+# counts.  Malformed or zero numeric flags, an unknown cachesim
+# --kind, and a bad calibrate budget or mode must exit nonzero,
+# naming the bad value, before any simulation.
 
 set -u
 
 TRACEPACK=$1
 GAASSIM=$2
 CACHESIM=$3
+CALIBRATE=$4
 dir=$(mktemp -d "${TMPDIR:-/tmp}/gaas_cli.XXXXXX")
 trap 'rm -rf "$dir"' EXIT INT TERM
 
@@ -68,4 +70,23 @@ for args in "--size 4x" "--size 0" "--assoc 0" "--assoc two" \
         || fail "cachesim $args did not name $flag"
 done
 
-echo "ok: gaassim and cachesim read v2 and v3 and reject bad flags"
+# calibrate takes a budget and a mode as positional arguments.  Each
+# bad case is "arguments|the argument the error must name".
+out=$("$CALIBRATE" 20000 base) \
+    || fail "calibrate 20000 base exited nonzero"
+echo "$out" | grep -q "base CPI" \
+    || fail "calibrate 20000 base printed no base CPI"
+for case in "abc base|abc" "0 base|0" "4x|4x" "20000 bogus|bogus" \
+            "20000 base extra|extra"; do
+    args=${case%|*}
+    bad=${case#*|}
+    # shellcheck disable=SC2086
+    if "$CALIBRATE" $args >"$dir/out" 2>"$dir/err"; then
+        fail "calibrate $args exited 0"
+    fi
+    [ -s "$dir/out" ] && fail "calibrate $args printed results"
+    grep -q -- "'$bad'" "$dir/err" \
+        || fail "calibrate $args did not name '$bad'"
+done
+
+echo "ok: gaassim and cachesim read v2 and v3; bad arguments rejected"

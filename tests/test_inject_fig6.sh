@@ -6,7 +6,9 @@
 # is reported once with its stable error code, the CSVs carry an
 # explicit failed:<code> cell in both tables, the stats-json dir has
 # a failure record alongside the 27 good dumps, and the binary exits
-# nonzero only after the whole ladder drained.
+# nonzero only after the whole ladder drained.  Then points the CSV
+# directory below a regular file: the figure must print
+# `[csv FAILED: ...]` and exit 1.
 #
 # Usage: test_inject_fig6.sh <path-to-fig6_l2_orgs>
 set -u
@@ -64,6 +66,16 @@ grep -q '"code": "internal"' "$WORK/json"/*.failed.json \
     || fail "failure record does not carry the internal code"
 grep -q '"status": "failed"' "$WORK/json"/*.failed.json \
     || fail "failure record does not carry the failed status"
+
+# A CSV that cannot be written fails the run, though every point ran.
+: > "$WORK/not-a-dir"
+GAAS_BENCH_CSV_DIR="$WORK/not-a-dir/sub" "$FIG6" \
+    > "$WORK/csv.out" 2>"$WORK/csv.err"
+status=$?
+[ "$status" -eq 1 ] \
+    || fail "unwritable CSV dir: expected exit 1, got $status"
+grep -q '\[csv FAILED' "$WORK/csv.out" \
+    || fail "unwritable CSV dir: stdout has no [csv FAILED line"
 
 echo "ok: injected failure isolated, reported, and exit code is 1"
 exit 0

@@ -9,9 +9,11 @@
  *
  * Usage: calibrate [instructions] [mode]
  *   mode: all | base | bench | l2
+ *
+ * A budget that is not a positive decimal integer, an unknown mode
+ * or an extra argument exits 1 naming it before any simulation.
  */
 
-#include <cstdlib>
 #include <iostream>
 #include <string>
 
@@ -19,6 +21,7 @@
 #include "core/simulator.hh"
 #include "stats/table.hh"
 #include "synth/suite.hh"
+#include "util/env.hh"
 #include "util/logging.hh"
 
 using namespace gaas;
@@ -139,10 +142,31 @@ main(int argc, char **argv)
 {
     Count budget = 2'000'000;
     std::string mode = "all";
-    if (argc > 1)
-        budget = std::strtoull(argv[1], nullptr, 10);
-    if (argc > 2)
+    if (argc > 1) {
+        const auto v = parseU64(argv[1]);
+        if (!v || *v == 0) {
+            std::cerr << "calibrate: bad instruction budget '"
+                      << argv[1]
+                      << "' (positive decimal integer required)\n";
+            return 1;
+        }
+        budget = *v;
+    }
+    if (argc > 2) {
         mode = argv[2];
+        if (mode != "all" && mode != "base" && mode != "bench" &&
+            mode != "l2") {
+            std::cerr << "calibrate: unknown mode '" << mode
+                      << "' (all, base, bench or l2)\n";
+            return 1;
+        }
+    }
+    if (argc > 3) {
+        std::cerr << "calibrate: unexpected argument '" << argv[3]
+                  << "'\nusage: calibrate [instructions] "
+                     "[all|base|bench|l2]\n";
+        return 1;
+    }
 
     try {
         if (mode == "all" || mode == "base")
