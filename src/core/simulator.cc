@@ -1,6 +1,7 @@
 #include "simulator.hh"
 
 #include <cstdlib>
+#include <ios>
 
 #include "obs/metrics.hh"
 #include "trace/packed.hh"
@@ -101,30 +102,8 @@ Simulator::pickLoop()
 bool
 Simulator::refill(ProcState &p)
 {
-    // Packed replay first: arena-backed sources hand over raw
-    // 4-byte words (trace/packed.hh) the step loop decodes in
-    // registers, skipping the per-record MemRef unpack entirely.
-    // The first refill against a source with no packed path latches
-    // packedMode off for the process's lifetime.
-    if (p.packedMode) {
-        const std::size_t got = p.proc.source->nextBatchPacked(
-            p.pbuffer.data(), kRefBatch);
-        if (got != trace::TraceSource::kNoPacked) {
-            p.bufLen = got;
-            p.bufPos = 0;
-            if (prefetchStoreL2) {
-                for (std::size_t i = 0; i < got; ++i) {
-                    const std::uint32_t w = p.pbuffer[i];
-                    if (trace::packed::isStore(w))
-                        sys.prefetchL2Data(trace::packed::addrOf(w));
-                }
-            }
-            return got > 0;
-        }
-        p.packedMode = false;
-    }
-
-    p.bufLen = p.proc.source->nextBatch(p.buffer.data(), kRefBatch);
+    p.bufLen =
+        p.proc.source->nextBatchPacked(p.buffer.data(), kRefBatch);
     p.bufPos = 0;
 
     // Under write-through policies every store probes the
@@ -139,9 +118,9 @@ Simulator::refill(ProcState &p)
     // the hits it saves).
     if (prefetchStoreL2) {
         for (std::size_t i = 0; i < p.bufLen; ++i) {
-            const trace::MemRef &r = p.buffer[i];
-            if (r.isStore())
-                sys.prefetchL2Data(r.addr);
+            const std::uint32_t w = p.buffer[i];
+            if (trace::packed::isStore(w))
+                sys.prefetchL2Data(trace::packed::addrOf(w));
         }
     }
     return p.bufLen > 0;
@@ -153,36 +132,24 @@ Simulator::stepInstruction(ProcState &p, Cycles now, Cycles &cycles,
                            bool &syscall)
 {
     // Work on the refill buffer in place: one bounds check per ref,
-    // no 16-byte MemRef copies, and in packed mode the record
-    // decodes straight into registers.  The per-ref packedMode
-    // branches cost nothing: the flag is constant per process, so
-    // the host predicts them perfectly.
+    // and each packed word decodes straight into registers.
     if (p.bufPos == p.bufLen && !refill(p)) [[unlikely]]
         return false;
-
-    const auto malformed = [&]() [[noreturn]] {
-        gaas_fatal("malformed trace for process ", p.proc.name,
-                   ": data reference without a preceding "
-                   "instruction");
-    };
 
     // A refill below would overwrite the buffer slot the
     // instruction record occupies; decode everything needed into
     // locals first.
-    Addr iaddr;
-    if (p.packedMode) {
-        const std::uint32_t w = p.pbuffer[p.bufPos++];
-        if (!trace::packed::isInst(w)) [[unlikely]]
-            malformed();
-        iaddr = trace::packed::addrOf(w);
-        syscall = trace::packed::flagOf(w);
-    } else {
-        const trace::MemRef &ref = p.buffer[p.bufPos++];
-        if (!ref.isInst()) [[unlikely]]
-            malformed();
-        iaddr = ref.addr;
-        syscall = ref.syscall;
+    const std::uint32_t iword = p.buffer[p.bufPos++];
+    if (!trace::packed::isInst(iword)) [[unlikely]] {
+        gaas_error(ErrorCode::TraceIO, "malformed trace for process ",
+                   p.proc.name, ": ",
+                   trace::refKindName(trace::packed::kindOf(iword)),
+                   " at address 0x", std::hex,
+                   trace::packed::addrOf(iword),
+                   " without a preceding instruction");
     }
+    const Addr iaddr = trace::packed::addrOf(iword);
+    syscall = trace::packed::flagOf(iword);
 
     // Base cost: one cycle plus this benchmark's CPU stalls (loads,
     // branch delays, multi-cycle FP).
@@ -203,33 +170,18 @@ Simulator::stepInstruction(ProcState &p, Cycles now, Cycles &cycles,
     if (p.bufPos == p.bufLen) [[unlikely]]
         refill(p);
     if (p.bufPos < p.bufLen) [[likely]] {
-        if (p.packedMode) {
-            const std::uint32_t w = p.pbuffer[p.bufPos];
-            const trace::RefKind kind = trace::packed::kindOf(w);
-            if (kind != trace::RefKind::Inst) {
-                ++p.bufPos;
-                const Addr daddr = trace::packed::addrOf(w);
-                if (kind == trace::RefKind::Load) {
-                    cycles += measured<M>(sys.loadT<Spec>(
-                        now + cycles, p.proc.pid, daddr));
-                } else {
-                    cycles += measured<M>(sys.storeT<Spec>(
-                        now + cycles, p.proc.pid, daddr,
-                        trace::packed::flagOf(w)));
-                }
-            }
-        } else {
-            const trace::MemRef &dref = p.buffer[p.bufPos];
-            if (dref.isData()) {
-                ++p.bufPos;
-                if (dref.isLoad()) {
-                    cycles += measured<M>(sys.loadT<Spec>(
-                        now + cycles, p.proc.pid, dref.addr));
-                } else {
-                    cycles += measured<M>(sys.storeT<Spec>(
-                        now + cycles, p.proc.pid, dref.addr,
-                        dref.partialWord));
-                }
+        const std::uint32_t w = p.buffer[p.bufPos];
+        const trace::RefKind kind = trace::packed::kindOf(w);
+        if (kind != trace::RefKind::Inst) {
+            ++p.bufPos;
+            const Addr daddr = trace::packed::addrOf(w);
+            if (kind == trace::RefKind::Load) {
+                cycles += measured<M>(
+                    sys.loadT<Spec>(now + cycles, p.proc.pid, daddr));
+            } else {
+                cycles += measured<M>(sys.storeT<Spec>(
+                    now + cycles, p.proc.pid, daddr,
+                    trace::packed::flagOf(w)));
             }
         }
     }
@@ -337,13 +289,8 @@ Simulator::resyncProcess(ProcState &p)
     while (true) {
         if (p.bufPos == p.bufLen && !refill(p))
             return; // exhausted; the step loop retires the process
-        if (p.packedMode) {
-            if (trace::packed::isInst(p.pbuffer[p.bufPos]))
-                return;
-        } else {
-            if (p.buffer[p.bufPos].isInst())
-                return;
-        }
+        if (trace::packed::isInst(p.buffer[p.bufPos]))
+            return;
         ++p.bufPos;
     }
 }

@@ -117,9 +117,10 @@ class Simulator
     }
 
   private:
-    /** References buffered per process per TraceSource::nextBatch
-     *  call, so the hot loop pays one virtual call per kRefBatch
-     *  references instead of one per reference. */
+    /** References buffered per process per
+     *  TraceSource::nextBatchPacked call, so the hot loop pays one
+     *  virtual call per kRefBatch references instead of one per
+     *  reference. */
     static constexpr std::size_t kRefBatch = 256;
 
     /** Scheduler-side state of one process. */
@@ -132,19 +133,13 @@ class Simulator
 
         /**
          * @name Refill buffer ([bufPos..bufLen) pending)
-         * Two representations: sources with packed storage (arena
-         * replay) fill pbuffer with raw 4-byte words the step loop
-         * decodes straight into registers; everything else fills
-         * buffer with unpacked MemRefs.  packedMode picks the
-         * representation, latched off forever on the first refill
-         * where the source reports no packed path.
+         * Packed 4-byte words (trace/packed.hh) the step loop
+         * decodes straight into registers.
          */
         ///@{
-        std::array<trace::MemRef, kRefBatch> buffer;
-        std::array<std::uint32_t, kRefBatch> pbuffer;
+        std::array<std::uint32_t, kRefBatch> buffer;
         std::size_t bufPos = 0;
         std::size_t bufLen = 0;
-        bool packedMode = true;
         ///@}
     };
 

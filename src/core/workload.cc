@@ -112,19 +112,13 @@ Workload::fromTraceFiles(const std::vector<std::string> &paths,
     // Arena path: decode each file once into the shared arena and
     // replay it zero-copy, keyed by content digest + record count
     // (v3FileInfo validates the header up front, so a bad path
-    // fails here, not inside a lazily-invoked factory).
+    // fails here, not inside a lazily-invoked factory).  The arena
+    // fills through the reader's nextBatchPacked, which
+    // canonicalizes every record, and materializes the whole file
+    // here, so a rejected record anywhere in it fails the build.
     auto &arena = trace::TraceArena::global();
     for (const std::string &path : paths) {
         const trace::V3FileInfo info = trace::v3FileInfo(path);
-        if (!info.packable()) {
-            // The arena stores packed u32 words only; a file with
-            // unaligned or >2^31-word addresses replays through its
-            // own block-at-a-time reader instead.
-            wl.add(std::make_unique<trace::LoopSource>(
-                       std::make_unique<trace::TraceV3Reader>(path)),
-                   base_cpi, shortName(path));
-            continue;
-        }
         const std::string key =
             "file:" + std::to_string(info.digest) + ":" +
             std::to_string(info.records);

@@ -88,8 +88,10 @@ class Workload
      *    traces the workload names.
      *
      * Both modes produce bit-identical reference streams (wrapped
-     * in LoopSource, like every other workload source).  Files must
-     * be format v3 -- convert v1/v2 with `tracepack pack`.
+     * in LoopSource, like every other workload source), passing
+     * every record through the ingest packer (trace/packed.hh), so
+     * a file that is not packable replays like any other.  Files
+     * must be format v3 -- convert v1/v2 with `tracepack pack`.
      *
      * @param base_cpi CPU-stall CPI floor assigned to every trace
      *        process (the paper's 1.238)

@@ -1,8 +1,8 @@
 #include "executor.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <csignal>
 #include <deque>
 #include <limits>
@@ -73,28 +73,27 @@ using Clock = std::chrono::steady_clock;
  * exact same runSweepJobIsolated the in-process pool uses, write
  * results back.  A side thread emits heartbeat frames (sharing a
  * write mutex with the result path, so frames never interleave).
- * Returns on Shutdown, pipe EOF, or a supervisor-side write error;
- * the caller (spawnChild's child branch) then _exit(0)s.
+ * Returns on Shutdown, pipe EOF, or a supervisor-side write error,
+ * after stopping and joining the heartbeat thread; the caller
+ * (spawnChild's child branch) then _exit(0)s.
  */
 void
 workerLoop(const std::vector<core::SweepJob> &jobs, int requestFd,
            int responseFd, unsigned heartbeatMs)
 {
     std::mutex writeMutex;
-    std::atomic<bool> running{true};
-    std::thread beater([&writeMutex, &running, responseFd,
+    std::condition_variable stopBeat;
+    bool running = true; // guarded by writeMutex
+    std::thread beater([&writeMutex, &stopBeat, &running, responseFd,
                         heartbeatMs] {
         const std::string beat = encodeHeartbeat();
-        for (;;) {
-            {
-                std::lock_guard<std::mutex> lock(writeMutex);
-                if (!running.load(std::memory_order_relaxed))
-                    return;
-                if (!writeFrameBlocking(responseFd, beat))
-                    return; // supervisor gone; job loop will see EOF
-            }
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(heartbeatMs));
+        std::unique_lock<std::mutex> lock(writeMutex);
+        while (running) {
+            if (!writeFrameBlocking(responseFd, beat))
+                return; // supervisor gone; job loop will see EOF
+            stopBeat.wait_for(lock,
+                              std::chrono::milliseconds(heartbeatMs),
+                              [&running] { return !running; });
         }
     });
 
@@ -115,7 +114,6 @@ workerLoop(const std::vector<core::SweepJob> &jobs, int requestFd,
             // heartbeat thread falls silent, then sleep forever.
             // The supervisor's heartbeat deadline SIGKILLs us.
             writeMutex.lock();
-            running.store(false, std::memory_order_relaxed);
             for (;;)
                 std::this_thread::sleep_for(std::chrono::hours(1));
         }
@@ -128,10 +126,16 @@ workerLoop(const std::vector<core::SweepJob> &jobs, int requestFd,
         if (!writeFrameBlocking(responseFd, frame))
             break;
     }
-    running.store(false, std::memory_order_relaxed);
-    // The beater may be mid-sleep; the child is about to _exit,
-    // which ends all threads -- detach so ~thread() doesn't abort.
-    beater.detach();
+    // Stop the beater before this frame's mutex and flag go away.
+    // It is either waiting on stopBeat or writing a beat, and a
+    // write into a supervisor that hung up fails with EPIPE, so the
+    // join cannot hang.
+    {
+        std::lock_guard<std::mutex> lock(writeMutex);
+        running = false;
+    }
+    stopBeat.notify_all();
+    beater.join();
 }
 
 /** Restore the previous SIGPIPE disposition on scope exit.  The

@@ -17,28 +17,8 @@ namespace gaas::trace
 namespace
 {
 
-/**
- * Pack @p ref for arena storage (see trace/packed.hh for the
- * layout), rejecting records the 4-byte format cannot represent.
- */
-std::uint32_t
-packRef(const MemRef &ref)
-{
-    if (!packed::packable(ref)) {
-        gaas_error(ErrorCode::Internal,
-                   "trace arena cannot pack reference (addr 0x",
-                   ref.addr, ", kind ", refKindName(ref.kind),
-                   "); only word-aligned sub-2^31 streams are "
-                   "arena-able -- set GAAS_BENCH_ARENA=0");
-    }
-    return packed::pack(ref);
-}
-
 constexpr std::size_t kUnknownPassLen =
     std::numeric_limits<std::size_t>::max();
-
-/** Generator pull size per iteration of the growth loop. */
-constexpr std::size_t kGenChunk = std::size_t{1} << 16;
 
 /** Global + thread-local tally counters. */
 struct GlobalTally
@@ -97,31 +77,6 @@ ArenaStream::bytes() const
 }
 
 void
-ArenaStream::append(const MemRef *refs, std::size_t n)
-{
-    std::size_t pos = total;
-    for (std::size_t i = 0; i < n; ++i, ++pos) {
-        const std::size_t block = pos / kBlockRefs;
-        if (block >= blockCount) {
-            gaas_error(ErrorCode::Internal, "trace arena stream '",
-                       streamKey, "' exceeded its pass bound of ",
-                       passRefBound, " references");
-        }
-        std::uint32_t *data =
-            blocks[block].load(std::memory_order_relaxed);
-        if (!data) {
-            data = new std::uint32_t[kBlockRefs];
-            blocks[block].store(data, std::memory_order_relaxed);
-            allocatedBytes.fetch_add(
-                kBlockRefs * sizeof(std::uint32_t),
-                std::memory_order_relaxed);
-        }
-        data[pos % kBlockRefs] = packRef(refs[i]);
-    }
-    total += n;
-}
-
-void
 ArenaStream::ensure(std::size_t want)
 {
     want = std::min(want, passRefBound);
@@ -131,6 +86,8 @@ ArenaStream::ensure(std::size_t want)
         return;
 
     std::lock_guard<std::mutex> lock(growMutex);
+    if (failure)
+        std::rethrow_exception(failure);
     if (done || total >= want)
         return;
 
@@ -149,33 +106,54 @@ ArenaStream::ensure(std::size_t want)
     const std::size_t target = std::min(
         std::max({want, total * 2, kMinChunk}), passRefBound);
 
+    // The generator packs straight into the blocks, one block run
+    // per pull; nothing past `published` is visible to readers yet.
     const std::size_t before = total;
-    std::vector<MemRef> scratch(std::min(kGenChunk, target));
-    while (total < target) {
-        const std::size_t ask =
-            std::min(scratch.size(), target - total);
-        const std::size_t got =
-            generator->nextBatch(scratch.data(), ask);
-        append(scratch.data(), got);
-        if (got < ask) {
-            // The generator's pass ended: drop the generator
-            // (replays come from the blocks).
+    try {
+        while (total < target) {
+            const std::size_t block = total / kBlockRefs;
+            std::uint32_t *data =
+                blocks[block].load(std::memory_order_relaxed);
+            if (!data) {
+                data = new std::uint32_t[kBlockRefs];
+                blocks[block].store(data, std::memory_order_relaxed);
+                allocatedBytes.fetch_add(
+                    kBlockRefs * sizeof(std::uint32_t),
+                    std::memory_order_relaxed);
+            }
+            const std::size_t off = total % kBlockRefs;
+            const std::size_t ask =
+                std::min(kBlockRefs - off, target - total);
+            const std::size_t got =
+                generator->nextBatchPacked(data + off, ask);
+            total += got;
+            if (got < ask) {
+                // The generator's pass ended: drop the generator
+                // (replays come from the blocks).
+                generator.reset();
+                done = true;
+                break;
+            }
+        }
+        if (!done && total >= passRefBound) {
+            // Landed exactly on the bound: probe for the pass end so
+            // a reader at the bound cannot spin on an unknown pass
+            // length.
+            std::uint32_t probe = 0;
+            if (generator->nextBatchPacked(&probe, 1) != 0) {
+                gaas_error(ErrorCode::Internal, "trace arena stream '",
+                           streamKey, "' exceeded its pass bound of ",
+                           passRefBound, " references");
+            }
             generator.reset();
             done = true;
-            break;
         }
-    }
-    if (!done && total >= passRefBound) {
-        // Landed exactly on the bound: probe for the pass end so a
-        // reader at the bound cannot spin on an unknown pass length.
-        MemRef probe;
-        if (generator->nextBatch(&probe, 1) != 0) {
-            gaas_error(ErrorCode::Internal, "trace arena stream '",
-                       streamKey, "' exceeded its pass bound of ",
-                       passRefBound, " references");
-        }
-        generator.reset();
-        done = true;
+    } catch (...) {
+        // A failed pull may have consumed records it never
+        // returned, so the rest of the pass can no longer be
+        // trusted: every later growth rethrows the same error.
+        failure = std::current_exception();
+        throw;
     }
     // Publish the records before freezing the pass length: a caller
     // that sees the length returns from ensure() without the lock,
@@ -193,40 +171,6 @@ ArenaStream::ensure(std::size_t want)
         std::memory_order_relaxed);
     threadTallySlice.refsGenerated += generated;
     threadTallySlice.genSeconds += seconds;
-}
-
-std::size_t
-ArenaStream::read(std::size_t pos, MemRef *out, std::size_t n)
-{
-    std::size_t produced = 0;
-    while (produced < n) {
-        const std::size_t pub =
-            published.load(std::memory_order_acquire);
-        if (pos < pub) {
-            std::size_t take = std::min(n - produced, pub - pos);
-            while (take > 0) {
-                const std::size_t block = pos / kBlockRefs;
-                const std::size_t off = pos % kBlockRefs;
-                const std::size_t run =
-                    std::min(take, kBlockRefs - off);
-                const std::uint32_t *data =
-                    blocks[block].load(std::memory_order_relaxed);
-                for (std::size_t i = 0; i < run; ++i)
-                    out[produced + i] = packed::unpack(data[off + i]);
-                produced += run;
-                pos += run;
-                take -= run;
-            }
-            continue;
-        }
-        // pos == pub: either the pass is over or the stream must
-        // grow.  ensure() guarantees progress: on return either the
-        // published length or the pass length has advanced past pos.
-        if (passLen.load(std::memory_order_acquire) == pub)
-            break;
-        ensure(pos + (n - produced));
-    }
-    return produced;
 }
 
 std::size_t
@@ -253,7 +197,9 @@ ArenaStream::readPacked(std::size_t pos, std::uint32_t *out,
             }
             continue;
         }
-        // Same growth protocol as read() above.
+        // pos == pub: either the pass is over or the stream must
+        // grow.  ensure() guarantees progress: on return either the
+        // published length or the pass length has advanced past pos.
         if (passLen.load(std::memory_order_acquire) == pub)
             break;
         ensure(pos + (n - produced));
@@ -365,15 +311,11 @@ ArenaSource::ArenaSource(ArenaStream *stream_, std::string name_)
 bool
 ArenaSource::next(MemRef &ref)
 {
-    return nextBatch(&ref, 1) == 1;
-}
-
-std::size_t
-ArenaSource::nextBatch(MemRef *out, std::size_t n)
-{
-    const std::size_t got = stream->read(pos, out, n);
-    pos += got;
-    return got;
+    std::uint32_t word = 0;
+    if (nextBatchPacked(&word, 1) == 0)
+        return false;
+    ref = packed::unpack(word);
+    return true;
 }
 
 std::size_t

@@ -10,12 +10,14 @@
  * references of a stream generates and publishes them once, every
  * other job replays a zero-copy view.
  *
- * Storage is a packed 4-bytes-per-reference layout (see arena.cc) in
- * fixed-size blocks whose pointer table is sized up front from the
- * stream's pass bound, so published data never moves:
+ * Storage is the packed 4-byte reference word (trace/packed.hh),
+ * filled through the generator's nextBatchPacked -- so every record
+ * passes the ingest packer -- in fixed-size blocks whose pointer
+ * table is sized up front from the stream's pass bound, so
+ * published data never moves:
  *
  *  - readers are lock-free: they acquire-load the published length
- *    and walk contiguous memory (ArenaStream::read / ArenaSource);
+ *    and walk contiguous memory (ArenaStream::readPacked);
  *  - growth is serialized per stream under a mutex and publishes by
  *    a release-store of the new length after the blocks are written
  *    (grow-on-demand with geometric high-water-mark chunks).
@@ -30,6 +32,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -88,19 +91,14 @@ class ArenaStream
      * Returns immediately when they are already published; otherwise
      * takes the growth mutex and generates at least a geometric
      * chunk (so tight read loops do not ping the mutex per batch).
+     * A generator error propagates, and so does every later growth.
      */
     void ensure(std::size_t want);
 
     /**
-     * Copy up to @p n unpacked records starting at @p pos into
-     * @p out, growing the stream on demand.  Returns fewer than
-     * @p n only at the true end of the generator's pass.
-     */
-    std::size_t read(std::size_t pos, MemRef *out, std::size_t n);
-
-    /**
-     * read(), but copying the raw packed words (trace/packed.hh)
-     * without unpacking: the simulate loop's replay fast path.
+     * Copy up to @p n packed words (trace/packed.hh) starting at
+     * @p pos into @p out, growing the stream on demand.  Returns
+     * fewer than @p n only at the true end of the generator's pass.
      */
     std::size_t readPacked(std::size_t pos, std::uint32_t *out,
                            std::size_t n);
@@ -126,9 +124,6 @@ class ArenaStream
     /** Smallest growth chunk, so short runs do not generate one
      *  simulator batch per mutex acquisition. */
     static constexpr std::size_t kMinChunk = std::size_t{1} << 16;
-
-    /** Append @p n records to the blocks (growth mutex held). */
-    void append(const MemRef *refs, std::size_t n);
 
     const std::string streamKey;
     const std::size_t passRefBound;
@@ -156,6 +151,9 @@ class ArenaStream
     bool generatorMade = false;
     bool done = false;
     std::size_t total = 0; //!< writer's mirror of `published`
+    /** The error a growth threw (a bad record, a corrupt file);
+     *  every later growth rethrows it. */
+    std::exception_ptr failure;
     ///@}
 };
 
@@ -230,8 +228,8 @@ class ArenaSource : public TraceSource
   public:
     ArenaSource(ArenaStream *stream, std::string name);
 
+    /** Unpacks one word: MemRef reads are for tests and tools. */
     bool next(MemRef &ref) override;
-    std::size_t nextBatch(MemRef *out, std::size_t n) override;
     std::size_t nextBatchPacked(std::uint32_t *out,
                                 std::size_t n) override;
 

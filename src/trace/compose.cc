@@ -1,5 +1,9 @@
 #include "compose.hh"
 
+#include <ios>
+
+#include "trace/packed.hh"
+#include "util/error.hh"
 #include "util/logging.hh"
 
 namespace gaas::trace
@@ -17,6 +21,16 @@ refKindName(RefKind kind)
         return "store";
     }
     return "unknown";
+}
+
+void
+packed::rejectAddress(const MemRef &ref, const TraceSource &source)
+{
+    gaas_error(ErrorCode::TraceIO, "trace ", source.name(), ": ",
+               refKindName(ref.kind), " at address 0x", std::hex,
+               ref.addr,
+               " is at or above 2^31; the simulator replays "
+               "user-mode addresses below 2^31 only");
 }
 
 std::vector<MemRef>
@@ -143,8 +157,6 @@ std::size_t
 LoopSource::nextBatchPacked(std::uint32_t *out, std::size_t n)
 {
     std::size_t produced = inner->nextBatchPacked(out, n);
-    if (produced == kNoPacked)
-        return kNoPacked;
     innerPos += produced;
     // Wrap exactly as nextBatch() does.
     while (produced < n) {

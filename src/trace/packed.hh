@@ -1,8 +1,8 @@
 /**
  * @file
- * The packed 4-byte reference word: the storage format of the trace
- * arena (trace/arena.hh) and the wire format of the packed replay
- * fast path (TraceSource::nextBatchPacked).
+ * The packed 4-byte reference word: the only record the simulator
+ * reads (TraceSource::nextBatchPacked) and the storage format of the
+ * trace arena (trace/arena.hh).
  *
  * Layout, 4 bytes per record:
  *
@@ -10,15 +10,20 @@
  *   bits [2:1]   RefKind
  *   bit  [0]     syscall (Inst) / partialWord (Store)
  *
- * Every address the synthetic models emit is word aligned and below
- * 2^31 (layout::kStackTop = 0x7fff'0000 is the ceiling), so the
- * word index fits the 29 bits exactly.  The flag bit is shared:
- * syscall is only meaningful on Inst records and partialWord only on
- * Store records, which packable() checks.
+ * The paper's pixie traces are user-mode MIPS references, word
+ * granular and below 2^31, so the word index fits the 29 bits.  The
+ * flag bit is shared: syscall only means something on Inst records
+ * and partialWord only on Store records.
+ *
+ * canonical() is the one ingest point for records bound for the
+ * simulator.  It word-aligns the address and drops a flag on the
+ * wrong kind, neither of which reaches timing (DESIGN.md §4), and
+ * rejects an address at or above 2^31.  File readers and writers
+ * stay lossless; packable() says whether canonical() keeps a record
+ * unchanged.
  *
  * The field extractors exist so the hot simulate loop can decode a
- * packed word straight into registers instead of round-tripping
- * through a 16-byte MemRef in memory.
+ * packed word straight into registers.
  */
 
 #ifndef GAAS_TRACE_PACKED_HH
@@ -28,7 +33,12 @@
 
 #include "trace/memref.hh"
 
-namespace gaas::trace::packed
+namespace gaas::trace
+{
+
+class TraceSource;
+
+namespace packed
 {
 
 /** @return true if @p ref fits the packed layout losslessly. */
@@ -48,6 +58,26 @@ pack(const MemRef &ref)
     return static_cast<std::uint32_t>(ref.addr >> 2) << 3 |
            static_cast<std::uint32_t>(ref.kind) << 1 |
            static_cast<std::uint32_t>(flag);
+}
+
+/** Throw SimError(TraceIO) for @p ref, whose address is at or above
+ *  2^31, naming @p source and the address. */
+[[noreturn]] void rejectAddress(const MemRef &ref,
+                                const TraceSource &source);
+
+/**
+ * The ingest packer: @p ref as the simulator sees it (see file
+ * comment).  @p source only names the trace in the error.
+ */
+inline std::uint32_t
+canonical(const MemRef &ref, const TraceSource &source)
+{
+    if ((ref.addr >> 31) != 0) [[unlikely]]
+        rejectAddress(ref, source);
+    MemRef clean = ref;
+    clean.syscall = ref.syscall && ref.isInst();
+    clean.partialWord = ref.partialWord && ref.isStore();
+    return pack(clean);
 }
 
 /** @name Field extractors */
@@ -95,6 +125,7 @@ unpack(std::uint32_t word)
     return ref;
 }
 
-} // namespace gaas::trace::packed
+} // namespace packed
+} // namespace gaas::trace
 
 #endif // GAAS_TRACE_PACKED_HH

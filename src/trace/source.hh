@@ -6,6 +6,10 @@
  * pixie output to one input descriptor of the cache simulator; here
  * each benchmark (synthetic model or trace file) is one TraceSource
  * and the workload layer multiplexes among them.
+ *
+ * Sources produce lossless MemRefs (next, nextBatch) for the file
+ * tools.  The simulator reads only packed words (nextBatchPacked),
+ * which the base class makes with packed::canonical().
  */
 
 #ifndef GAAS_TRACE_SOURCE_HH
@@ -13,10 +17,13 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include "trace/memref.hh"
+#include "trace/packed.hh"
 
 namespace gaas::trace
 {
@@ -58,22 +65,38 @@ class TraceSource
         return produced;
     }
 
-    /** nextBatchPacked() result of a source with no packed path. */
+    /** No source returns this from nextBatchPacked().  It stays only
+     *  because perfbench's layer ladder still compares against it,
+     *  and goes when that check does. */
     static constexpr std::size_t kNoPacked = ~std::size_t{0};
 
     /**
-     * Packed replay fast path: produce up to @p n records as packed
-     * 4-byte words (trace/packed.hh) -- the same records nextBatch()
-     * would produce, minus the per-record unpack.  Only sources that
-     * already hold packed storage (the arena view, and wrappers
-     * around it) implement this; everything else reports kNoPacked
-     * and the consumer falls back to nextBatch() for good.
+     * The simulator's input: produce up to @p n records as packed
+     * 4-byte words (trace/packed.hh) -- the records nextBatch()
+     * would produce, each passed through packed::canonical().  This
+     * base version pulls nextBatch() in fixed chunks and packs them;
+     * sources with packed storage override it to copy words.
+     *
+     * @return the number of words produced; less than @p n only when
+     *         the trace is exhausted
+     * @throws SimError(TraceIO) on a record the packer rejects
      */
     virtual std::size_t
     nextBatchPacked(std::uint32_t *out, std::size_t n)
     {
-        (void)out, (void)n;
-        return kNoPacked;
+        MemRef scratch[256];
+        std::size_t done = 0;
+        while (done < n) {
+            const std::size_t want =
+                std::min(n - done, std::size(scratch));
+            const std::size_t got = nextBatch(scratch, want);
+            for (std::size_t i = 0; i < got; ++i)
+                out[done + i] = packed::canonical(scratch[i], *this);
+            done += got;
+            if (got < want)
+                break;
+        }
+        return done;
     }
 
     /**

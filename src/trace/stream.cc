@@ -12,8 +12,6 @@ StreamSource::StreamSource(const std::string &path,
                            StreamOptions options)
     : file(path)
 {
-    packed = file.packable();
-
     std::size_t budget = options.memoryBudgetBytes;
     if (budget == 0) {
         budget = static_cast<std::size_t>(envU64(
@@ -21,34 +19,33 @@ StreamSource::StreamSource(const std::string &path,
                  (1u << 20);
     }
 
-    // One slot holds one compressed payload plus one decoded block.
+    // One slot holds one compressed payload plus one block of words.
     // The payload capacity comes from the seek table (largest block
-    // in this file), the decoded side from the fixed per-block
-    // record population.
-    const std::size_t decodedBytes =
-        static_cast<std::size_t>(file.blockRefs()) *
-        (packed ? sizeof(std::uint32_t) : sizeof(MemRef));
+    // in this file), the word side from the fixed per-block record
+    // population; an unpackable file adds one block of MemRef
+    // scratch for the reader.
+    const auto blockRefs = static_cast<std::size_t>(file.blockRefs());
     const std::size_t slotBytes =
-        file.maxPayloadBytes() + decodedBytes;
-    const std::size_t minBytes = 2 * slotBytes;
+        file.maxPayloadBytes() + blockRefs * sizeof(std::uint32_t);
+    const std::size_t scratchBytes =
+        file.packable() ? 0 : blockRefs * sizeof(MemRef);
+    const std::size_t minBytes = 2 * slotBytes + scratchBytes;
     if (budget < minBytes) {
         gaas_error(ErrorCode::TraceIO, "streaming ", path,
                    " needs at least ", (minBytes >> 20) + 1,
-                   " MiB (2 slots of ", slotBytes,
-                   " bytes) but the ceiling (", kStreamBudgetEnv,
+                   " MiB (2 slots of ", slotBytes, " bytes",
+                   scratchBytes ? " plus a decode buffer" : "",
+                   ") but the ceiling (", kStreamBudgetEnv,
                    " or the workload's per-stream share) allows "
                    "only ", budget, " bytes");
     }
     const std::size_t count = std::clamp<std::size_t>(
-        slotBytes ? budget / slotBytes : 2, 2, 16);
+        slotBytes ? (budget - scratchBytes) / slotBytes : 2, 2, 16);
     slots.resize(count);
-    ringBytes = count * slotBytes;
+    ringBytes = count * slotBytes + scratchBytes;
     for (Slot &slot : slots) {
         slot.payload.reserve(file.maxPayloadBytes());
-        if (packed)
-            slot.packedRefs.reserve(file.blockRefs());
-        else
-            slot.refs.reserve(file.blockRefs());
+        slot.words.reserve(blockRefs);
     }
 
     reader = std::thread([this] { readerLoop(); });
@@ -70,6 +67,7 @@ StreamSource::readerLoop()
 {
     const std::uint64_t blockCount = file.blockCount();
     const std::size_t count = slots.size();
+    std::vector<MemRef> scratch; // unpackable files only
     std::unique_lock<std::mutex> lock(m);
     for (;;) {
         cv.wait(lock, [&] {
@@ -90,16 +88,18 @@ StreamSource::readerLoop()
             const std::uint32_t records = file.blockRecords(b);
             const v3::BlockContext ctx{&file.path(), b,
                                        file.payloadOffset(b)};
-            if (packed) {
-                slot.packedRefs.resize(records);
+            slot.words.resize(records);
+            if (file.packable()) {
                 v3::decodeBlockPacked(slot.payload.data(),
                                       slot.payload.size(), records,
-                                      slot.packedRefs.data(), ctx);
+                                      slot.words.data(), ctx);
             } else {
-                slot.refs.resize(records);
+                scratch.resize(records);
                 v3::decodeBlock(slot.payload.data(),
                                 slot.payload.size(), records,
-                                slot.refs.data(), ctx);
+                                scratch.data(), ctx);
+                for (std::uint32_t i = 0; i < records; ++i)
+                    slot.words[i] = packed::canonical(scratch[i], *this);
             }
             slot.records = records;
         } catch (const SimError &err) {
@@ -194,43 +194,16 @@ StreamSource::ensureHeld()
 bool
 StreamSource::next(MemRef &ref)
 {
-    return nextBatch(&ref, 1) == 1;
-}
-
-std::size_t
-StreamSource::nextBatch(MemRef *out, std::size_t n)
-{
-    std::size_t produced = 0;
-    const std::uint64_t total = file.recordCount();
-    while (produced < n && pos < total) {
-        ensureHeld();
-        const auto offset = static_cast<std::size_t>(
-            pos - file.firstRecordOf(heldBlock));
-        const std::size_t take =
-            std::min(n - produced, held->records - offset);
-        if (packed) {
-            const std::uint32_t *words =
-                held->packedRefs.data() + offset;
-            for (std::size_t i = 0; i < take; ++i)
-                out[produced + i] = packed::unpack(words[i]);
-        } else {
-            std::copy_n(held->refs.begin() +
-                            static_cast<std::ptrdiff_t>(offset),
-                        take, out + produced);
-        }
-        pos += take;
-        produced += take;
-        if (offset + take == held->records)
-            release();
-    }
-    return produced;
+    std::uint32_t word = 0;
+    if (nextBatchPacked(&word, 1) == 0)
+        return false;
+    ref = packed::unpack(word);
+    return true;
 }
 
 std::size_t
 StreamSource::nextBatchPacked(std::uint32_t *out, std::size_t n)
 {
-    if (!packed)
-        return kNoPacked;
     std::size_t produced = 0;
     const std::uint64_t total = file.recordCount();
     while (produced < n && pos < total) {
@@ -239,7 +212,7 @@ StreamSource::nextBatchPacked(std::uint32_t *out, std::size_t n)
             pos - file.firstRecordOf(heldBlock));
         const std::size_t take =
             std::min(n - produced, held->records - offset);
-        std::copy_n(held->packedRefs.begin() +
+        std::copy_n(held->words.begin() +
                         static_cast<std::ptrdiff_t>(offset),
                     take, out + produced);
         pos += take;

@@ -6,18 +6,20 @@
  * of the file into a small ring of slots while the simulator's hot
  * loop consumes the current one, so multi-billion-reference traces
  * -- the paper's 2.5 G-ref pixie regime -- replay without ever
- * materializing in RAM.  Decoded blocks are handed over through the
- * packed-batch interface (nextBatchPacked) when the file's records
- * all fit the packed u32 layout, which is the same fast path the
- * in-memory arena uses; otherwise the MemRef batch path serves.
+ * materializing in RAM.  Slots hold blocks of packed words
+ * (trace/packed.hh), handed over through nextBatchPacked as the
+ * arena's are.  A packable file decodes straight to words; any other
+ * decodes each block to MemRef scratch and packs it with
+ * packed::canonical().
  *
  * Memory model: the slot ring is sized from a hard byte ceiling --
  * StreamOptions::memoryBudgetBytes, defaulting to the
  * GAAS_TRACE_STREAM_MB environment knob (64 MiB when unset):
- * ring bytes = slots x (one decoded block + one compressed
- * payload), clamped to [2, 16] slots.  A ceiling too small for even
- * two slots is a TraceIO error naming the minimum, never a silent
- * overrun.  Peak RSS is therefore independent of trace length.
+ * ring bytes = slots x (one block of words + one compressed
+ * payload), clamped to [2, 16] slots, plus any MemRef scratch.  A
+ * ceiling too small for two slots is a TraceIO error naming the
+ * minimum, never a silent overrun.  Peak RSS is therefore
+ * independent of trace length.
  *
  * Ordering/consistency: production runs strictly ahead of
  * consumption in block order; skip()/reset() move the cursor in
@@ -27,10 +29,10 @@
  * a slot only while it is marked full, and the producer writes one
  * only while it is free.
  *
- * The stream is bit-identical to TraceV3Reader over the same file,
- * and -- for a file written from a synth generator -- to the arena
- * replay of that generator, which the stream-vs-arena golden tests
- * pin.
+ * The stream's words are bit-identical to the packed reads of a
+ * TraceV3Reader over the same file, and -- for a file written from
+ * a synth generator -- to the arena replay of that generator, which
+ * the stream-vs-arena golden tests pin.
  */
 
 #ifndef GAAS_TRACE_STREAM_HH
@@ -78,8 +80,8 @@ class StreamSource : public TraceSource
 
     ~StreamSource() override;
 
+    /** Unpacks one word: MemRef reads are for tests and tools. */
     bool next(MemRef &ref) override;
-    std::size_t nextBatch(MemRef *out, std::size_t n) override;
     std::size_t nextBatchPacked(std::uint32_t *out,
                                 std::size_t n) override;
     std::size_t skip(std::size_t n) override;
@@ -88,10 +90,8 @@ class StreamSource : public TraceSource
 
     std::uint64_t recordCount() const { return file.recordCount(); }
 
-    /** True if replay runs through the packed u32 fast path. */
-    bool packedCapable() const { return packed; }
-
-    /** Total buffer bytes the slot ring may hold (<= the ceiling). */
+    /** Total buffer bytes the slot ring and the decode scratch may
+     *  hold (<= the ceiling). */
     std::size_t bufferBytes() const { return ringBytes; }
 
     /** Slots in the ring (prefetch depth). */
@@ -104,8 +104,7 @@ class StreamSource : public TraceSource
     struct Slot
     {
         std::vector<unsigned char> payload;
-        std::vector<std::uint32_t> packedRefs;
-        std::vector<MemRef> refs;
+        std::vector<std::uint32_t> words;
         std::uint64_t block = 0;
         std::uint32_t records = 0;
         bool full = false;
@@ -126,7 +125,6 @@ class StreamSource : public TraceSource
     void ensureHeld();
 
     V3File file;
-    bool packed = false;
     std::size_t ringBytes = 0;
 
     // Consumer-thread-only state.

@@ -8,7 +8,8 @@
 # `cachesim` must exit 0 and report nonzero instruction and access
 # counts.  Malformed or zero numeric flags, an unknown cachesim
 # --kind, and a bad calibrate budget or mode must exit nonzero,
-# naming the bad value, before any simulation.
+# naming the bad value, before any simulation; a zero tracepack
+# count or size must exit 2, naming the option.
 
 set -u
 
@@ -69,6 +70,26 @@ for args in "--size 4x" "--size 0" "--assoc 0" "--assoc two" \
     grep -q -- "$flag" "$dir/err" \
         || fail "cachesim $args did not name $flag"
 done
+
+# tracepack's counts and sizes are positive: 0 must exit 2 naming the
+# option instead of silently meaning the default.  --bench is an
+# index, so 0 stays valid.
+for args in "synth $dir/z.v3 --instructions 0" \
+            "synth $dir/z.v3 --seed 0" \
+            "synth $dir/z.v3 --block-refs 0" \
+            "drain $dir/t.v3 --stream-mb 0"; do
+    # shellcheck disable=SC2086
+    "$TRACEPACK" $args >/dev/null 2>"$dir/err"
+    status=$?
+    [ "$status" -eq 2 ] \
+        || fail "tracepack $args exited $status, not 2"
+    flag=$(echo "$args" | sed 's/.* \(--[a-z-]*\) 0$/\1/')
+    grep -q -- "$flag" "$dir/err" \
+        || fail "tracepack $args did not name $flag"
+done
+[ -e "$dir/z.v3" ] && fail "a rejected tracepack synth wrote $dir/z.v3"
+"$TRACEPACK" synth "$dir/b0.v3" --bench 0 --instructions 1000 \
+    >/dev/null || fail "tracepack synth --bench 0 exited nonzero"
 
 # calibrate takes a budget and a mode as positional arguments.  Each
 # bad case is "arguments|the argument the error must name".

@@ -17,6 +17,7 @@
 #include "core/stats_dump.hh"
 #include "core/workload.hh"
 #include "trace/source.hh"
+#include "util/error.hh"
 #include "util/logging.hh"
 
 namespace gaas::core
@@ -109,7 +110,16 @@ TEST(Simulator, MalformedTraceIsFatal)
     // A data reference with no preceding instruction.
     std::vector<trace::MemRef> refs = {trace::loadRef(0x1000)};
     Simulator sim(baseline(), vectorWorkload(refs));
-    EXPECT_THROW(sim.run(10), FatalError);
+    try {
+        sim.run(10);
+        FAIL() << "a trace opening with a load was simulated";
+    } catch (const SimError &e) {
+        EXPECT_EQ(e.code(), ErrorCode::TraceIO);
+        EXPECT_NE(std::string(e.what()).find("load"), std::string::npos)
+            << e.what();
+        EXPECT_NE(std::string(e.what()).find("0x1000"), std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(Simulator, StopsWhenNonLoopingTraceEnds)

@@ -13,6 +13,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <sstream>
@@ -85,6 +86,30 @@ escapeTrace(std::size_t n)
         refs[i] = loadRef(0x1000'0001 + 9 * static_cast<Addr>(i));
     for (std::size_t i = 11; i < refs.size(); i += 29)
         refs[i] = storeRef((Addr{1} << 40) + 4 * static_cast<Addr>(i));
+    return refs;
+}
+
+/**
+ * @p refs with the noise the ingest packer strips: random low
+ * address bits on every record, a stray syscall flag on some data
+ * records and a stray partial-word flag on some Inst and Load
+ * records.  The copy is unpackable, yet must simulate exactly like
+ * the original.
+ */
+std::vector<MemRef>
+noisyCopy(std::vector<MemRef> refs)
+{
+    std::uint64_t x = 0x2545f4914f6cdd1dull;
+    for (MemRef &ref : refs) {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        ref.addr |= x & 3u;
+        if (!ref.isInst() && (x & 4u) != 0)
+            ref.syscall = true;
+        if (!ref.isStore() && (x & 8u) != 0)
+            ref.partialWord = true;
+    }
     return refs;
 }
 
@@ -248,13 +273,11 @@ TEST_F(StreamTest, StreamPackedPathUnpacksIdentically)
     const std::string path = writeV3("packed.v3", refs, 64);
 
     StreamSource stream(path);
-    ASSERT_TRUE(stream.packedCapable());
     std::vector<std::uint32_t> words(37);
     std::vector<MemRef> got;
     for (;;) {
         const std::size_t n =
             stream.nextBatchPacked(words.data(), words.size());
-        ASSERT_NE(n, TraceSource::kNoPacked);
         for (std::size_t i = 0; i < n; ++i)
             got.push_back(packed::unpack(words[i]));
         if (n < words.size())
@@ -264,17 +287,32 @@ TEST_F(StreamTest, StreamPackedPathUnpacksIdentically)
     EXPECT_GT(stream.blocksDecoded(), 0u);
 }
 
-TEST_F(StreamTest, NonPackableStreamUsesMemRefPath)
+TEST_F(StreamTest, UnalignedStreamReplaysCanonicalWords)
 {
-    const auto refs = escapeTrace(300);
-    const std::string path = writeV3("np.v3", refs, 64);
+    // Unaligned addresses clear the file's packable flag, yet the
+    // file streams through the same packed words as any other: the
+    // reader thread canonicalizes each block, which word-aligns
+    // every address.
+    auto refs = packableTrace(300);
+    for (std::size_t i = 5; i < refs.size(); i += 7)
+        refs[i].addr |= 1 + i % 3;
+    const std::string path = writeV3("unaligned.v3", refs, 64);
+    ASSERT_FALSE(v3FileInfo(path).packable());
+
+    std::vector<MemRef> aligned = refs;
+    for (MemRef &ref : aligned)
+        ref.addr &= ~Addr{3};
 
     StreamSource stream(path);
-    EXPECT_FALSE(stream.packedCapable());
-    std::uint32_t word;
-    EXPECT_EQ(stream.nextBatchPacked(&word, 1),
-              TraceSource::kNoPacked);
-    EXPECT_EQ(drainAll(stream), refs);
+    std::vector<std::uint32_t> words(refs.size() + 1);
+    ASSERT_EQ(stream.nextBatchPacked(words.data(), words.size()),
+              refs.size());
+    for (std::size_t i = 0; i < refs.size(); ++i)
+        ASSERT_EQ(packed::unpack(words[i]), aligned[i]) << "record " << i;
+
+    // The MemRef batch path unpacks the same words.
+    stream.reset();
+    EXPECT_EQ(drainAll(stream), aligned);
 }
 
 TEST_F(StreamTest, StreamSkipMatchesDiscardedReads)
@@ -427,18 +465,21 @@ TEST_F(StreamTest, GoldenPointsBitIdenticalAcrossReplayModes)
     // trace files -- per-block reader (arena off), in-memory arena,
     // and bounded StreamSource -- must dump byte-identical stats.
     // This is the contract that lets traceStreaming stay out of the
-    // resume-journal key.
-    std::vector<std::string> paths;
+    // resume-journal key.  Each mode also replays noisy copies of
+    // the files (noisyCopy), which must dump the same bytes: the
+    // low address bits and wrong-kind flags never reach timing.
+    std::vector<std::string> clean;
+    std::vector<std::string> noisy;
     auto specs = synth::workloadSpecs(2);
     for (std::size_t i = 0; i < specs.size(); ++i) {
         specs[i].simInstructions = 30'000;
         auto src = synth::makeBenchmark(specs[i]);
-        const std::string path =
-            (dir / ("wl-" + std::to_string(i) + ".v3")).string();
-        TraceV3Writer writer(path, 1u << 12);
-        writer.writeAll(*src);
-        writer.close();
-        paths.push_back(path);
+        const std::vector<MemRef> refs = drainAll(*src);
+        const std::string stem = "wl-" + std::to_string(i);
+        clean.push_back(writeV3(stem + ".v3", refs, 1u << 12));
+        noisy.push_back(
+            writeV3(stem + "-noisy.v3", noisyCopy(refs), 1u << 12));
+        ASSERT_FALSE(v3FileInfo(noisy.back()).packable());
     }
 
     std::vector<core::SweepJob> points;
@@ -451,37 +492,69 @@ TEST_F(StreamTest, GoldenPointsBitIdenticalAcrossReplayModes)
         job.config.l2i = job.config.l2d = job.config.l2;
         job.config.name = "point-" + std::to_string(p);
         job.instructions = 40'000;
-        job.traceFiles = paths;
         points.push_back(std::move(job));
     }
 
-    auto dump = [](const core::SweepJob &job) {
+    auto dump = [](core::SweepJob job,
+                   const std::vector<std::string> &files,
+                   const char *arena, bool streaming) {
+        ArenaEnv env(arena);
+        job.traceFiles = files;
+        job.traceStreaming = streaming;
         const core::SimResult result = core::runSweepJob(job);
         std::ostringstream os;
         core::dumpStats(result, os);
         return os.str();
     };
 
-    for (core::SweepJob &job : points) {
+    for (const core::SweepJob &job : points) {
         SCOPED_TRACE(job.config.name);
-        std::string viaReader;
-        std::string viaArena;
-        {
-            ArenaEnv off(nullptr);
-            job.traceStreaming = false;
-            viaReader = dump(job);
-        }
-        {
-            ArenaEnv on("1");
-            job.traceStreaming = false;
-            viaArena = dump(job);
-        }
-        ArenaEnv off(nullptr);
-        job.traceStreaming = true;
-        const std::string viaStream = dump(job);
+        const std::string viaReader = dump(job, clean, "0", false);
         ASSERT_FALSE(viaReader.empty());
-        EXPECT_EQ(viaArena, viaReader);
-        EXPECT_EQ(viaStream, viaReader);
+        EXPECT_EQ(dump(job, clean, "1", false), viaReader);
+        EXPECT_EQ(dump(job, clean, "1", true), viaReader);
+        EXPECT_EQ(dump(job, noisy, "0", false), viaReader);
+        EXPECT_EQ(dump(job, noisy, "1", false), viaReader);
+        EXPECT_EQ(dump(job, noisy, "1", true), viaReader);
+    }
+}
+
+TEST_F(StreamTest, AddressAtOrAbove2To31FailsAsTraceIoInEveryMode)
+{
+    // The packed word holds addresses below 2^31, the user-mode
+    // range of the paper's pixie traces.  A record past it is a bad
+    // trace, not a record to truncate: every replay mode fails the
+    // point as trace-io and names the address.  Each mode runs the
+    // point twice, so the arena's second acquire of the failed
+    // stream must fail the same way.
+    synth::BenchmarkSpec spec = synth::workloadSpecs(1).front();
+    spec.simInstructions = 2'000;
+    auto src = synth::makeBenchmark(spec);
+    std::vector<MemRef> refs = drainAll(*src);
+    const auto data =
+        std::find_if(refs.begin() + 100, refs.end(),
+                     [](const MemRef &ref) { return ref.isData(); });
+    ASSERT_NE(data, refs.end());
+    data->addr = 0x8000'1230;
+    const std::string path = writeV3("high.v3", refs, 1u << 10);
+
+    core::SweepJob job;
+    job.config = core::afterWritePolicy();
+    job.instructions = 5'000;
+    job.traceFiles = {path};
+    for (const char *mode : {"reader", "arena", "stream"}) {
+        SCOPED_TRACE(mode);
+        ArenaEnv env(std::string(mode) == "reader" ? "0" : "1");
+        job.traceStreaming = std::string(mode) == "stream";
+        for (int run = 0; run < 2; ++run) {
+            const core::SweepOutcome out =
+                core::runSweepJobIsolated(job);
+            EXPECT_EQ(out.status, core::PointStatus::Failed);
+            EXPECT_STREQ(errorCodeName(out.errorCode), "trace-io")
+                << out.error;
+            EXPECT_NE(out.error.find("0x80001230"), std::string::npos)
+                << out.error;
+        }
     }
 }
 

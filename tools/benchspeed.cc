@@ -441,9 +441,10 @@ runStreamBench(bool smoke, double grefs, double ratioFloor)
         trace::TraceV3Writer writer(path);
         writer.writeAll(*src);
         writer.close();
-        // Unpackable files would replay through the slow MemRef
-        // path on both sides, so the ratio would not gate the
-        // packed streaming pipeline.
+        // An unpackable file streams through the MemRef decode and
+        // the ingest packer instead of decodeBlockPacked, so the
+        // ratio would not gate the direct decode path that synth
+        // traces (and pixie-style traces) take.
         if (!trace::v3FileInfo(path).packable()) {
             std::cerr << "benchspeed: FAIL: synth-written v3 file "
                       << path << " is not packable\n";

@@ -62,14 +62,17 @@ usage()
 }
 
 /** Strict numeric option value (tracepack pack in --block-refs 4x
- *  must die, not truncate). */
+ *  must die, not truncate).  Only an index (@p zero_ok) may be 0;
+ *  for a count or a size, 0 would silently mean the default. */
 std::uint64_t
-numValue(const std::string &opt, const char *text)
+numValue(const std::string &opt, const char *text, bool zero_ok = false)
 {
     const auto v = parseU64(text);
-    if (!v) {
+    if (!v || (*v == 0 && !zero_ok)) {
         std::cerr << "tracepack: bad value '" << text << "' for "
-                  << opt << " (positive decimal integer required)\n";
+                  << opt
+                  << (zero_ok ? " (decimal integer required)\n"
+                              : " (positive decimal integer required)\n");
         std::exit(2);
     }
     return *v;
@@ -240,32 +243,18 @@ cmdDrain(const std::string &path, std::uint64_t stream_mb)
             static_cast<std::size_t>(stream_mb) << 20;
     trace::StreamSource src(path, options);
     constexpr std::size_t kBatch = 1u << 14;
-    std::vector<std::uint32_t> packed(kBatch);
-    std::vector<trace::MemRef> refs(kBatch);
+    std::vector<std::uint32_t> words(kBatch);
     std::uint64_t n = 0;
     const auto start = std::chrono::steady_clock::now();
-    if (src.packedCapable()) {
-        for (;;) {
-            const std::size_t got =
-                src.nextBatchPacked(packed.data(), kBatch);
-            n += got;
-            if (got < kBatch)
-                break;
-        }
-    } else {
-        for (;;) {
-            const std::size_t got =
-                src.nextBatch(refs.data(), kBatch);
-            n += got;
-            if (got < kBatch)
-                break;
-        }
+    for (;;) {
+        const std::size_t got = src.nextBatchPacked(words.data(), kBatch);
+        n += got;
+        if (got < kBatch)
+            break;
     }
     const double secs = secondsSince(start);
-    std::cout << "drained " << n << " records ("
-              << (src.packedCapable() ? "packed" : "unpacked")
-              << " path, " << src.slotCount() << " slots, "
-              << src.bufferBytes() << " buffer bytes)\n"
+    std::cout << "drained " << n << " records (" << src.slotCount()
+              << " slots, " << src.bufferBytes() << " buffer bytes)\n"
               << "refs_per_second: "
               << (secs > 0.0 ? static_cast<std::uint64_t>(
                                    static_cast<double>(n) / secs)
@@ -305,7 +294,7 @@ main(int argc, char **argv)
         if (arg == "--block-refs")
             blockRefs = numValue(arg, next());
         else if (arg == "--bench")
-            bench = numValue(arg, next());
+            bench = numValue(arg, next(), /*zero_ok=*/true);
         else if (arg == "--instructions")
             instructions = numValue(arg, next());
         else if (arg == "--seed")
