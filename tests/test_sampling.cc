@@ -9,15 +9,41 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "core/config.hh"
 #include "core/sampling.hh"
 #include "core/simulator.hh"
+#include "core/stats_dump.hh"
 #include "core/workload.hh"
 
 namespace gaas::core
 {
 namespace
 {
+
+/** The flat stats dump of @p result as name -> value text. */
+std::map<std::string, std::string>
+dumpFields(const SimResult &result)
+{
+    std::ostringstream os;
+    dumpStats(result, os);
+    std::map<std::string, std::string> fields;
+    std::istringstream in(os.str());
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.empty() || line[0] == '#')
+            continue;
+        std::istringstream words(line);
+        std::string name, value;
+        words >> name >> value;
+        fields[name] = value;
+    }
+    return fields;
+}
 
 /** One Fig. 6 ladder configuration (see tools/benchspeed.cc). */
 SystemConfig
@@ -137,6 +163,75 @@ TEST(Sampling, FullDetailCpiWithinReportedCiOnFig6Points)
         EXPECT_LT(s.sampling.measuredInstructions, total / 4);
         EXPECT_GT(s.sampling.skippedInstructions, total / 2);
     }
+}
+
+/**
+ * Under the sampled schedule the secondary cache never steers what
+ * the machine above it sees: warm windows run on the stall-free
+ * clock, and no detailed window comes near a time slice, so the
+ * reference interleaving -- and with it every L1, TLB, scheduler and
+ * write-buffer-entry counter -- is the same beneath any L2.  Grouped
+ * sampled sweeps simulate that front end once per group and rest on
+ * this property; checked here on solo runs, at Fig. 6's own budget,
+ * across both organisations, both associativities and four sizes.
+ */
+TEST(Sampling, FrontEndCountersIgnoreTheL2)
+{
+    const SystemConfig points[] = {
+        fig6Point(64 * 1024, L2Org::Unified, 1, 6),
+        fig6Point(128 * 1024, L2Org::Unified, 2, 7),
+        fig6Point(256 * 1024, L2Org::LogicalSplit, 2, 7),
+        fig6Point(1024 * 1024, L2Org::LogicalSplit, 1, 6),
+    };
+    SamplingConfig plan;
+    plan.enabled = true;
+    plan.minIntervals = 24;
+    plan.maxIntervals = 24; // n fixed: the points cannot size apart
+
+    const auto isFrontEnd = [](const std::string &name) {
+        for (const char *prefix : {"l1i.", "l1d.", "itlb.", "dtlb."}) {
+            if (name.rfind(prefix, 0) == 0)
+                return true;
+        }
+        for (const char *exact :
+             {"sim.instructions", "sim.context_switches",
+              "sim.syscall_switches", "cpi.tlb", "cpi.l1_writes",
+              "l2i.accesses", "l2d.accesses", "wb.pushes"}) {
+            if (name == exact)
+                return true;
+        }
+        return false;
+    };
+
+    std::vector<std::map<std::string, std::string>> dumps;
+    for (const SystemConfig &cfg : points) {
+        const SimResult s =
+            runSampled(cfg, plan, 16'000'000, 8, 8'000'000);
+        ASSERT_EQ(s.sampling.intervals, 24u);
+        dumps.push_back(dumpFields(s));
+    }
+
+    std::size_t frontFields = 0;
+    bool backEndDiffers = false;
+    for (const auto &[name, value] : dumps.front()) {
+        const bool front = isFrontEnd(name);
+        frontFields += front ? 1 : 0;
+        for (std::size_t i = 1; i < dumps.size(); ++i) {
+            ASSERT_TRUE(dumps[i].count(name)) << name;
+            if (front) {
+                EXPECT_EQ(dumps[i].at(name), value)
+                    << name << " differs at point " << i;
+            } else if (dumps[i].at(name) != value) {
+                backEndDiffers = true;
+            }
+        }
+    }
+    EXPECT_EQ(frontFields, 24u);
+    // Not vacuous: the L2 does change what lies beneath the L1s.
+    EXPECT_TRUE(backEndDiffers);
+    EXPECT_NE(dumps[0].at("sim.cycles"), dumps[3].at("sim.cycles"));
+    EXPECT_NE(dumps[0].at("l2.miss_ratio"),
+              dumps[3].at("l2.miss_ratio"));
 }
 
 } // namespace
