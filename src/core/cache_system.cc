@@ -47,10 +47,9 @@ halfOf(const cache::CacheConfig &full)
 
 } // namespace
 
-CacheSystem::CacheSystem(const SystemConfig &config)
-    : cfg(config), mmuUnit((config.validate(), config.mmu)),
-      l1i(config.l1i, "L1-I"), l1d(config.l1d, "L1-D"),
-      wb(makeWbConfig(config)), memory(makeMemConfig(config))
+BackEnd::BackEnd(const SystemConfig &config)
+    : cfg(config), wb(makeWbConfig(config)),
+      memory(makeMemConfig(config))
 {
     switch (cfg.l2Org) {
       case L2Org::Unified:
@@ -71,7 +70,7 @@ CacheSystem::CacheSystem(const SystemConfig &config)
 }
 
 cache::TagStore &
-CacheSystem::l2Store(bool is_inst)
+BackEnd::l2Store(bool is_inst)
 {
     if (l2u)
         return *l2u;
@@ -79,19 +78,19 @@ CacheSystem::l2Store(bool is_inst)
 }
 
 const cache::TagStore &
-CacheSystem::l2InstStore() const
+BackEnd::l2InstStore() const
 {
     return l2u ? *l2u : *l2is;
 }
 
 const cache::TagStore &
-CacheSystem::l2DataStore() const
+BackEnd::l2DataStore() const
 {
     return l2u ? *l2u : *l2ds;
 }
 
 Cycles
-CacheSystem::extraTransferCycles(unsigned fetch_words) const
+BackEnd::extraTransferCycles(unsigned fetch_words) const
 {
     if (fetch_words <= 4)
         return 0;
@@ -99,9 +98,9 @@ CacheSystem::extraTransferCycles(unsigned fetch_words) const
 }
 
 template <bool Measure>
-CacheSystem::L2Result
-CacheSystem::l2Access(bool is_inst, Addr paddr, Cycles now,
-                      unsigned fetch_words)
+BackEnd::L2Result
+BackEnd::l2Access(bool is_inst, Addr paddr, Cycles now,
+                  unsigned fetch_words)
 {
     cache::TagStore &store = l2Store(is_inst);
     const L2SideConfig &side =
@@ -134,118 +133,71 @@ CacheSystem::l2Access(bool is_inst, Addr paddr, Cycles now,
     return res;
 }
 
-// The miss paths take the stall their access has charged so far.
-// Those that turn it into time arguments first pin it to the
-// compile-time 0 a warming caller passes (see measured()).
-
 template <bool Measure>
 Cycles
-CacheSystem::ifetchMiss(Cycles now, Cycles stall, Addr paddr)
+BackEnd::instMiss(Cycles now, Addr paddr)
 {
-    stall = measured<Measure>(stall);
-    tally<Measure>(st.l1iMisses);
-
+    Cycles stall = 0;
     // The base architecture makes both primary caches wait for the
     // write buffer to empty before processing a miss (Section 2).
     // With a split L2, the I-refill can proceed concurrently with
     // the drain into L2-D (Section 9).
     if (!cfg.concurrentIRefill)
-        charge<Measure>(stall, comp.wbWait, wb.drainAll(now + stall));
+        charge<Measure>(stall, comp.wbWait, wb.drainAll(now));
 
     const L2Result r = l2Access<Measure>(true, paddr, now + stall,
                                          cfg.l1i.fetchWords);
     charge<Measure>(stall, comp.l1iMiss, r.access);
     charge<Measure>(stall, comp.l2iMiss, r.memory);
-
-    cache::Eviction evicted;
-    l1i.allocate(paddr, evicted);
     return stall;
 }
 
 template <bool Measure>
 void
-CacheSystem::dataMissWriteBufferWait(Addr paddr, Cycles now,
-                                     Cycles &stall)
+BackEnd::dataMissWriteBufferWait(Addr paddr, Cycles now,
+                                 bool victim_dirty, Cycles &stall)
 {
     switch (cfg.loadBypass) {
       case LoadBypass::None:
         charge<Measure>(stall, comp.wbWait, wb.drainAll(now));
         break;
-      case LoadBypass::Associative:
+      case LoadBypass::Associative: {
+        const unsigned line_bytes = cfg.l1d.lineBytes();
         charge<Measure>(stall, comp.wbWait,
-                        wb.drainLine(now, l1d.lineAddr(paddr),
-                                     cfg.l1d.lineBytes()));
+                        wb.drainLine(now,
+                                     paddr & ~Addr{line_bytes - 1},
+                                     line_bytes));
         break;
-      case LoadBypass::DirtyBit: {
+      }
+      case LoadBypass::DirtyBit:
         // Only flush when the line being replaced is dirty; the
         // write-only policy guarantees every buffered write also
         // allocated (and dirtied) an L1-D line, so a clean victim
         // proves the buffer holds nothing this line needs
         // (Section 9).
-        cache::TagStore::Ref line = l1d.find(paddr);
-        const cache::TagStore::Ref victim =
-            line ? line : l1d.victim(paddr);
-        if (victim.valid() && victim.dirty())
+        if (victim_dirty)
             charge<Measure>(stall, comp.wbWait, wb.drainAll(now));
         else if constexpr (Measure)
             wb.noteBypass();
         break;
-      }
     }
-}
-
-template <bool Measure>
-cache::TagStore::Ref
-CacheSystem::refillL1D(Addr paddr, Cycles now, Cycles &stall)
-{
-    // A read miss on a write-only (or partially valid) line with a
-    // matching tag reallocates the same line in place.
-    if (cache::TagStore::Ref line = l1d.find(paddr)) {
-        line.setWriteOnly(false);
-        line.setDirty(false);
-        line.setValidMask(l1d.fullMask());
-        l1d.touch(line);
-        return line;
-    }
-
-    cache::Eviction evicted;
-    cache::TagStore::Ref line = l1d.allocate(paddr, evicted);
-
-    // Write-back: a displaced dirty line drains through the write
-    // buffer as one full-line entry.
-    if (cfg.writePolicy == WritePolicy::WriteBack && evicted.valid &&
-        evicted.dirty) {
-        charge<Measure>(stall, comp.wbWait,
-                        wb.push(now + stall, evicted.lineAddr));
-        applyWriteToL2(evicted.lineAddr);
-    }
-    return line;
 }
 
 template <bool Measure>
 Cycles
-CacheSystem::loadMiss(Cycles now, Cycles stall, Addr paddr,
-                      cache::TagStore::LineIndex idx)
+BackEnd::dataMiss(Cycles now, Addr paddr, bool victim_dirty)
 {
-    stall = measured<Measure>(stall);
-    if (idx != cache::TagStore::npos &&
-        (l1d.stateAt(idx) & cache::TagStore::kWriteOnlyBit))
-        tally<Measure>(st.writeOnlyReadMisses);
-    tally<Measure>(st.l1dReadMisses);
-
-    dataMissWriteBufferWait<Measure>(paddr, now + stall, stall);
-
+    Cycles stall = 0;
+    dataMissWriteBufferWait<Measure>(paddr, now, victim_dirty, stall);
     const L2Result r = l2Access<Measure>(false, paddr, now + stall,
                                          cfg.l1d.fetchWords);
     charge<Measure>(stall, comp.l1dMiss, r.access);
     charge<Measure>(stall, comp.l2dMiss, r.memory);
-
-    refillL1D<Measure>(paddr, now, stall);
     return stall;
 }
 
 void
-CacheSystem::applyWriteToL2(Addr paddr)
+BackEnd::applyWriteToL2(Addr paddr)
 {
     // State-only effect of a write-buffer entry reaching L2; the
     // *timing* of the drain is modelled by the write buffer itself.
@@ -267,18 +219,130 @@ CacheSystem::applyWriteToL2(Addr paddr)
 
 template <bool Measure>
 Cycles
+BackEnd::replay(const BackEndCall &c, Cycles delay)
+{
+    const Cycles now = c.at + delay;
+    switch (c.op) {
+      case BackEndOp::InstMiss:
+        return instMiss<Measure>(now, c.arg);
+      case BackEndOp::DataMiss:
+        return dataMiss<Measure>(now, c.arg, c.flag);
+      case BackEndOp::Write:
+        return write<Measure>(now, c.arg);
+      case BackEndOp::Instruction:
+        break;
+    }
+    return 0;
+}
+
+template Cycles BackEnd::replay<true>(const BackEndCall &, Cycles);
+template Cycles BackEnd::replay<false>(const BackEndCall &, Cycles);
+
+void
+BackEnd::resetStats()
+{
+    st = SysStats{};
+    comp = CpiComponents{};
+    wb.resetStats();
+    memory.resetStats();
+}
+
+SysStats
+BackEnd::stats() const
+{
+    SysStats out = st;
+    out.wb = wb.stats();
+    out.memory = memory.stats();
+    return out;
+}
+
+CacheSystem::CacheSystem(const SystemConfig &config)
+    : cfg((config.validate(), config.frontEnd())), mmuUnit(cfg.mmu),
+      l1i(cfg.l1i, "L1-I"), l1d(cfg.l1d, "L1-D"), back(config)
+{}
+
+// The miss paths take the stall their access has charged so far.
+// Those that turn it into time arguments first pin it to the
+// compile-time 0 a warming caller passes (see measured()).
+
+template <bool Measure, bool Record>
+Cycles
+CacheSystem::ifetchMiss(Cycles now, Cycles stall, Addr paddr)
+{
+    stall = measured<Measure>(stall);
+    tally<Measure>(st.l1iMisses);
+    stall += toBackEnd<Measure, Record, BackEndOp::InstMiss>(
+        now + stall, paddr);
+
+    cache::Eviction evicted;
+    l1i.allocate(paddr, evicted);
+    return stall;
+}
+
+bool
+CacheSystem::refillVictimDirty(Addr paddr)
+{
+    cache::TagStore::Ref line = l1d.find(paddr);
+    const cache::TagStore::Ref victim = line ? line : l1d.victim(paddr);
+    return victim.valid() && victim.dirty();
+}
+
+template <bool Measure, bool Record>
+cache::TagStore::Ref
+CacheSystem::refillL1D(Addr paddr, Cycles now, Cycles &stall)
+{
+    // A read miss on a write-only (or partially valid) line with a
+    // matching tag reallocates the same line in place.
+    if (cache::TagStore::Ref line = l1d.find(paddr)) {
+        line.setWriteOnly(false);
+        line.setDirty(false);
+        line.setValidMask(l1d.fullMask());
+        l1d.touch(line);
+        return line;
+    }
+
+    cache::Eviction evicted;
+    cache::TagStore::Ref line = l1d.allocate(paddr, evicted);
+
+    // Write-back: a displaced dirty line drains through the write
+    // buffer as one full-line entry.
+    if (cfg.writePolicy == WritePolicy::WriteBack && evicted.valid &&
+        evicted.dirty) {
+        stall += toBackEnd<Measure, Record, BackEndOp::Write>(
+            now + stall, evicted.lineAddr);
+    }
+    return line;
+}
+
+template <bool Measure, bool Record>
+Cycles
+CacheSystem::loadMiss(Cycles now, Cycles stall, Addr paddr,
+                      cache::TagStore::LineIndex idx)
+{
+    stall = measured<Measure>(stall);
+    if (idx != cache::TagStore::npos &&
+        (l1d.stateAt(idx) & cache::TagStore::kWriteOnlyBit))
+        tally<Measure>(st.writeOnlyReadMisses);
+    tally<Measure>(st.l1dReadMisses);
+
+    stall += toBackEnd<Measure, Record, BackEndOp::DataMiss>(
+        now + stall, paddr, refillVictimDirty(paddr));
+    refillL1D<Measure, Record>(paddr, now, stall);
+    return stall;
+}
+
+template <bool Measure, bool Record>
+Cycles
 CacheSystem::storeMissWriteBack(Cycles now, Cycles stall, Addr paddr)
 {
     stall = measured<Measure>(stall);
     // Write-allocate: fetch the line like a read miss; the write
     // itself needs no extra cycle (Section 6).
     tally<Measure>(st.l1dWriteMisses);
-    dataMissWriteBufferWait<Measure>(paddr, now + stall, stall);
-    const L2Result r = l2Access<Measure>(false, paddr, now + stall,
-                                         cfg.l1d.fetchWords);
-    charge<Measure>(stall, comp.l1dMiss, r.access);
-    charge<Measure>(stall, comp.l2dMiss, r.memory);
-    cache::TagStore::Ref nl = refillL1D<Measure>(paddr, now, stall);
+    stall += toBackEnd<Measure, Record, BackEndOp::DataMiss>(
+        now + stall, paddr, refillVictimDirty(paddr));
+    cache::TagStore::Ref nl =
+        refillL1D<Measure, Record>(paddr, now, stall);
     nl.setDirty(true);
     return stall;
 }
@@ -330,16 +394,21 @@ CacheSystem::storeMissSubblock(Cycles stall, Addr paddr,
     return stall;
 }
 
-// Both accounting modes of every miss path: measured for the detailed
-// simulate loops, warm for functional warming.
-template Cycles CacheSystem::ifetchMiss<true>(Cycles, Cycles, Addr);
-template Cycles CacheSystem::ifetchMiss<false>(Cycles, Cycles, Addr);
-template Cycles CacheSystem::loadMiss<true>(Cycles, Cycles, Addr,
-                                            cache::TagStore::LineIndex);
-template Cycles CacheSystem::loadMiss<false>(Cycles, Cycles, Addr,
-                                             cache::TagStore::LineIndex);
-template Cycles CacheSystem::storeMissWriteBack<true>(Cycles, Cycles, Addr);
-template Cycles CacheSystem::storeMissWriteBack<false>(Cycles, Cycles, Addr);
+// Every accounting and recording mode of every miss path: measured
+// for the detailed simulate loops, warm for functional warming, and
+// each of those recording for a grouped sampled run's front end.
+#define GAAS_MISS_PATHS(M, R)                                          \
+    template Cycles CacheSystem::ifetchMiss<M, R>(Cycles, Cycles,      \
+                                                  Addr);               \
+    template Cycles CacheSystem::loadMiss<M, R>(                       \
+        Cycles, Cycles, Addr, cache::TagStore::LineIndex);             \
+    template Cycles CacheSystem::storeMissWriteBack<M, R>(Cycles,      \
+                                                          Cycles, Addr);
+GAAS_MISS_PATHS(true, false)
+GAAS_MISS_PATHS(false, false)
+GAAS_MISS_PATHS(true, true)
+GAAS_MISS_PATHS(false, true)
+#undef GAAS_MISS_PATHS
 template Cycles CacheSystem::storeMissInvalidate<true>(Cycles, Addr);
 template Cycles CacheSystem::storeMissInvalidate<false>(Cycles, Addr);
 template Cycles CacheSystem::storeMissWriteOnly<true>(Cycles, Addr);
@@ -352,19 +421,34 @@ CacheSystem::resetStats()
 {
     st = SysStats{};
     comp = CpiComponents{};
-    wb.resetStats();
-    memory.resetStats();
     mmuUnit.resetStats();
+    back.resetStats();
 }
 
 SysStats
 CacheSystem::stats() const
 {
-    SysStats out = st;
-    out.wb = wb.stats();
-    out.memory = memory.stats();
+    // The back end's counters, with the front end's own filled in:
+    // the L1s' and the TLBs'.
+    SysStats out = back.stats();
+    out.ifetches = st.ifetches;
+    out.l1iMisses = st.l1iMisses;
+    out.loads = st.loads;
+    out.l1dReadMisses = st.l1dReadMisses;
+    out.stores = st.stores;
+    out.l1dWriteMisses = st.l1dWriteMisses;
+    out.writeOnlyReadMisses = st.writeOnlyReadMisses;
     out.itlb = mmuUnit.itlbStats();
     out.dtlb = mmuUnit.dtlbStats();
+    return out;
+}
+
+CpiComponents
+CacheSystem::components() const
+{
+    CpiComponents out = back.components();
+    out.tlb = comp.tlb;
+    out.l1Writes = comp.l1Writes;
     return out;
 }
 

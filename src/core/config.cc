@@ -63,6 +63,12 @@ SystemConfig::applyPolicyDefaults()
     }
 }
 
+FrontEndConfig
+SystemConfig::frontEnd() const
+{
+    return {l1i, l1d, writePolicy, mmu, timeSliceCycles};
+}
+
 const L2SideConfig &
 SystemConfig::l2InstSide() const
 {

@@ -63,6 +63,26 @@ struct L2SideConfig
     Cycles accessTime = 6;
 };
 
+/**
+ * Every field the front end reads: the MMU and the two L1s of
+ * CacheSystem, and the scheduler above them.  The front end is built
+ * from this struct alone, so nothing below the L1s can steer it.
+ * Under the sampled schedule, configurations with equal front ends
+ * (and equal workload, budget and plan) see the same reference
+ * interleaving, which is what lets a sweep run them as one group
+ * (core/sampling.hh, runSampledGroup).
+ */
+struct FrontEndConfig
+{
+    cache::CacheConfig l1i;
+    cache::CacheConfig l1d;
+    WritePolicy writePolicy = WritePolicy::WriteBack;
+    mmu::MmuConfig mmu;
+    Cycles timeSliceCycles = 0;
+
+    bool operator==(const FrontEndConfig &) const = default;
+};
+
 /** The full two-level system configuration. */
 struct SystemConfig
 {
@@ -116,6 +136,9 @@ struct SystemConfig
 
     /** Set wbDepth/wbEntryWords to the policy's default shape. */
     void applyPolicyDefaults();
+
+    /** The fields the front end reads (see FrontEndConfig). */
+    FrontEndConfig frontEnd() const;
 
     /** @return the L2 side used for instruction refills. */
     const L2SideConfig &l2InstSide() const;

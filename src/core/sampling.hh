@@ -40,8 +40,12 @@
 #ifndef GAAS_CORE_SAMPLING_HH
 #define GAAS_CORE_SAMPLING_HH
 
+#include <string>
+#include <vector>
+
 #include "core/config.hh"
 #include "core/cpi.hh"
+#include "util/error.hh"
 #include "util/types.hh"
 
 namespace gaas::core
@@ -98,16 +102,17 @@ struct SamplingConfig
 
     /** Relative systematic allowance for finite warming depth,
      *  added to the reported half-width on top of the Student-t
-     *  sampling term.  Episodic warming rebuilds short-term reuse
-     *  exactly but cannot re-accumulate the deep L2 residency (the
-     *  Pareto-tail heap/global lines) a full-detail run builds over
-     *  tens of millions of references, so large-L2 points read
-     *  slightly high; the fig6 ladder measures the effect at under
-     *  +1% below 256KW, growing to about +3% at 1024KW -- the
-     *  default covers that worst case.  Continuous functional
-     *  warming would remove it but costs detail-speed work over the
-     *  whole budget, forfeiting the speedup. */
+     *  sampling term.  Episodic warming cannot rebuild all the
+     *  state a full-detail run accumulates, so sampled CPIs read
+     *  high: on the fig6 ladder at its default budget all 28
+     *  points are +0.9% to +5.7% above full detail (median +3.4%),
+     *  largest at 16KW, where deep L2 residency cannot explain it.
+     *  The 3% default therefore does not cover the worst case.
+     *  ROADMAP item 3 replaces this constant with a measured
+     *  warming bound. */
     double warmingBiasRel = 0.03;
+
+    bool operator==(const SamplingConfig &) const = default;
 };
 
 /**
@@ -139,6 +144,60 @@ SimResult runSampled(const SystemConfig &config,
                      Count total_instructions, unsigned mp_level = 8,
                      Count warmup_instructions = 0,
                      Cycles watchdog_cycles = 0);
+
+/** One configuration of a sampled group (runSampledGroup) and how
+ *  it ended. */
+struct SampledMember
+{
+    SystemConfig config;
+    Cycles watchdogCycles = 0;
+
+    /** @name Filled in by runSampledGroup */
+    ///@{
+    /** What runSampled returns for this configuration (zeroed, bar
+     *  the name, if failed). */
+    SimResult result;
+    bool failed = false;
+    ErrorCode errorCode = ErrorCode::Internal;
+    std::string error; //!< what its solo run would have thrown
+    /** Ran through runSampled itself: it tripped the time-slice
+     *  guard, or the budget cannot fit the episode schedule. */
+    bool ranSolo = false;
+    /** Host seconds of this member's own work: its back-end
+     *  replays, or its solo run. */
+    double seconds = 0.0;
+    ///@}
+};
+
+/**
+ * runSampled for every member at once, over one shared front end.
+ * Every member must have the same config.frontEnd(); the rest of
+ * each configuration -- L2 organisation, geometry and timing, write
+ * buffer, memory, load bypass, concurrent I-refill, dirty buffer --
+ * may differ.
+ *
+ * Under the sampled schedule nothing below the L1s steers the
+ * front end: warm windows run on the stall-free clock, and a
+ * detailed window is far shorter than a time slice.  So one
+ * recording front end (Simulator::recordBackEnd) walks the union of
+ * the members' episode schedules, and each member's BackEnd replays
+ * every window's back-end calls on its own clock: call k at its
+ * front-end time plus the stalls that back end returned before it.
+ * The one controller turns each member's windows into exactly the
+ * result runSampled gives it.  One guard keeps that exact: a member
+ * whose own clock reaches its slice end on an instruction where the
+ * front end did not switch is re-run solo, and so is every member
+ * when the budget cannot fit the schedule.
+ *
+ * A member's own failure (its configuration does not validate, or
+ * its watchdog expires) fails only that member, with the code and
+ * message its solo run would give.  An error of the shared front
+ * end (workload, trace) throws.
+ */
+void runSampledGroup(std::vector<SampledMember> &members,
+                     const SamplingConfig &plan,
+                     Count total_instructions, unsigned mp_level = 8,
+                     Count warmup_instructions = 0);
 
 } // namespace gaas::core
 

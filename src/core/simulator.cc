@@ -25,7 +25,7 @@ envForcesGeneric()
 } // namespace
 
 Simulator::Simulator(const SystemConfig &config, Workload workload)
-    : cfg(config), sys(config)
+    : configName(config.name), sys(config)
 {
     auto processes = workload.take();
     if (processes.empty())
@@ -38,27 +38,40 @@ Simulator::Simulator(const SystemConfig &config, Workload workload)
         procs.push_back(std::move(state));
     }
     alive = procs.size();
-    sliceEnd = cfg.timeSliceCycles;
+    sliceEnd = sys.config().timeSliceCycles;
 
     forceGeneric = envForcesGeneric();
-    const LoopFns fns = pickLoop();
-    loopFn = fns.detail;
-    warmFn = fns.warm;
-    prefetchStoreL2 = isWriteThrough(cfg.writePolicy);
+    selectLoops();
 }
 
 void
 Simulator::setForceGenericPath(bool force)
 {
     forceGeneric = force || envForcesGeneric();
+    selectLoops();
+}
+
+void
+Simulator::recordBackEnd(BackEndLog *log_)
+{
+    log = log_;
+    sys.recordInto(log);
+    selectLoops();
+}
+
+void
+Simulator::selectLoops()
+{
     const LoopFns fns = pickLoop();
-    loopFn = fns.detail;
-    warmFn = fns.warm;
+    loopFn = log ? fns.recordDetail : fns.detail;
+    warmFn = log ? fns.recordWarm : fns.warm;
+    prefetchStoreL2 = !log && isWriteThrough(sys.config().writePolicy);
 }
 
 Simulator::LoopFns
 Simulator::pickLoop()
 {
+    const FrontEndConfig &cfg = sys.config();
     genericPath = true;
     if (forceGeneric)
         return loopFnsFor<GenericAccessSpec>();
@@ -200,6 +213,14 @@ template <class Spec>
 void
 Simulator::runLoopT(Count n)
 {
+    const Cycles slice = sys.config().timeSliceCycles;
+    // A recording detailed loop marks the instructions its replays
+    // must check: every one the scheduler switched after, and under
+    // a watchdog every one that made a back-end call or cost more
+    // front-end cycles than the smallest budget (see BackEndLog).
+    // Grouped runs replay the standard workload, whose processes
+    // loop, so no process retires under a recording loop.
+    constexpr bool marks = Spec::record && Spec::measure;
     auto next_alive = [&](std::size_t from) {
         std::size_t idx = from;
         do {
@@ -215,6 +236,9 @@ Simulator::runLoopT(Count n)
     while (executed < n && alive > 0) {
         ProcState &p = procs[current];
 
+        std::size_t logged = 0;
+        if constexpr (marks)
+            logged = log->calls.size();
         Cycles cycles = 0;
         bool syscall = false;
         if (!stepInstruction<Spec>(p, now, cycles, syscall)) {
@@ -225,27 +249,26 @@ Simulator::runLoopT(Count n)
             if (alive == 0)
                 break;
             current = next_alive(current);
-            sliceEnd = now + cfg.timeSliceCycles;
+            sliceEnd = now + slice;
             continue;
         }
 
         if constexpr (Spec::measure) {
             if (watchdogCycles != 0 && cycles > watchdogCycles)
                 [[unlikely]] {
-                gaas_error(ErrorCode::Watchdog, "config '", cfg.name,
-                           "': one instruction cost ", cycles,
-                           " cycles (watchdog budget ",
-                           watchdogCycles, ")");
+                watchdogExpired(configName, cycles, watchdogCycles);
             }
             ++instructions;
         }
 
+        const Cycles start = now;
         now += cycles;
         ++executed;
 
         // A voluntary system call switches immediately; otherwise
         // the process runs out its time slice (Section 3).
-        if (syscall || now >= sliceEnd) [[unlikely]] {
+        const bool switched = syscall || now >= sliceEnd;
+        if (switched) [[unlikely]] {
             if constexpr (Spec::measure) {
                 ++contextSwitches;
                 if (syscall)
@@ -253,9 +276,29 @@ Simulator::runLoopT(Count n)
             }
             if (alive > 1)
                 current = next_alive(current);
-            sliceEnd = now + cfg.timeSliceCycles;
+            sliceEnd = now + slice;
+        }
+
+        if constexpr (marks) {
+            const std::size_t made = log->calls.size() - logged;
+            if (switched ||
+                (log->watchdogFloor != 0 &&
+                 (made != 0 || cycles > log->watchdogFloor))) {
+                log->calls.push_back(
+                    {start, cycles, BackEndOp::Instruction, switched,
+                     static_cast<std::uint16_t>(made)});
+            }
         }
     }
+}
+
+void
+watchdogExpired(const std::string &config, Cycles cycles,
+                Cycles budget)
+{
+    gaas_error(ErrorCode::Watchdog, "config '", config,
+               "': one instruction cost ", cycles,
+               " cycles (watchdog budget ", budget, ")");
 }
 
 void
@@ -277,7 +320,7 @@ Simulator::selectProcess(std::size_t index)
             break;
         }
     }
-    sliceEnd = now + cfg.timeSliceCycles;
+    sliceEnd = now + sys.config().timeSliceCycles;
 }
 
 void
@@ -323,7 +366,7 @@ Simulator::fastForward(const std::vector<Count> &per_process_refs)
         resyncProcess(p);
     }
     // The jump invalidates the running slice; start a fresh one.
-    sliceEnd = now + cfg.timeSliceCycles;
+    sliceEnd = now + sys.config().timeSliceCycles;
 }
 
 void
@@ -354,7 +397,7 @@ Simulator::run(Count total_instructions, Count warmup_instructions)
         // the simulation loop, so sweep telemetry can show where the
         // host time went.
         obs::ScopedTimer stats_timer(res.hostStatsSeconds);
-        res.configName = cfg.name;
+        res.configName = configName;
         res.instructions = instructions;
         res.cycles = now - measureStartCycle;
         res.cpuStallCycles = cpuStallCycles;

@@ -11,6 +11,7 @@
 
 #include <array>
 #include <cstddef>
+#include <string>
 #include <vector>
 
 #include "core/cache_system.hh"
@@ -86,6 +87,18 @@ class Simulator
      *  measurement discipline; run() calls this itself after its
      *  warmup phase). */
     void resetMeasurement();
+
+    /**
+     * Run as the recording front end of a grouped sampled run: from
+     * now on run() and runWarm() log every back-end call into
+     * @p log (RecordSpec) instead of making it, and a detailed run
+     * also logs the Instruction markers its replays check.  nullptr
+     * returns to making the calls.
+     */
+    void recordBackEnd(BackEndLog *log);
+
+    /** The machine clock (cycles since construction). */
+    Cycles clock() const { return now; }
     ///@}
 
     /** The cache system (for inspection after run()). */
@@ -166,17 +179,21 @@ class Simulator
 
     /** The simulate loop, specialized per access-path spec; under a
      *  WarmSpec it keeps the scheduler and drops every measured
-     *  counter and the watchdog. */
+     *  counter and the watchdog, and under a measuring RecordSpec it
+     *  logs the Instruction markers (see BackEndLog). */
     template <class Spec>
     void runLoopT(Count n);
 
     using LoopFn = void (Simulator::*)(Count);
 
-    /** The detail/warm loop pair one access-path spec yields. */
+    /** The detail/warm loop pair one access-path spec yields, and
+     *  its recording twin. */
     struct LoopFns
     {
         LoopFn detail = nullptr;
         LoopFn warm = nullptr;
+        LoopFn recordDetail = nullptr;
+        LoopFn recordWarm = nullptr;
     };
 
     template <class Spec>
@@ -184,18 +201,26 @@ class Simulator
     loopFnsFor()
     {
         return {&Simulator::runLoopT<Spec>,
-                &Simulator::runLoopT<WarmSpec<Spec>>};
+                &Simulator::runLoopT<WarmSpec<Spec>>,
+                &Simulator::runLoopT<RecordSpec<Spec>>,
+                &Simulator::runLoopT<RecordSpec<WarmSpec<Spec>>>};
     }
 
     /** Select the loop instantiations for the configuration
      *  (also records the choice in genericPath). */
     LoopFns pickLoop();
 
+    /** Point loopFn/warmFn at pickLoop()'s loops, recording ones
+     *  while a BackEndLog is set. */
+    void selectLoops();
+
     /** Drop buffered references until the stream stands at an
      *  instruction record (or is exhausted), after a fastForward. */
     void resyncProcess(ProcState &p);
 
-    SystemConfig cfg;
+    /** Beyond the name, the simulator reads only the front end's
+     *  configuration (sys.config()), like the front end itself. */
+    std::string configName;
     CacheSystem sys;
     std::vector<ProcState> procs;
 
@@ -215,8 +240,9 @@ class Simulator
     bool forceGeneric = false; //!< setter or GAAS_SIM_GENERIC
     bool genericPath = true;   //!< what pickLoop() last chose
     /** Write-through stores probe L2 every time; prefetch those
-     *  sets at batch-refill. */
+     *  sets at batch-refill (not while recording: no L2 is probed). */
     bool prefetchStoreL2 = false;
+    BackEndLog *log = nullptr; //!< see recordBackEnd()
     ///@}
 
     /** @name Measured since the last resetMeasurement() */
@@ -228,6 +254,15 @@ class Simulator
     Count syscallSwitches = 0;
     ///@}
 };
+
+/**
+ * Throw the zero-progress watchdog's SimError(Watchdog): one
+ * instruction of configuration @p config cost @p cycles against a
+ * budget of @p budget.  The one place its message is built, so a
+ * replayed group member fails exactly as its solo run does.
+ */
+[[noreturn]] void watchdogExpired(const std::string &config,
+                                  Cycles cycles, Cycles budget);
 
 /**
  * One-call convenience: build the standard level-8 workload, run

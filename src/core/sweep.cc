@@ -1,5 +1,6 @@
 #include "sweep.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <limits>
 #include <map>
@@ -170,31 +171,184 @@ cancelledOutcome(const SweepJob &job)
     return out;
 }
 
+namespace
+{
+
+/** The armed `sweep-job` fault, counted once per job. */
+void
+injectJobFault(const SweepJob &job)
+{
+    if (fault::shouldFail("sweep-job")) {
+        gaas_error(ErrorCode::Internal,
+                   "injected fault: sweep-job (config '",
+                   job.config.name, "')");
+    }
+}
+
+/** Mark @p out Failed with @p code and @p error, its result zeroed
+ *  bar the name. */
+void
+failOutcome(SweepOutcome &out, const SweepJob &job, ErrorCode code,
+            std::string error)
+{
+    out.status = PointStatus::Failed;
+    out.errorCode = code;
+    out.error = std::move(error);
+    out.result = SimResult{};
+    out.result.configName = job.config.name;
+}
+
+} // namespace
+
 SweepOutcome
 runSweepJobIsolated(const SweepJob &job)
 {
     SweepOutcome out;
-    try {
-        if (fault::shouldFail("sweep-job")) {
-            gaas_error(ErrorCode::Internal,
-                       "injected fault: sweep-job (config '",
-                       job.config.name, "')");
-        }
-        out.result = runSweepJob(job, &out.stats);
-    } catch (const SimError &e) {
-        out.status = PointStatus::Failed;
-        out.errorCode = e.code();
-        out.error = e.what();
-        out.result = SimResult{};
-        out.result.configName = job.config.name;
-    } catch (const std::exception &e) {
-        out.status = PointStatus::Failed;
-        out.errorCode = ErrorCode::Internal;
-        out.error = e.what();
-        out.result = SimResult{};
-        out.result.configName = job.config.name;
-    }
+    ErrorCode code = ErrorCode::Internal;
+    std::string error;
+    if (!captureError(
+            [&] {
+                injectJobFault(job);
+                out.result = runSweepJob(job, &out.stats);
+            },
+            code, error))
+        failOutcome(out, job, code, std::move(error));
     return out;
+}
+
+bool
+sharesFrontEnd(const SweepJob &a, const SweepJob &b)
+{
+    const auto groupable = [](const SweepJob &job) {
+        return job.sampling.enabled && !job.workload &&
+               job.traceFiles.empty();
+    };
+    return groupable(a) && groupable(b) &&
+           a.config.frontEnd() == b.config.frontEnd() &&
+           a.mpLevel == b.mpLevel && a.instructions == b.instructions &&
+           a.warmup == b.warmup && a.sampling == b.sampling;
+}
+
+std::vector<std::vector<std::size_t>>
+sweepUnits(const std::vector<SweepJob> &jobs,
+           const std::vector<std::size_t> &todo, unsigned workers)
+{
+    // Group by front end, each group in submission order.
+    std::vector<std::vector<std::size_t>> groups;
+    for (const std::size_t i : todo) {
+        auto g = std::find_if(groups.begin(), groups.end(),
+                              [&](const std::vector<std::size_t> &grp) {
+                                  return sharesFrontEnd(jobs[grp.front()],
+                                                        jobs[i]);
+                              });
+        if (g == groups.end())
+            groups.push_back({i});
+        else
+            g->push_back(i);
+    }
+    // Deal each group round-robin into min(workers, size) units.
+    // Ladders walk their size axis in submission order, so dealing
+    // (rather than cutting contiguous runs) spreads the largest L2s,
+    // and the points that grow to the most episodes, over all units:
+    // no one unit holds every big back end at once.
+    std::vector<std::vector<std::size_t>> units;
+    for (const std::vector<std::size_t> &grp : groups) {
+        const std::size_t parts =
+            std::min<std::size_t>(std::max(workers, 1u), grp.size());
+        const std::size_t first = units.size();
+        units.resize(first + parts);
+        for (std::size_t k = 0; k < grp.size(); ++k)
+            units[first + k % parts].push_back(grp[k]);
+    }
+    std::sort(units.begin(), units.end(),
+              [](const auto &a, const auto &b) {
+                  return a.front() < b.front();
+              });
+    return units;
+}
+
+std::vector<SweepOutcome>
+runSweepUnit(const std::vector<SweepJob> &jobs,
+             const std::vector<std::size_t> &unit)
+{
+    if (sweepCancelRequested()) {
+        std::vector<SweepOutcome> outs;
+        for (const std::size_t i : unit)
+            outs.push_back(cancelledOutcome(jobs[i]));
+        return outs;
+    }
+    if (unit.size() == 1)
+        return {runSweepJobIsolated(jobs[unit.front()])};
+
+    const obs::Stopwatch wall;
+    trace::TraceArena::resetThreadTally();
+    std::vector<SweepOutcome> outs(unit.size());
+    std::vector<SampledMember> members;
+    std::vector<std::size_t> slot; // outs index of each member
+    for (std::size_t k = 0; k < unit.size(); ++k) {
+        const SweepJob &job = jobs[unit[k]];
+        ErrorCode code = ErrorCode::Internal;
+        std::string error;
+        if (captureError([&] { injectJobFault(job); }, code, error)) {
+            SampledMember &m = members.emplace_back();
+            m.config = job.config;
+            m.watchdogCycles = job.watchdogCycles;
+            slot.push_back(k);
+        } else {
+            failOutcome(outs[k], job, code, std::move(error));
+        }
+    }
+
+    // A front-end error fails every job of the unit; a member's own
+    // error fails only its job.
+    const SweepJob &first = jobs[unit.front()];
+    ErrorCode code = ErrorCode::Internal;
+    std::string error;
+    const bool ran = members.empty() ||
+                     captureError(
+                         [&] {
+                             runSampledGroup(members, first.sampling,
+                                             first.instructions,
+                                             first.mpLevel,
+                                             first.warmup);
+                         },
+                         code, error);
+    for (std::size_t m = 0; m < members.size(); ++m) {
+        SweepOutcome &out = outs[slot[m]];
+        const SweepJob &job = jobs[unit[slot[m]]];
+        if (!ran)
+            failOutcome(out, job, code, error);
+        else if (members[m].failed)
+            failOutcome(out, job, members[m].errorCode,
+                        std::move(members[m].error));
+        else
+            out.result = std::move(members[m].result);
+    }
+
+    // Host time: the shared front-end pass splits evenly over the
+    // unit's jobs, and each adds its own replays, so the jobs sum to
+    // the unit's wall time.  The arena work is the front end's,
+    // charged to the first job.
+    double own = 0.0;
+    for (const SampledMember &m : members)
+        own += m.seconds;
+    const double share =
+        (wall.seconds() - own) / static_cast<double>(unit.size());
+    for (std::size_t k = 0; k < unit.size(); ++k) {
+        outs[k].stats.simSeconds = share;
+        outs[k].stats.totalSeconds = share;
+    }
+    for (std::size_t m = 0; m < members.size(); ++m) {
+        outs[slot[m]].stats.simSeconds += members[m].seconds;
+        outs[slot[m]].stats.totalSeconds += members[m].seconds;
+    }
+    const trace::ArenaTally tally = trace::TraceArena::threadTally();
+    SweepJobStats &js = outs.front().stats;
+    js.arenaStreamsGenerated = tally.streamsGenerated;
+    js.arenaStreamsReused = tally.streamsReused;
+    js.arenaRefsGenerated = tally.refsGenerated;
+    js.arenaGenSeconds = tally.genSeconds;
+    return outs;
 }
 
 std::vector<SweepOutcome>
@@ -293,8 +447,9 @@ driveSweep(const std::vector<SweepJob> &jobs, SweepExecutor &executor,
 namespace
 {
 
-/** The in-process executor: serial below two workers or two points,
- *  else a ThreadPool whose futures are gathered in submission order. */
+/** The in-process executor: runs sweepUnits() serially below two
+ *  workers or two units, else on a ThreadPool whose futures are
+ *  gathered in submission order. */
 class ThreadExecutor : public SweepExecutor
 {
   public:
@@ -306,13 +461,18 @@ class ThreadExecutor : public SweepExecutor
         const Sink &done) override
     {
         stats.workers = workers;
-        if (workers <= 1 || todo.size() <= 1) {
+        const std::vector<std::vector<std::size_t>> units =
+            sweepUnits(jobs, todo, workers);
+        const auto deliver = [&done](const std::vector<std::size_t> &unit,
+                                     std::vector<SweepOutcome> outs) {
+            for (std::size_t k = 0; k < unit.size(); ++k)
+                done(unit[k], std::move(outs[k]));
+        };
+        if (workers <= 1 || units.size() <= 1) {
             // Serial reference path: also the pooled path's ground
             // truth.
-            for (const std::size_t i : todo)
-                done(i, sweepCancelRequested()
-                            ? cancelledOutcome(jobs[i])
-                            : runSweepJobIsolated(jobs[i]));
+            for (const std::vector<std::size_t> &unit : units)
+                deliver(unit, runSweepUnit(jobs, unit));
             return;
         }
 
@@ -321,12 +481,11 @@ class ThreadExecutor : public SweepExecutor
         std::mutex id_mutex;
         std::map<std::thread::id, unsigned> worker_ids;
         ThreadPool pool(workers);
-        std::vector<std::future<SweepOutcome>> futures;
-        futures.reserve(todo.size());
-        for (const std::size_t i : todo) {
-            const SweepJob &job = jobs[i];
+        std::vector<std::future<std::vector<SweepOutcome>>> futures;
+        futures.reserve(units.size());
+        for (const std::vector<std::size_t> &unit : units) {
             const obs::Stopwatch submitted;
-            futures.push_back(pool.submit([&job, &id_mutex,
+            futures.push_back(pool.submit([&jobs, &unit, &id_mutex,
                                            &worker_ids, submitted] {
                 const double wait = submitted.seconds();
                 unsigned worker = 0;
@@ -341,21 +500,21 @@ class ThreadExecutor : public SweepExecutor
                                      worker_ids.size())
                             .first->second);
                 }
-                // A cancel drains the queue: jobs already running
+                // A cancel drains the queue: units already running
                 // finish, queued ones return immediately.
-                SweepOutcome out = sweepCancelRequested()
-                                       ? cancelledOutcome(job)
-                                       : runSweepJobIsolated(job);
-                out.stats.queueWaitSeconds = wait;
-                out.stats.worker = worker;
-                return out;
+                std::vector<SweepOutcome> outs = runSweepUnit(jobs, unit);
+                for (SweepOutcome &out : outs) {
+                    out.stats.queueWaitSeconds = wait;
+                    out.stats.worker = worker;
+                }
+                return outs;
             }));
         }
         // Futures are held in submission order, so gathering them in
         // order restores determinism no matter how the workers
         // interleaved.
-        for (std::size_t k = 0; k < todo.size(); ++k)
-            done(todo[k], futures[k].get());
+        for (std::size_t u = 0; u < units.size(); ++u)
+            deliver(units[u], futures[u].get());
     }
 
   private:

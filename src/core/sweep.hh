@@ -10,6 +10,11 @@
  * shared mutable state.  Results come back in submission order and
  * are bit-identical to a serial run of the same jobs.
  *
+ * One exception to one-job-one-simulation: the in-process executor
+ * runs sampled jobs that share a front end (sharesFrontEnd) as
+ * groups, one front-end pass per unit of work (sweepUnits,
+ * runSampledGroup), with results byte-identical to solo runs.
+ *
  * Worker count: the @p workers argument, else GAAS_BENCH_JOBS, else
  * hardware_concurrency.
  */
@@ -242,8 +247,9 @@ unsigned sweepWorkers();
 
 /**
  * Run one job (build its workload, simulate, return the result).
- * This is the exact function the pool workers execute, exposed so
- * tests can compare serial against pooled execution.
+ * This is the exact function every lone job runs, pooled or not,
+ * exposed so tests can compare serial against pooled and grouped
+ * execution.
  *
  * @param stats if non-null, filled with the job's build/sim phase
  *        seconds (queueWaitSeconds and worker are left untouched;
@@ -257,10 +263,46 @@ SimResult runSweepJob(const SweepJob &job,
  * Failed outcome (code + message) instead of escaping.  The
  * outcome's stats carry the job's build/sim phases and arena tally;
  * queue wait, worker and requeues are left to the executor.  This
- * is the unit of work both the in-process pool and the
- * multi-process worker children (proc/executor.hh) execute.
+ * is what the multi-process worker children (proc/executor.hh) run
+ * for every job, and the in-process pool for every unit of one
+ * (runSweepUnit).
  */
 SweepOutcome runSweepJobIsolated(const SweepJob &job);
+
+/**
+ * Whether @p a and @p b can share one front-end pass
+ * (runSampledGroup): both sampled over the standard workload, with
+ * equal SystemConfig::frontEnd(), MP level, budget, warmup and
+ * sampling plan.  Jobs with a custom workload builder or trace files
+ * never share.
+ */
+bool sharesFrontEnd(const SweepJob &a, const SweepJob &b);
+
+/**
+ * Partition @p todo (ascending job indices) into units of work for
+ * @p workers threads: the jobs sharing a front end form a group in
+ * submission order, dealt round-robin into min(workers, group size)
+ * units; every other job is a unit of its own.  Units come back
+ * ordered by their first job, each in submission order.
+ */
+std::vector<std::vector<std::size_t>>
+sweepUnits(const std::vector<SweepJob> &jobs,
+           const std::vector<std::size_t> &todo, unsigned workers);
+
+/**
+ * Run one unit of sweepUnits(), returning one outcome per job in
+ * unit order.  A lone job runs through runSweepJobIsolated; a larger
+ * unit through runSampledGroup, with per-job semantics kept: the
+ * `sweep-job` fault counts jobs, an error of the shared front end
+ * fails every job of the unit and a member's own error only its
+ * job, and each job's sim and total seconds are an even share of
+ * the front-end pass plus its own replays, so the unit's jobs sum to
+ * its wall time.  If sweepCancelRequested(), every job is
+ * cancelledOutcome() instead.
+ */
+std::vector<SweepOutcome>
+runSweepUnit(const std::vector<SweepJob> &jobs,
+             const std::vector<std::size_t> &unit);
 
 /**
  * @name Cooperative sweep cancellation

@@ -25,6 +25,8 @@ struct MmuConfig
      *  into the base machine's cycle accounting, so the default is
      *  zero; ablations raise it. */
     Cycles tlbMissPenalty = 0;
+
+    bool operator==(const MmuConfig &) const = default;
 };
 
 /** Result of one translation. */

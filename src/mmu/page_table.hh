@@ -42,6 +42,8 @@ struct PageTableConfig
 
     /** Seed for the random placement mode. */
     std::uint64_t seed = 0xbeef;
+
+    bool operator==(const PageTableConfig &) const = default;
 };
 
 /**

@@ -29,6 +29,8 @@ struct TlbConfig
 {
     unsigned entries = 32;
     unsigned assoc = 2;
+
+    bool operator==(const TlbConfig &) const = default;
 };
 
 /** Hit/miss counters of one TLB. */

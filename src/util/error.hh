@@ -19,6 +19,7 @@
 #ifndef GAAS_UTIL_ERROR_HH
 #define GAAS_UTIL_ERROR_HH
 
+#include <exception>
 #include <string>
 
 #include "util/logging.hh"
@@ -81,6 +82,29 @@ class SimError : public FatalError
   private:
     ErrorCode errorCode;
 };
+
+/**
+ * Run @p fn as a sweep point's fault fence does: @return true if it
+ * returned, else false with @p code and @p message taken from what
+ * it threw -- a SimError's own code, Internal for any other
+ * exception.
+ */
+template <class Fn>
+bool
+captureError(Fn &&fn, ErrorCode &code, std::string &message)
+{
+    try {
+        fn();
+        return true;
+    } catch (const SimError &e) {
+        code = e.code();
+        message = e.what();
+    } catch (const std::exception &e) {
+        code = ErrorCode::Internal;
+        message = e.what();
+    }
+    return false;
+}
 
 namespace detail
 {

@@ -2,9 +2,11 @@
  * @file
  * Sampled-simulation suite (ctest label: sampling): the Student-t
  * table, the infeasible-budget fallback's byte-identity with a
- * full-detail run, run-to-run determinism, and the headline
- * accuracy contract -- on seeded Fig. 6 points the full-detail CPI
- * lies within the sampled run's reported 95% confidence interval.
+ * full-detail run, run-to-run determinism, the headline accuracy
+ * contract -- on seeded Fig. 6 points the full-detail CPI lies
+ * within the sampled run's reported 95% confidence interval -- and
+ * grouped runs (runSampledGroup) dumping byte-identical stats to solo
+ * runs, guard fallbacks and watchdog failures included.
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +15,8 @@
 #include <sstream>
 #include <string>
 #include <vector>
+
+#include <set>
 
 #include "core/config.hh"
 #include "core/sampling.hh"
@@ -55,7 +59,89 @@ fig6Point(std::uint64_t size_words, L2Org org, unsigned assoc,
     cfg.l2.cache.sizeWords = size_words;
     cfg.l2.cache.assoc = assoc;
     cfg.l2.accessTime = access_time;
+    cfg.name = std::to_string(size_words / 1024);
+    cfg.name.append("KW ")
+        .append(l2OrgName(org))
+        .append(" ")
+        .append(std::to_string(assoc))
+        .append("-way");
     return cfg;
+}
+
+/** The 28 points of Fig. 6, in its submission order. */
+std::vector<SystemConfig>
+fig6Ladder()
+{
+    std::vector<SystemConfig> ladder;
+    for (std::uint64_t size = 16 * 1024; size <= 1024 * 1024;
+         size *= 2) {
+        ladder.push_back(fig6Point(size, L2Org::Unified, 1, 6));
+        ladder.push_back(fig6Point(size, L2Org::Unified, 2, 7));
+        ladder.push_back(fig6Point(size, L2Org::LogicalSplit, 1, 6));
+        ladder.push_back(fig6Point(size, L2Org::LogicalSplit, 2, 7));
+    }
+    return ladder;
+}
+
+/** The flat stats dump of @p result. */
+std::string
+dumpOf(const SimResult &result)
+{
+    std::ostringstream os;
+    dumpStats(result, os);
+    return os.str();
+}
+
+/**
+ * Run @p configs as one group and each one solo through runSampled,
+ * and require every member to end as its solo run does: the same
+ * stats dump byte for byte, or the same error code and message.
+ * @return the group's members
+ */
+std::vector<SampledMember>
+expectGroupMatchesSolo(const std::vector<SystemConfig> &configs,
+                       const SamplingConfig &plan, Count total,
+                       unsigned mp, Count warmup,
+                       const std::vector<Cycles> &watchdogs = {})
+{
+    std::vector<SampledMember> members(configs.size());
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+        members[i].config = configs[i];
+        if (!watchdogs.empty())
+            members[i].watchdogCycles = watchdogs[i];
+    }
+    runSampledGroup(members, plan, total, mp, warmup);
+
+    for (const SampledMember &m : members) {
+        SCOPED_TRACE(m.config.name);
+        SimResult solo;
+        ErrorCode code = ErrorCode::Internal;
+        std::string error;
+        const bool ok = captureError(
+            [&] {
+                solo = runSampled(m.config, plan, total, mp, warmup,
+                                  m.watchdogCycles);
+            },
+            code, error);
+        EXPECT_EQ(m.failed, !ok);
+        if (ok && !m.failed) {
+            EXPECT_EQ(dumpOf(m.result), dumpOf(solo));
+        } else if (!ok && m.failed) {
+            EXPECT_EQ(m.errorCode, code);
+            EXPECT_EQ(m.error, error);
+            EXPECT_EQ(m.result.configName, m.config.name);
+            EXPECT_EQ(m.result.instructions, 0u);
+        }
+    }
+    return members;
+}
+
+SamplingConfig
+defaultPlan()
+{
+    SamplingConfig plan;
+    plan.enabled = true;
+    return plan;
 }
 
 TEST(StudentT, TabulatedAndBracketedValues)
@@ -232,6 +318,151 @@ TEST(Sampling, FrontEndCountersIgnoreTheL2)
     EXPECT_NE(dumps[0].at("sim.cycles"), dumps[3].at("sim.cycles"));
     EXPECT_NE(dumps[0].at("l2.miss_ratio"),
               dumps[3].at("l2.miss_ratio"));
+}
+
+/** The 28 Fig. 6 points: one front end, 28 back ends, and members
+ *  that size to different episode counts. */
+TEST(SampledGroup, Fig6LadderMatchesSoloRuns)
+{
+    const std::vector<SampledMember> members = expectGroupMatchesSolo(
+        fig6Ladder(), defaultPlan(), 4'000'000, 8, 2'000'000);
+    std::set<Count> intervals;
+    for (const SampledMember &m : members) {
+        EXPECT_FALSE(m.ranSolo) << m.config.name;
+        intervals.insert(m.result.sampling.intervals);
+    }
+    EXPECT_GE(intervals.size(), 2u)
+        << "no member grew past another: the union schedule is untested";
+}
+
+/** Write-through and write-back store paths, and the write buffer's
+ *  drain timing: four policies, two L2 speeds each, four groups. */
+TEST(SampledGroup, WritePoliciesMatchSoloRuns)
+{
+    for (const WritePolicy policy :
+         {WritePolicy::WriteBack, WritePolicy::WriteMissInvalidate,
+          WritePolicy::WriteOnly, WritePolicy::SubblockPlacement}) {
+        std::vector<SystemConfig> configs;
+        for (const Cycles access : {Cycles{2}, Cycles{10}}) {
+            SystemConfig cfg = withWritePolicy(baseline(), policy);
+            cfg.l2.accessTime = access;
+            cfg.name.append(" L2 ")
+                .append(std::to_string(access))
+                .append("cy");
+            configs.push_back(cfg);
+        }
+        expectGroupMatchesSolo(configs, defaultPlan(), 2'000'000, 8,
+                               1'000'000);
+    }
+}
+
+/** The Section 9 features are back-end fields: concurrent
+ *  I-refill, the dirty-bit load bypass (fed the front end's victim
+ *  bit) and the dirty buffer all vary inside one group. */
+TEST(SampledGroup, ConcurrencyLadderMatchesSoloRuns)
+{
+    const std::vector<SystemConfig> configs = {
+        afterFetchSize(), afterConcurrentIRefill(), afterLoadBypass(),
+        optimized()};
+    for (const SystemConfig &cfg : configs)
+        ASSERT_TRUE(cfg.frontEnd() == configs.front().frontEnd());
+    expectGroupMatchesSolo(configs, defaultPlan(), 2'000'000, 8,
+                           1'000'000);
+}
+
+TEST(SampledGroup, TwoWayL1GroupMatchesSoloRuns)
+{
+    std::vector<SystemConfig> configs;
+    for (const std::uint64_t size : {32 * 1024, 256 * 1024}) {
+        SystemConfig cfg = fig6Point(size, L2Org::Unified, 2, 7);
+        cfg.l1i.assoc = 2;
+        cfg.l1d.assoc = 2;
+        cfg.loadBypass = LoadBypass::Associative;
+        configs.push_back(cfg);
+    }
+    configs.back().loadBypass = LoadBypass::None;
+    expectGroupMatchesSolo(configs, defaultPlan(), 2'000'000, 8,
+                           1'000'000);
+}
+
+/** MP 1 included: one process, so every episode measures the same
+ *  stream (ROADMAP item 3 records that it stops fast-forwarding). */
+TEST(SampledGroup, MultiprogrammingLevelsMatchSoloRuns)
+{
+    for (const unsigned mp : {1u, 2u, 3u}) {
+        SCOPED_TRACE("mp " + std::to_string(mp));
+        expectGroupMatchesSolo(
+            {fig6Point(16 * 1024, L2Org::Unified, 1, 6),
+             fig6Point(128 * 1024, L2Org::LogicalSplit, 2, 7),
+             fig6Point(1024 * 1024, L2Org::Unified, 1, 6)},
+            defaultPlan(), 2'000'000, mp, 500'000);
+    }
+}
+
+/**
+ * Slices shorter than a detailed window: each member's own clock
+ * reaches its slice end at its own instruction, and a member that
+ * gets there where the front end did not switch must leave the group
+ * and run solo -- with the same answer.
+ */
+TEST(SampledGroup, ShortSlicesTripTheGuardAndFallBackToSolo)
+{
+    std::vector<SystemConfig> configs;
+    for (const std::uint64_t size : {16 * 1024, 64 * 1024, 1024 * 1024})
+        configs.push_back(fig6Point(size, L2Org::Unified, 1, 6));
+    for (SystemConfig &cfg : configs)
+        cfg.timeSliceCycles = 20'000;
+    const std::vector<SampledMember> members = expectGroupMatchesSolo(
+        configs, defaultPlan(), 2'000'000, 4, 500'000);
+    std::size_t fellBack = 0;
+    for (const SampledMember &m : members)
+        fellBack += m.ranSolo ? 1 : 0;
+    EXPECT_GE(fellBack, 1u);
+}
+
+/** A watchdog budget only some members exceed: they fail with their
+ *  solo code and message, and the rest of the group carries on. */
+TEST(SampledGroup, WatchdogFailsOnlyTheMembersItTrips)
+{
+    const std::vector<SystemConfig> configs = {
+        fig6Point(16 * 1024, L2Org::Unified, 1, 6),
+        fig6Point(64 * 1024, L2Org::Unified, 1, 6),
+        fig6Point(256 * 1024, L2Org::LogicalSplit, 1, 6),
+        fig6Point(1024 * 1024, L2Org::Unified, 1, 6)};
+    const std::vector<SampledMember> members = expectGroupMatchesSolo(
+        configs, defaultPlan(), 2'000'000, 8, 1'000'000,
+        {0, 120, 1'000'000, 120});
+    EXPECT_FALSE(members[0].failed);
+    EXPECT_TRUE(members[1].failed);
+    EXPECT_EQ(members[1].errorCode, ErrorCode::Watchdog);
+    EXPECT_FALSE(members[2].failed);
+    EXPECT_TRUE(members[3].failed);
+}
+
+/** Members must share a front end; the group refuses one that
+ *  does not instead of replaying it on the wrong reference stream. */
+TEST(SampledGroup, RefusesMembersWithDifferentFrontEnds)
+{
+    std::vector<SampledMember> members(2);
+    members[0].config = fig6Point(64 * 1024, L2Org::Unified, 1, 6);
+    members[1].config = members[0].config;
+    members[1].config.l1d.sizeWords *= 2;
+    EXPECT_THROW(runSampledGroup(members, defaultPlan(), 2'000'000, 2),
+                 SimError);
+}
+
+/** A budget too small for the schedule runs every member's exact
+ *  full-detail fallback, solo. */
+TEST(SampledGroup, InfeasibleBudgetRunsEveryMemberSolo)
+{
+    const std::vector<SampledMember> members = expectGroupMatchesSolo(
+        {fig6Point(32 * 1024, L2Org::Unified, 1, 6),
+         fig6Point(512 * 1024, L2Org::LogicalSplit, 2, 7)},
+        defaultPlan(), 500'000, 2, 100'000);
+    for (const SampledMember &m : members) {
+        EXPECT_TRUE(m.ranSolo);
+        EXPECT_EQ(m.result.sampling.intervals, 0u);
+    }
 }
 
 } // namespace

@@ -4,7 +4,8 @@
  * submission order and are bit-identical to serial execution,
  * whatever the worker count; exhaustible (non-looping) workloads and
  * degenerate job lists behave; GAAS_BENCH_JOBS resolves the worker
- * count.
+ * count; sampled jobs sharing a front end run as grouped units with
+ * per-job results, faults, cancellation and telemetry.
  */
 
 #include <gtest/gtest.h>
@@ -14,8 +15,12 @@
 #include <string>
 #include <vector>
 
+#include <sstream>
+
 #include "core/config.hh"
+#include "core/stats_dump.hh"
 #include "core/sweep.hh"
+#include "obs/metrics.hh"
 #include "core/workload.hh"
 #include "trace/source.hh"
 #include "util/fault.hh"
@@ -342,6 +347,183 @@ TEST(Sweep, GenerousWatchdogBudgetChangesNothing)
         EXPECT_EQ(watched[i].status, PointStatus::Ok);
         expectSameResult(watched[i].result, plain[i].result);
     }
+}
+
+/**
+ * Sampled jobs over two front ends (write-back and write-only L1
+ * policies, three L2s each), plus one full-detail job that must run
+ * alone.
+ */
+std::vector<SweepJob>
+sampledJobs()
+{
+    std::vector<SweepJob> jobs;
+    for (const WritePolicy policy :
+         {WritePolicy::WriteBack, WritePolicy::WriteOnly}) {
+        for (const std::uint64_t size : {32 * 1024, 128 * 1024,
+                                         512 * 1024}) {
+            SweepJob job;
+            job.config = withWritePolicy(baseline(), policy);
+            job.config.l2.cache.sizeWords = size;
+            job.config.name.append(" ")
+                .append(std::to_string(size / 1024))
+                .append("KW");
+            job.mpLevel = 4;
+            job.instructions = 1'000'000;
+            job.warmup = 200'000;
+            job.sampling.enabled = true;
+            jobs.push_back(std::move(job));
+        }
+    }
+    SweepJob full = jobs.front();
+    full.config.name += " full";
+    full.sampling.enabled = false;
+    full.instructions = 20'000;
+    jobs.insert(jobs.begin() + 2, std::move(full));
+    return jobs;
+}
+
+std::string
+dumpOf(const SimResult &result)
+{
+    std::ostringstream os;
+    dumpStats(result, os);
+    return os.str();
+}
+
+TEST(Sweep, SampledJobsSharingAFrontEndFormUnits)
+{
+    const std::vector<SweepJob> jobs = sampledJobs();
+    // Jobs 0,1,3 share the write-back front end and 4,5,6 the
+    // write-only one; job 2 runs full detail.
+    EXPECT_TRUE(sharesFrontEnd(jobs[0], jobs[3]));
+    EXPECT_FALSE(sharesFrontEnd(jobs[0], jobs[4]));
+    EXPECT_FALSE(sharesFrontEnd(jobs[0], jobs[2]));
+    SweepJob custom = jobs[0];
+    custom.workload = [] { return Workload::standard(4, 1); };
+    EXPECT_FALSE(sharesFrontEnd(jobs[0], custom));
+    SweepJob shortSlice = jobs[0];
+    shortSlice.config.timeSliceCycles /= 2;
+    EXPECT_FALSE(sharesFrontEnd(jobs[0], shortSlice));
+    SweepJob otherBudget = jobs[0];
+    otherBudget.instructions /= 2;
+    EXPECT_FALSE(sharesFrontEnd(jobs[0], otherBudget));
+
+    const std::vector<std::size_t> todo = {0, 1, 2, 3, 4, 5, 6};
+    using Units = std::vector<std::vector<std::size_t>>;
+    EXPECT_EQ(sweepUnits(jobs, todo, 1),
+              (Units{{0, 1, 3}, {2}, {4, 5, 6}}));
+    // Each group is dealt round-robin into min(workers, size) units.
+    EXPECT_EQ(sweepUnits(jobs, todo, 2),
+              (Units{{0, 3}, {1}, {2}, {4, 6}, {5}}));
+    EXPECT_EQ(sweepUnits(jobs, todo, 8),
+              (Units{{0}, {1}, {2}, {3}, {4}, {5}, {6}}));
+    EXPECT_EQ(sweepUnits(jobs, {1, 3, 6}, 4),
+              (Units{{1}, {3}, {6}}));
+}
+
+TEST(Sweep, GroupedUnitsMatchSoloJobsAtAnyWorkerCount)
+{
+    const std::vector<SweepJob> jobs = sampledJobs();
+    std::vector<std::string> solo;
+    for (const SweepJob &job : jobs)
+        solo.push_back(dumpOf(runSweepJob(job)));
+
+    for (const unsigned workers : {1u, 2u, 3u}) {
+        SCOPED_TRACE("workers " + std::to_string(workers));
+        SweepStats stats;
+        const auto outcomes = runSweepOutcomes(jobs, workers, &stats);
+        ASSERT_EQ(outcomes.size(), jobs.size());
+        EXPECT_EQ(stats.okPoints, jobs.size());
+        for (std::size_t i = 0; i < jobs.size(); ++i) {
+            SCOPED_TRACE(jobs[i].config.name);
+            EXPECT_EQ(outcomes[i].status, PointStatus::Ok);
+            EXPECT_EQ(dumpOf(outcomes[i].result), solo[i]);
+            EXPECT_GT(outcomes[i].stats.simSeconds, 0.0);
+        }
+    }
+}
+
+TEST(Sweep, GroupedUnitCountsFaultsPerJob)
+{
+    const std::vector<SweepJob> jobs = sampledJobs();
+    const std::vector<std::size_t> unit = {0, 1, 3};
+    std::string expected;
+    {
+        // The message a solo job's injected fault carries.
+        FaultGuard guard("sweep-job:1");
+        expected = runSweepJobIsolated(jobs[1]).error;
+    }
+    FaultGuard guard("sweep-job:2");
+    const std::vector<SweepOutcome> outs = runSweepUnit(jobs, unit);
+    ASSERT_EQ(outs.size(), 3u);
+    EXPECT_EQ(outs[0].status, PointStatus::Ok);
+    EXPECT_EQ(outs[1].status, PointStatus::Failed);
+    EXPECT_EQ(outs[1].errorCode, ErrorCode::Internal);
+    EXPECT_EQ(outs[1].error, expected);
+    EXPECT_EQ(outs[1].result.configName, jobs[1].config.name);
+    EXPECT_EQ(outs[2].status, PointStatus::Ok);
+    EXPECT_EQ(dumpOf(outs[2].result), dumpOf(runSweepJob(jobs[3])));
+}
+
+TEST(Sweep, GroupedUnitFailsFrontEndErrorsEverywhereAndBackEndOnesAlone)
+{
+    std::vector<SweepJob> jobs = sampledJobs();
+    const std::vector<std::size_t> unit = {0, 1, 3};
+
+    // A back-end error: an L2 access time of 0 fails its own job, as
+    // it would alone, and the rest of the group carries on.
+    jobs[1].config.l2.accessTime = 0;
+    std::vector<SweepOutcome> outs = runSweepUnit(jobs, unit);
+    const SweepOutcome alone = runSweepJobIsolated(jobs[1]);
+    ASSERT_EQ(alone.status, PointStatus::Failed);
+    EXPECT_EQ(outs[0].status, PointStatus::Ok);
+    EXPECT_EQ(outs[1].status, PointStatus::Failed);
+    EXPECT_EQ(outs[1].errorCode, alone.errorCode);
+    EXPECT_EQ(outs[1].error, alone.error);
+    EXPECT_EQ(outs[2].status, PointStatus::Ok);
+
+    // A front-end error -- a plan no schedule can run -- fails every
+    // job of the unit, each with its solo error.
+    jobs = sampledJobs();
+    for (const std::size_t i : unit)
+        jobs[i].sampling.headInstructions = 0;
+    outs = runSweepUnit(jobs, unit);
+    for (std::size_t k = 0; k < unit.size(); ++k) {
+        SCOPED_TRACE(k);
+        const SweepOutcome solo = runSweepJobIsolated(jobs[unit[k]]);
+        EXPECT_EQ(outs[k].status, PointStatus::Failed);
+        EXPECT_EQ(outs[k].errorCode, solo.errorCode);
+        EXPECT_EQ(outs[k].error, solo.error);
+    }
+}
+
+TEST(Sweep, GroupedUnitTimeSumsToItsWallAndCancelStopsIt)
+{
+    const std::vector<SweepJob> jobs = sampledJobs();
+    const std::vector<std::size_t> unit = {4, 5, 6};
+    const obs::Stopwatch wall;
+    const std::vector<SweepOutcome> outs = runSweepUnit(jobs, unit);
+    const double outer = wall.seconds();
+    double sum = 0.0;
+    for (const SweepOutcome &out : outs) {
+        EXPECT_GT(out.stats.simSeconds, 0.0);
+        EXPECT_EQ(out.stats.simSeconds, out.stats.totalSeconds);
+        EXPECT_EQ(out.stats.buildSeconds, 0.0);
+        sum += out.stats.totalSeconds;
+    }
+    EXPECT_LE(sum, outer);
+    EXPECT_GT(sum, 0.5 * outer);
+    // The front end's arena work is charged once, to the first job.
+    EXPECT_EQ(outs[1].stats.arenaStreamsReused +
+                  outs[1].stats.arenaStreamsGenerated,
+              0u);
+
+    requestSweepCancel();
+    const std::vector<SweepOutcome> cancelled = runSweepUnit(jobs, unit);
+    clearSweepCancel();
+    for (const SweepOutcome &out : cancelled)
+        EXPECT_EQ(out.errorCode, ErrorCode::Cancelled);
 }
 
 TEST(Sweep, PointStatusNamesRoundTrip)
