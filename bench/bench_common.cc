@@ -33,8 +33,7 @@ struct Options
     std::string statsJsonDir;
     std::string resumeDir;
 
-    /** --mproc N given (overrides GAAS_BENCH_MPROC). */
-    bool mprocSet = false;
+    /** --mproc N: worker processes; 0 = threads. */
     unsigned mproc = 0;
 
     /** statsJsonDir failed its init() probe: dumps are off and Ok
@@ -81,12 +80,11 @@ usage(const char *prog, int exit_code)
         << "  --sample          sampled simulation: each point\n"
         << "                    measures systematic intervals and\n"
         << "                    reports CPI with a 95% confidence\n"
-        << "                    interval (GAAS_BENCH_SAMPLE_* knobs)\n"
+        << "                    interval\n"
         << "  --mproc N         run sweeps across N forked worker\n"
         << "                    processes instead of threads: a\n"
         << "                    crashed or hung worker costs one\n"
-        << "                    requeue, not the run (0 disables;\n"
-        << "                    GAAS_MPROC_* supervision knobs)\n";
+        << "                    requeue, not the run (0 disables)\n";
     std::exit(exit_code);
 }
 
@@ -119,7 +117,7 @@ firstLine(const std::string &text)
 void
 validateStatsDir()
 {
-    const std::string dir = statsJsonDir();
+    const std::string &dir = options.statsJsonDir;
     if (dir.empty())
         return;
 
@@ -194,7 +192,6 @@ init(int argc, char **argv)
                           << "' is not a valid worker count\n";
                 usage(prog, 2);
             }
-            options.mprocSet = true;
             options.mproc = static_cast<unsigned>(*parsed);
         } else {
             std::cerr << prog << ": unknown argument '" << arg
@@ -205,72 +202,6 @@ init(int argc, char **argv)
     std::signal(SIGTERM, cancelSignalHandler);
     std::signal(SIGINT, cancelSignalHandler);
     validateStatsDir();
-}
-
-unsigned
-mprocWorkerCount()
-{
-    return options.mprocSet ? options.mproc : proc::mprocWorkers();
-}
-
-bool
-progressEnabled()
-{
-    if (options.progress)
-        return true;
-    const char *env = std::getenv("GAAS_BENCH_PROGRESS");
-    return env && *env && std::string_view(env) != "0";
-}
-
-std::string
-statsJsonDir()
-{
-    if (!options.statsJsonDir.empty())
-        return options.statsJsonDir;
-    const char *env = std::getenv("GAAS_BENCH_STATS_DIR");
-    return env && *env ? env : "";
-}
-
-std::string
-resumeDir()
-{
-    if (!options.resumeDir.empty())
-        return options.resumeDir;
-    const char *env = std::getenv("GAAS_BENCH_RESUME");
-    return env && *env ? env : "";
-}
-
-Cycles
-watchdogBudget()
-{
-    return envU64("GAAS_BENCH_WATCHDOG", 0);
-}
-
-core::SamplingConfig
-samplingPlan()
-{
-    core::SamplingConfig plan;
-    if (!options.sample) {
-        const char *env = std::getenv("GAAS_BENCH_SAMPLE");
-        if (!env || !*env || std::string_view(env) == "0")
-            return plan; // disabled: full-detail simulation
-    }
-    plan.enabled = true;
-    plan.measureInstructions = envU64("GAAS_BENCH_SAMPLE_MEASURE",
-                                      plan.measureInstructions);
-    plan.headInstructions =
-        envU64("GAAS_BENCH_SAMPLE_HEAD", plan.headInstructions);
-    plan.warmInstructions =
-        envU64("GAAS_BENCH_SAMPLE_WARM", plan.warmInstructions);
-    plan.minIntervals =
-        envU64("GAAS_BENCH_SAMPLE_MIN", plan.minIntervals);
-    plan.maxIntervals =
-        envU64("GAAS_BENCH_SAMPLE_MAX", plan.maxIntervals);
-    plan.targetRelHalfWidth = envDouble("GAAS_BENCH_SAMPLE_TARGET",
-                                        plan.targetRelHalfWidth);
-    plan.warmingBiasRel =
-        envDouble("GAAS_BENCH_SAMPLE_BIAS", plan.warmingBiasRel);
-    return plan;
 }
 
 int
@@ -301,7 +232,7 @@ notePoint(core::SweepOutcome &outcome)
         warn("point ", point, " (", result.configName, ") failed [",
              errorCodeName(outcome.errorCode),
              "]: ", firstLine(outcome.error));
-        const std::string dir = statsJsonDir();
+        const std::string &dir = options.statsJsonDir;
         if (!dir.empty() && !options.statsDirBroken) {
             obs::JsonValue doc = obs::JsonValue::object();
             doc.members.emplace_back(
@@ -325,7 +256,7 @@ notePoint(core::SweepOutcome &outcome)
         return;
     }
 
-    if (progressEnabled()) {
+    if (options.progress) {
         std::ostringstream line;
         line << "[point " << std::setw(3) << std::setfill('0')
              << point << std::setfill(' ') << ' '
@@ -349,7 +280,7 @@ notePoint(core::SweepOutcome &outcome)
         std::cerr << line.str();
     }
 
-    const std::string dir = statsJsonDir();
+    const std::string &dir = options.statsJsonDir;
     if (!dir.empty()) {
         std::ostringstream name;
         name << std::setw(3) << std::setfill('0') << point << '-'
@@ -389,7 +320,7 @@ mpLevel()
 Count
 warmupBudget()
 {
-    return envU64("GAAS_BENCH_WARMUP", instructionBudget() / 2);
+    return envU64("GAAS_BENCH_WARMUP", instructionBudget() / 2, true);
 }
 
 std::size_t
@@ -420,8 +351,8 @@ Sweep::add(const core::SystemConfig &config, unsigned mp_level,
     job.mpLevel = mp_level;
     job.instructions = instructions;
     job.warmup = warmup;
-    job.watchdogCycles = watchdogBudget();
-    job.sampling = samplingPlan();
+    job.watchdogCycles = envU64("GAAS_BENCH_WATCHDOG", 0, true);
+    job.sampling.enabled = options.sample;
     jobs.push_back(std::move(job));
     return jobs.size() - 1;
 }
@@ -430,7 +361,7 @@ namespace
 {
 
 /**
- * Write `<statsJsonDir()>/sweep-NNN.json`: the sweep-level telemetry
+ * Write `<--stats-json DIR>/sweep-NNN.json`: the sweep-level telemetry
  * (wall clock, dispositions, arena activity) next to the per-point
  * dumps.  Timings and arena hit counts are host-dependent, so resume
  * comparisons must exclude these files (tests diff with
@@ -440,7 +371,7 @@ namespace
 void
 dumpSweepStats(const core::SweepStats &stats)
 {
-    const std::string dir = statsJsonDir();
+    const std::string &dir = options.statsJsonDir;
     if (dir.empty() || options.statsDirBroken)
         return;
     const std::size_t sweep = sweepCounter++;
@@ -510,7 +441,7 @@ Sweep::run()
 {
     core::RunJournal journal;
     core::RunJournal *journal_ptr = nullptr;
-    const std::string dir = resumeDir();
+    const std::string &dir = options.resumeDir;
     if (!dir.empty()) {
         std::error_code ec;
         std::filesystem::create_directories(dir, ec);
@@ -545,11 +476,10 @@ Sweep::run()
         [](std::size_t, core::SweepOutcome &outcome) {
             notePoint(outcome);
         };
-    const unsigned mproc = mprocWorkerCount();
     std::vector<core::SweepOutcome> outcomes;
-    if (mproc > 0) {
-        proc::MprocOptions opts = proc::MprocOptions::fromEnv();
-        opts.workers = mproc;
+    if (options.mproc > 0) {
+        proc::MprocOptions opts;
+        opts.workers = options.mproc;
         outcomes = proc::runSweepMproc(jobs, opts, &stats, note,
                                        journal_ptr);
     } else {
@@ -609,8 +539,11 @@ banner(const std::string &figure, const std::string &caption)
 {
     std::cout << "=== " << figure << ": " << caption << " ===\n"
               << "workload: MP level " << mpLevel() << ", "
-              << instructionBudget() << " instructions per point, "
-              << core::sweepWorkers() << " sweep worker(s)\n\n";
+              << instructionBudget() << " instructions per point, ";
+    if (options.mproc > 0)
+        std::cout << options.mproc << " worker process(es)\n\n";
+    else
+        std::cout << core::sweepWorkers() << " sweep worker(s)\n\n";
 }
 
 } // namespace gaas::bench

@@ -6,55 +6,25 @@
  * on threads or forked worker processes), CSV output placement, and
  * per-point observability (progress lines, JSON stats dumps).
  *
- * Environment knobs:
+ * Environment knobs (README's knob table lists every GAAS_* name):
  *   GAAS_BENCH_INSTRUCTIONS  per-configuration instruction budget
  *                            (default 4,000,000; L2-size sweeps
  *                            scale it up further -- see
  *                            Sweep::addScaled)
+ *   GAAS_BENCH_WARMUP        warmup instructions before measurement
+ *                            (default half the budget; 0 = none)
  *   GAAS_BENCH_MP            multiprogramming level (default 8)
  *   GAAS_BENCH_JOBS          sweep worker threads (default
  *                            hardware_concurrency)
- *   GAAS_BENCH_MPROC         run sweeps across N forked worker
- *                            *processes* (0/unset: threads); a
- *                            worker crash or hang is requeued, not
- *                            fatal (same as --mproc N; supervision
- *                            knobs GAAS_MPROC_RETRIES,
- *                            GAAS_MPROC_HEARTBEAT_MS,
- *                            GAAS_MPROC_HEARTBEAT_MISS,
- *                            GAAS_MPROC_BACKOFF_MS -- see
- *                            proc/executor.hh)
  *   GAAS_BENCH_CSV_DIR       where CSVs are written
  *                            (default ./bench_out)
- *   GAAS_BENCH_PROGRESS      any value but "0": stderr progress line
- *                            per finished point (same as --progress)
- *   GAAS_BENCH_STATS_DIR     write one JSON stats dump per point
- *                            into this directory (same as
- *                            --stats-json DIR)
- *   GAAS_BENCH_RESUME        journal sweep points into this
- *                            directory and skip points already
- *                            journaled by an earlier (killed) run
- *                            (same as --resume DIR)
  *   GAAS_BENCH_WATCHDOG      per-instruction cycle budget for the
  *                            zero-progress watchdog (default 0: off)
- *   GAAS_BENCH_SAMPLE        any value but "0": run every point under
- *                            SMARTS-style sampled simulation (same as
- *                            --sample); CPI gains a 95% CI, wall
- *                            clock drops 10-50x
- *   GAAS_BENCH_SAMPLE_MEASURE  body-window instructions per episode
- *   GAAS_BENCH_SAMPLE_HEAD     head (switch-in transient) window
- *                              instructions per episode
- *   GAAS_BENCH_SAMPLE_WARM     functionally warmed instructions
- *                              before each episode
- *   GAAS_BENCH_SAMPLE_MIN      intervals in the first sizing pass
- *   GAAS_BENCH_SAMPLE_MAX      interval cap per pass
- *   GAAS_BENCH_SAMPLE_TARGET   relative 95% half-width target for
- *                              the sampling term (default 0.03)
- *   GAAS_BENCH_SAMPLE_BIAS     relative systematic allowance for
- *                              finite warming depth, added to the
- *                              reported half-width (default 0.03)
  *
  * All numeric knobs parse strictly (util/env.hh): trailing garbage,
- * signs, zero and overflow are rejected with a warning.
+ * signs and overflow are rejected with a warning, and so is zero
+ * except for GAAS_BENCH_WARMUP and GAAS_BENCH_WATCHDOG.  Everything
+ * else a run can vary is a flag of init().
  *
  * Failure model: a sweep point that throws becomes a Failed
  * SweepOutcome; the figure keeps running, renders the point as
@@ -91,11 +61,11 @@ namespace gaas::bench
  *   --resume DIR       journal points into DIR; skip points already
  *                      journaled by an earlier (killed) run
  *   --sample           sampled simulation with confidence intervals
- *                      instead of full-detail runs (see
- *                      core/sampling.hh; knobs via
- *                      GAAS_BENCH_SAMPLE_*)
+ *                      instead of full-detail runs, with the
+ *                      SamplingConfig defaults (core/sampling.hh)
  *   --mproc N          run sweeps across N forked worker processes
- *                      (overrides GAAS_BENCH_MPROC; 0 = threads)
+ *                      with the MprocOptions defaults
+ *                      (proc/executor.hh); 0 = threads
  *   --help             print usage and exit 0
  *
  * Anything else prints usage to stderr and exits 2.  Call first in
@@ -108,33 +78,6 @@ namespace gaas::bench
  * stops over an unwritable stats directory.
  */
 void init(int argc, char **argv);
-
-/** True when --progress or GAAS_BENCH_PROGRESS (not "0") is set. */
-bool progressEnabled();
-
-/** JSON dump directory (--stats-json / GAAS_BENCH_STATS_DIR);
- *  empty when per-point dumps are disabled. */
-std::string statsJsonDir();
-
-/** Resume/journal directory (--resume / GAAS_BENCH_RESUME);
- *  empty when checkpointing is disabled. */
-std::string resumeDir();
-
-/** Watchdog budget for every enqueued job (GAAS_BENCH_WATCHDOG). */
-Cycles watchdogBudget();
-
-/**
- * The sampled-simulation plan every enqueued job gets: disabled
- * unless --sample / GAAS_BENCH_SAMPLE is set, knobs from the
- * GAAS_BENCH_SAMPLE_* environment (defaults from SamplingConfig).
- */
-core::SamplingConfig samplingPlan();
-
-/**
- * Worker-process count for sweeps: --mproc if given, else
- * GAAS_BENCH_MPROC; 0 = in-process threads.
- */
-unsigned mprocWorkerCount();
 
 /**
  * Process exit status for main(): 3 if a SIGTERM/SIGINT drain
@@ -149,8 +92,8 @@ int exitCode();
 /**
  * Record one finished simulation point: bumps the process-wide point
  * counter, warns (with the stable error code) if the point Failed,
- * emits the stderr progress line when enabled, and writes
- * `<statsJsonDir()>/NNN-<config>.json` when a dump directory is
+ * emits the stderr progress line under --progress, and writes
+ * `<--stats-json DIR>/NNN-<config>.json` when a dump directory is
  * configured.  The counter makes filenames collision-free even when
  * a figure runs the same configuration at several workload levels.
  *
@@ -173,7 +116,7 @@ std::string cell(const core::SweepOutcome &outcome, double value,
 Count instructionBudget();
 
 /** Warmup instructions before measurement (GAAS_BENCH_WARMUP,
- *  default half the measurement budget). */
+ *  default half the measurement budget; 0 = no warmup). */
 Count warmupBudget();
 
 /** Multiprogramming level for workload construction. */
@@ -212,8 +155,9 @@ class Sweep
 
     /**
      * Enqueue at an explicit MP level and budget.  The one place a
-     * bench job is stamped with the watchdog budget and sampling
-     * plan; the other add()s delegate here.
+     * bench job is stamped with the watchdog budget
+     * (GAAS_BENCH_WATCHDOG) and the --sample plan; the other add()s
+     * delegate here.
      */
     std::size_t add(const core::SystemConfig &config,
                     unsigned mp_level, Count instructions,
@@ -224,13 +168,13 @@ class Sweep
 
     /**
      * Run every enqueued job across GAAS_BENCH_JOBS workers -- or,
-     * when mprocWorkerCount() > 0, across that many forked worker
-     * processes (proc::runSweepMproc: bit-identical results, but a
-     * worker crash or hang is requeued instead of fatal) -- print a
+     * under --mproc N, across N forked worker processes
+     * (proc::runSweepMproc: bit-identical results, but a worker
+     * crash or hang is requeued instead of fatal) -- print a
      * one-line wall-clock/throughput summary (with ok/failed/
      * degraded/reused disposition counts), and return the outcomes
      * in enqueue order.  A throwing job becomes a Failed outcome;
-     * the other points still run.  When resumeDir() is set, points
+     * the other points still run.  Under --resume DIR, points
      * are journaled as they finish and points already journaled by
      * an earlier run are reused without simulating.  Every finished
      * point flows through notePoint() (in enqueue order, on this
@@ -248,7 +192,9 @@ class Sweep
  *  nonzero. */
 void emit(const stats::Table &table, const std::string &name);
 
-/** Standard banner: figure id + paper caption + knob values. */
+/** Standard banner: figure id + paper caption + knob values,
+ *  including what the sweep will run on (threads, or --mproc's
+ *  worker processes). */
 void banner(const std::string &figure, const std::string &caption);
 
 } // namespace gaas::bench

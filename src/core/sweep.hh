@@ -5,10 +5,11 @@
  * Every point of the paper's evaluation -- a (configuration,
  * multiprogramming level, instruction budget) triple -- is an
  * independent simulation, so a figure's whole ladder can run across
- * hardware threads: each job builds its own Workload (own trace
- * generators, own RNG state) and its own Simulator, touching no
- * shared mutable state.  Results come back in submission order and
- * are bit-identical to a serial run of the same jobs.
+ * hardware threads: each job builds its own Workload (its own
+ * cursors into the shared trace arena, trace/arena.hh) and its own
+ * Simulator, sharing no simulation state.  Results come back in
+ * submission order and are bit-identical to a serial run of the
+ * same jobs.
  *
  * One exception to one-job-one-simulation: the in-process executor
  * runs sampled jobs that share a front end (sharesFrontEnd) as
@@ -139,7 +140,8 @@ struct SweepJobStats
      *  Streams this job materialized first vs. found already cached,
      *  references it generated into the arena (grow-on-demand during
      *  the run included), and the host seconds that generation took.
-     *  All zero with GAAS_BENCH_ARENA=0. */
+     *  All zero when the job's workload replays no arena stream
+     *  (streamed trace files, a custom builder). */
     ///@{
     std::uint64_t arenaStreamsGenerated = 0;
     std::uint64_t arenaStreamsReused = 0;

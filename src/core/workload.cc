@@ -45,6 +45,28 @@ refHint(const std::vector<synth::BenchmarkSpec> &specs,
     return static_cast<std::size_t>(refs);
 }
 
+/**
+ * The arena stream process @p i of the level-@p mp_level standard
+ * workload replays.  The key includes the mp level and stream index
+ * so a stream is exactly "process i of the level-N workload"; see
+ * TraceArena::acquire for @p ref_hint.
+ */
+trace::ArenaStream *
+standardStream(const std::vector<synth::BenchmarkSpec> &specs,
+               unsigned mp_level, std::size_t i, std::size_t ref_hint)
+{
+    const synth::BenchmarkSpec &spec = specs[i];
+    const std::string key = synth::specDigest(spec) + ":" +
+                            std::to_string(mp_level) + ":" +
+                            std::to_string(i);
+    // One Inst plus at most one data record per instruction.
+    const std::size_t bound =
+        2 * static_cast<std::size_t>(spec.simInstructions);
+    return trace::TraceArena::global().acquire(
+        key, bound, ref_hint,
+        [spec] { return synth::makeBenchmark(spec); });
+}
+
 } // namespace
 
 Workload
@@ -99,18 +121,8 @@ Workload::fromTraceFiles(const std::vector<std::string> &paths,
         return wl;
     }
 
-    if (!trace::TraceArena::enabledByEnv()) {
-        for (const std::string &path : paths) {
-            auto src = std::make_unique<trace::TraceV3Reader>(path);
-            wl.add(std::make_unique<trace::LoopSource>(
-                       std::move(src)),
-                   base_cpi, shortName(path));
-        }
-        return wl;
-    }
-
-    // Arena path: decode each file once into the shared arena and
-    // replay it zero-copy, keyed by content digest + record count
+    // Decode each file once into the shared arena and replay it
+    // zero-copy, keyed by content digest + record count
     // (v3FileInfo validates the header up front, so a bad path
     // fails here, not inside a lazily-invoked factory).  The arena
     // fills through the reader's nextBatchPacked, which
@@ -140,31 +152,18 @@ Workload::fromTraceFiles(const std::vector<std::string> &paths,
 Workload
 Workload::standard(unsigned mp_level, Count instr_hint)
 {
+    // Each process replays a shared materialized stream instead of
+    // running its own generator; LoopSource supplies the wrap
+    // semantics of Workload::fromSpecs.
     const std::vector<synth::BenchmarkSpec> specs =
         synth::workloadSpecs(mp_level);
-    if (!trace::TraceArena::enabledByEnv())
-        return fromSpecs(specs);
-
-    // Arena path: each process replays a shared materialized stream
-    // instead of running its own generator.  The key includes the mp
-    // level and stream index so a stream is exactly "process i of the
-    // level-N workload"; LoopSource supplies the same wrap semantics
-    // as the per-process generator path.
     Workload wl;
-    auto &arena = trace::TraceArena::global();
     for (std::size_t i = 0; i < specs.size(); ++i) {
         const synth::BenchmarkSpec &spec = specs[i];
-        const std::string key = synth::specDigest(spec) + ":" +
-                                std::to_string(mp_level) + ":" +
-                                std::to_string(i);
-        // One Inst plus at most one data record per instruction.
-        const std::size_t bound =
-            2 * static_cast<std::size_t>(spec.simInstructions);
-        trace::ArenaStream *stream = arena.acquire(
-            key, bound, refHint(specs, i, instr_hint),
-            [spec] { return synth::makeBenchmark(spec); });
         auto view = std::make_unique<trace::ArenaSource>(
-            stream, spec.name + "[arena]");
+            standardStream(specs, mp_level, i,
+                           refHint(specs, i, instr_hint)),
+            spec.name + "[arena]");
         wl.add(std::make_unique<trace::LoopSource>(std::move(view)),
                spec.baseCpi, spec.name);
     }
@@ -175,28 +174,17 @@ void
 Workload::prewarmStandardStreams(unsigned mp_level,
                                  Count instr_hint)
 {
-    if (!trace::TraceArena::enabledByEnv() || instr_hint == 0)
+    if (instr_hint == 0)
         return;
     const std::vector<synth::BenchmarkSpec> specs =
         synth::workloadSpecs(mp_level);
-    auto &arena = trace::TraceArena::global();
     std::vector<std::thread> generators;
     generators.reserve(specs.size());
     for (std::size_t i = 0; i < specs.size(); ++i) {
-        // Same key/bound/hint derivation as standard() above, so the
-        // prewarmed entries are exactly the ones jobs will acquire.
-        const synth::BenchmarkSpec &spec = specs[i];
-        const std::string key = synth::specDigest(spec) + ":" +
-                                std::to_string(mp_level) + ":" +
-                                std::to_string(i);
-        const std::size_t bound =
-            2 * static_cast<std::size_t>(spec.simInstructions);
+        // The entries standard() will acquire, grown to the same hint.
         const std::size_t want = refHint(specs, i, instr_hint);
-        generators.emplace_back([&arena, key, bound, want, spec] {
-            arena
-                .acquire(key, bound, 0,
-                         [spec] { return synth::makeBenchmark(spec); })
-                ->ensure(want);
+        generators.emplace_back([&specs, mp_level, i, want] {
+            standardStream(specs, mp_level, i, 0)->ensure(want);
         });
     }
     for (auto &t : generators)

@@ -41,7 +41,9 @@ class Workload
     Workload() = default;
 
     /**
-     * Build from benchmark specs.
+     * Build from benchmark specs, one fresh generator per process.
+     * This is the reference the arena replay of standard() is
+     * checked against (ArenaEndToEnd tests, `benchspeed`).
      *
      * @param specs one process per spec, scheduled in spec order
      * @param loop  wrap each trace so it restarts when exhausted
@@ -56,11 +58,12 @@ class Workload
      * The standard workload of the paper's experiments: the first
      * @p mp_level suite benchmarks (Section 3 settles on level 8).
      *
-     * By default the processes replay shared streams from the global
+     * The processes replay shared streams from the global
      * TraceArena, so a sweep materializes each benchmark's reference
-     * stream once instead of re-running the generators per point;
-     * `GAAS_BENCH_ARENA=0` restores per-process generators.  Either
-     * way the streams are bit-identical.
+     * stream once instead of re-running the generators per point.
+     * The streams are bit-identical to fromSpecs(workloadSpecs(
+     * @p mp_level)).  A stream holds at most one generator pass
+     * (2 x simInstructions packed words) and then wraps.
      *
      * @param instr_hint the run's total instruction budget (warmup
      *        included), used to pre-size arena streams so the first
@@ -78,9 +81,7 @@ class Workload
      * Replay mode:
      *  - @p streaming false (default): each file is decoded once
      *    into the shared TraceArena (keyed by its content digest)
-     *    and replayed zero-copy, like the synthetic streams.  With
-     *    the arena disabled (GAAS_BENCH_ARENA=0) each process gets
-     *    its own block-at-a-time TraceV3Reader.
+     *    and replayed zero-copy, like the synthetic streams.
      *  - @p streaming true: each process replays through a
      *    bounded-memory StreamSource; the GAAS_TRACE_STREAM_MB
      *    ceiling is split evenly across the files, so total
@@ -107,7 +108,7 @@ class Workload
      * so the caller may fork() immediately afterwards (the
      * multi-process sweep executor prewarms here so its workers
      * inherit the streams copy-on-write instead of regenerating
-     * them per process).  A no-op when the arena is disabled.
+     * them per process).  A no-op when @p instr_hint is 0.
      */
     static void prewarmStandardStreams(unsigned mp_level,
                                        Count instr_hint);

@@ -5,7 +5,6 @@
 #include <condition_variable>
 #include <csignal>
 #include <deque>
-#include <limits>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -17,49 +16,12 @@
 #include "proc/child.hh"
 #include "proc/protocol.hh"
 #include "trace/arena.hh"
-#include "util/env.hh"
 #include "util/error.hh"
 #include "util/fault.hh"
 #include "util/logging.hh"
 
 namespace gaas::proc
 {
-
-namespace
-{
-
-unsigned
-envUnsigned(const char *name, unsigned fallback)
-{
-    const std::uint64_t v = envU64(name, fallback);
-    if (v > std::numeric_limits<unsigned>::max()) {
-        warn("ignoring ", name, "=", v, " (does not fit an unsigned)");
-        return fallback;
-    }
-    return static_cast<unsigned>(v);
-}
-
-} // namespace
-
-MprocOptions
-MprocOptions::fromEnv()
-{
-    MprocOptions o;
-    o.maxAttempts =
-        envUnsigned("GAAS_MPROC_RETRIES", o.maxAttempts);
-    o.heartbeatMs =
-        envUnsigned("GAAS_MPROC_HEARTBEAT_MS", o.heartbeatMs);
-    o.heartbeatMiss =
-        envUnsigned("GAAS_MPROC_HEARTBEAT_MISS", o.heartbeatMiss);
-    o.backoffMs = envUnsigned("GAAS_MPROC_BACKOFF_MS", o.backoffMs);
-    return o;
-}
-
-unsigned
-mprocWorkers()
-{
-    return envUnsigned("GAAS_BENCH_MPROC", 0);
-}
 
 #if !defined(_WIN32)
 

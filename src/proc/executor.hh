@@ -55,8 +55,8 @@ class RunJournal;
 namespace gaas::proc
 {
 
-/** Supervision knobs; fromEnv() reads the GAAS_MPROC_* variables
- *  (strict util/env parsing, silently keeping defaults if unset). */
+/** Supervision settings.  Callers set them in code; the defaults
+ *  are what the bench binaries' `--mproc N` runs with. */
 struct MprocOptions
 {
     /** Worker processes; 0 = core::sweepWorkers() (GAAS_BENCH_JOBS
@@ -64,31 +64,21 @@ struct MprocOptions
     unsigned workers = 0;
 
     /** Total dispatch attempts per job before it is poison and
-     *  degrades to failed:worker-lost (GAAS_MPROC_RETRIES). */
+     *  degrades to failed:worker-lost. */
     unsigned maxAttempts = 3;
 
-    /** Worker heartbeat interval, milliseconds
-     *  (GAAS_MPROC_HEARTBEAT_MS). */
+    /** Worker heartbeat interval, milliseconds. */
     unsigned heartbeatMs = 500;
 
     /** Heartbeat intervals of silence before a worker is declared
-     *  hung and SIGKILLed (GAAS_MPROC_HEARTBEAT_MISS). */
+     *  hung and SIGKILLed. */
     unsigned heartbeatMiss = 20;
 
     /** Base requeue delay after a worker loss, milliseconds; the
      *  Nth requeue of a job waits backoffMs << (N-1), capped at
-     *  5 s (GAAS_MPROC_BACKOFF_MS). */
+     *  5 s. */
     unsigned backoffMs = 50;
-
-    static MprocOptions fromEnv();
 };
-
-/**
- * Worker-process count requested via GAAS_BENCH_MPROC (strict
- * parse); 0 = multi-process mode off.  The bench harness also
- * accepts `--mproc N`, which overrides this.
- */
-unsigned mprocWorkers();
 
 /**
  * Run @p jobs across opts.workers forked worker processes:

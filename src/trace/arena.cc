@@ -4,9 +4,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <limits>
-#include <string_view>
 
 #include "util/error.hh"
 #include "util/logging.hh"
@@ -212,13 +210,6 @@ TraceArena::global()
 {
     static TraceArena arena;
     return arena;
-}
-
-bool
-TraceArena::enabledByEnv()
-{
-    const char *env = std::getenv("GAAS_BENCH_ARENA");
-    return !(env && std::string_view(env) == "0");
 }
 
 ArenaStream *

@@ -172,13 +172,6 @@ class TraceArena
     static TraceArena &global();
 
     /**
-     * Default-on enable knob: GAAS_BENCH_ARENA=0 restores per-job
-     * generators; unset, empty or any other value leaves the arena
-     * on.  Read per call so tests can flip it with setenv.
-     */
-    static bool enabledByEnv();
-
-    /**
      * Get or create the stream for @p key.  On creation @p ref_hint
      * references are materialized up front (clamped to the pass
      * bound); 0 defers all generation to first read.  The returned

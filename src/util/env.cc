@@ -24,15 +24,17 @@ parseU64(std::string_view text)
 }
 
 std::uint64_t
-envU64(const char *name, std::uint64_t fallback)
+envU64(const char *name, std::uint64_t fallback, bool zero_ok)
 {
     const char *value = std::getenv(name);
     if (!value || !*value)
         return fallback;
-    if (const auto parsed = parseU64(value); parsed && *parsed > 0)
+    if (const auto parsed = parseU64(value);
+        parsed && (*parsed > 0 || zero_ok))
         return *parsed;
     warn("ignoring bad ", name, "=", value,
-         " (want a positive decimal integer)");
+         zero_ok ? " (want a decimal integer)"
+                 : " (want a positive decimal integer)");
     return fallback;
 }
 
@@ -49,19 +51,6 @@ parseDouble(std::string_view text)
         !std::isfinite(value))
         return std::nullopt;
     return value;
-}
-
-double
-envDouble(const char *name, double fallback)
-{
-    const char *value = std::getenv(name);
-    if (!value || !*value)
-        return fallback;
-    if (const auto parsed = parseDouble(value); parsed && *parsed > 0)
-        return *parsed;
-    warn("ignoring bad ", name, "=", value,
-         " (want a positive decimal number)");
-    return fallback;
 }
 
 } // namespace gaas

@@ -7,8 +7,10 @@
  * goes through the same rules: the whole value must parse as a
  * positive decimal integer -- trailing garbage ("4x"), overflow,
  * signs, whitespace and zero are all rejected with a loud warn() and
- * fall back to the caller's default.  A silently half-parsed knob
- * (e.g. "4x" read as 4) is worse than an ignored one.
+ * fall back to the caller's default.  The one exception is zero for
+ * a knob that gives it a meaning (GAAS_BENCH_WARMUP=0: no warmup,
+ * GAAS_BENCH_WATCHDOG=0: off).  A silently half-parsed knob (e.g.
+ * "4x" read as 4) is worse than an ignored one.
  */
 
 #ifndef GAAS_UTIL_ENV_HH
@@ -31,13 +33,15 @@ namespace gaas
 std::optional<std::uint64_t> parseU64(std::string_view text);
 
 /**
- * Read environment variable @p name as a positive integer.
+ * Read environment variable @p name as a positive integer, or a
+ * non-negative one when @p zero_ok.
  *
  * Unset or empty returns @p fallback silently; a present but
- * malformed, zero or overflowing value warns and returns
- * @p fallback.
+ * malformed or overflowing value, or a zero one unless @p zero_ok,
+ * warns and returns @p fallback.
  */
-std::uint64_t envU64(const char *name, std::uint64_t fallback);
+std::uint64_t envU64(const char *name, std::uint64_t fallback,
+                     bool zero_ok = false);
 
 /**
  * Parse the whole of @p text as a finite decimal double
@@ -45,13 +49,6 @@ std::uint64_t envU64(const char *name, std::uint64_t fallback);
  * trailing garbage tolerated, same strictness as parseU64).
  */
 std::optional<double> parseDouble(std::string_view text);
-
-/**
- * Read environment variable @p name as a positive finite double.
- * Unset or empty returns @p fallback silently; a present but
- * malformed or non-positive value warns and returns @p fallback.
- */
-double envDouble(const char *name, double fallback);
 
 } // namespace gaas
 

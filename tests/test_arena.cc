@@ -1,18 +1,17 @@
 /**
  * @file
  * Tests for the shared trace arena: packed replay is bit-identical
- * to running the generators fresh (per stream and end-to-end across
- * mp levels), concurrent first-touch growth is safe (exercised under
- * TSan), concurrent skips across a pass end are exact, the
- * high-water mark makes second jobs generation-free, and
- * GAAS_BENCH_ARENA=0 restores the per-job generator path.
+ * to running the generators fresh (per stream, and end-to-end across
+ * mp levels against Workload::fromSpecs), concurrent first-touch
+ * growth is safe (exercised under TSan), concurrent skips across a
+ * pass end are exact, and the high-water mark makes second jobs
+ * generation-free.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -33,20 +32,6 @@ namespace gaas::trace
 {
 namespace
 {
-
-/** RAII GAAS_BENCH_ARENA override (restores "unset" on exit). */
-class ArenaEnv
-{
-  public:
-    explicit ArenaEnv(const char *value)
-    {
-        if (value)
-            ::setenv("GAAS_BENCH_ARENA", value, 1);
-        else
-            ::unsetenv("GAAS_BENCH_ARENA");
-    }
-    ~ArenaEnv() { ::unsetenv("GAAS_BENCH_ARENA"); }
-};
 
 /** A small suite benchmark with a test-sized pass. */
 synth::BenchmarkSpec
@@ -315,40 +300,22 @@ TEST(ArenaStream, HighWaterMarkMakesSecondReaderFree)
     EXPECT_EQ(tally.genSeconds, 0.0);
 }
 
-TEST(TraceArena, EnvKnobParsing)
-{
-    {
-        ArenaEnv off("0");
-        EXPECT_FALSE(TraceArena::enabledByEnv());
-    }
-    {
-        ArenaEnv on("1");
-        EXPECT_TRUE(TraceArena::enabledByEnv());
-    }
-    {
-        ArenaEnv unset(nullptr);
-        EXPECT_TRUE(TraceArena::enabledByEnv());
-    }
-}
-
 TEST(ArenaEndToEnd, SimResultsMatchFreshGeneratorsAcrossMpLevels)
 {
-    // The acceptance property in miniature: identical stats dumps
-    // (every counter, byte for byte) with the arena on and off.
+    // The acceptance property in miniature: the standard workload's
+    // arena replay dumps the same stats (every counter, byte for
+    // byte) as the same processes run from fresh generators.
     const core::SystemConfig config = core::baseline();
     for (const unsigned mp : {1u, 2u, 4u}) {
-        std::string fresh, arena;
-        {
-            ArenaEnv off("0");
-            fresh = statsText(
-                core::runStandard(config, 20'000, mp, 5'000));
-        }
-        {
-            ArenaEnv on(nullptr);
-            arena = statsText(
-                core::runStandard(config, 20'000, mp, 5'000));
-        }
-        EXPECT_EQ(fresh, arena) << "mp level " << mp;
+        core::Simulator fresh(
+            config,
+            core::Workload::fromSpecs(synth::workloadSpecs(mp)));
+        const std::string expected =
+            statsText(fresh.run(20'000, 5'000));
+        EXPECT_EQ(statsText(core::runStandard(config, 20'000, mp,
+                                              5'000)),
+                  expected)
+            << "mp level " << mp;
     }
 }
 
@@ -356,7 +323,6 @@ TEST(ArenaEndToEnd, SweepJobTelemetryShowsReuse)
 {
     // Two identical jobs, serially: the first pays all generation,
     // the second reuses every stream and generates nothing.
-    ArenaEnv on(nullptr);
     core::SweepJob job;
     job.config = core::baseline();
     job.mpLevel = 3;
@@ -381,27 +347,6 @@ TEST(ArenaEndToEnd, SweepJobTelemetryShowsReuse)
     EXPECT_EQ(stats.arenaStreamsGenerated, 3u);
     EXPECT_EQ(stats.arenaStreamsReused, 3u);
     EXPECT_GT(stats.arenaBytes, 0u);
-}
-
-TEST(ArenaEndToEnd, OptOutBypassesArena)
-{
-    ArenaEnv off("0");
-    core::SweepJob job;
-    job.config = core::baseline();
-    job.mpLevel = 2;
-    job.instructions = 10'000;
-    job.warmup = 2'000;
-
-    const std::size_t streamsBefore =
-        TraceArena::global().streamCount();
-    core::SweepStats stats;
-    const auto outcomes = core::runSweepOutcomes({job}, 1, &stats);
-    ASSERT_EQ(outcomes.size(), 1u);
-    EXPECT_EQ(outcomes[0].status, core::PointStatus::Ok);
-    EXPECT_EQ(stats.perJob[0].arenaStreamsGenerated, 0u);
-    EXPECT_EQ(stats.perJob[0].arenaStreamsReused, 0u);
-    EXPECT_EQ(stats.perJob[0].arenaRefsGenerated, 0u);
-    EXPECT_EQ(TraceArena::global().streamCount(), streamsBefore);
 }
 
 } // namespace

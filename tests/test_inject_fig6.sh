@@ -8,7 +8,10 @@
 # a failure record alongside the 27 good dumps, and the binary exits
 # nonzero only after the whole ladder drained.  Then points the CSV
 # directory below a regular file: the figure must print
-# `[csv FAILED: ...]` and exit 1.
+# `[csv FAILED: ...]` and exit 1.  Last, the two knobs whose zero
+# means something: GAAS_BENCH_WARMUP=0 (no warmup) must be accepted
+# without a warning and change the CSV, and GAAS_BENCH_WATCHDOG=1
+# must fail every point as failed:watchdog.
 #
 # Usage: test_inject_fig6.sh <path-to-fig6_l2_orgs>
 set -u
@@ -25,8 +28,7 @@ fail() {
 export GAAS_BENCH_INSTRUCTIONS=10000
 export GAAS_BENCH_MP=2
 export GAAS_BENCH_JOBS=1
-unset GAAS_BENCH_RESUME GAAS_BENCH_WATCHDOG GAAS_BENCH_PROGRESS \
-      GAAS_BENCH_STATS_DIR 2>/dev/null || true
+unset GAAS_FAULT GAAS_BENCH_WATCHDOG GAAS_BENCH_WARMUP 2>/dev/null || true
 
 GAAS_BENCH_CSV_DIR="$WORK/csv" GAAS_FAULT=sweep-job:5 \
     "$FIG6" --stats-json "$WORK/json" \
@@ -77,5 +79,34 @@ status=$?
 grep -q '\[csv FAILED' "$WORK/csv.out" \
     || fail "unwritable CSV dir: stdout has no [csv FAILED line"
 
-echo "ok: injected failure isolated, reported, and exit code is 1"
+# GAAS_BENCH_WARMUP=0 means no warmup: no warning, other answers.
+GAAS_BENCH_CSV_DIR="$WORK/default" "$FIG6" \
+    > "$WORK/default.out" 2>"$WORK/default.err" \
+    || fail "default run exited nonzero"
+GAAS_BENCH_WARMUP=0 GAAS_BENCH_CSV_DIR="$WORK/nowarm" "$FIG6" \
+    > "$WORK/nowarm.out" 2>"$WORK/nowarm.err" \
+    || fail "GAAS_BENCH_WARMUP=0 run exited nonzero"
+if grep -q GAAS_BENCH_WARMUP "$WORK/nowarm.err"; then
+    fail "GAAS_BENCH_WARMUP=0 warns: $(head -n 1 "$WORK/nowarm.err")"
+fi
+if cmp -s "$WORK/default/fig6_l2_cpi.csv" \
+        "$WORK/nowarm/fig6_l2_cpi.csv"; then
+    fail "GAAS_BENCH_WARMUP=0 gives the default warmup's CSV"
+fi
+
+# One cycle per instruction trips the watchdog on every point's
+# first miss: the ladder drains as failed:watchdog and exits 1.
+GAAS_BENCH_WATCHDOG=1 GAAS_BENCH_CSV_DIR="$WORK/watchdog" "$FIG6" \
+    > "$WORK/watchdog.out" 2>"$WORK/watchdog.err"
+status=$?
+[ "$status" -eq 1 ] \
+    || fail "GAAS_BENCH_WATCHDOG=1: expected exit 1, got $status"
+grep -q "0 ok, 28 failed" "$WORK/watchdog.out" \
+    || fail "GAAS_BENCH_WATCHDOG=1: sweep summary is not 0 ok / 28 failed"
+n=$(grep -o "failed:watchdog" "$WORK/watchdog/fig6_l2_cpi.csv" | wc -l)
+[ "$n" -eq 28 ] \
+    || fail "GAAS_BENCH_WATCHDOG=1: $n failed:watchdog cells, expected 28"
+
+echo "ok: injected failure isolated, reported, and exit code is 1;" \
+    "zero warmup and a one-cycle watchdog honoured"
 exit 0

@@ -5,14 +5,12 @@
  * serial engine at any worker count; an injected worker SIGKILL or
  * hang costs a requeue (and a respawn), never the run; a job whose
  * workers keep dying degrades to failed:worker-lost after the
- * attempt budget; journal reuse and cooperative cancellation behave
- * exactly as in-process; and the supervision knobs parse from the
- * environment strictly.
+ * attempt budget; and journal reuse and cooperative cancellation
+ * behave exactly as in-process.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <filesystem>
 #include <sstream>
 #include <string>
@@ -267,33 +265,6 @@ TEST(Mproc, CancelFailsQueuedPointsWithoutJournalingThem)
     ASSERT_TRUE(journal.open(path));
     EXPECT_EQ(journal.loadedRecords(), 0u);
     std::filesystem::remove_all(dir);
-}
-
-TEST(Mproc, OptionsParseFromEnvironmentStrictly)
-{
-    ::setenv("GAAS_MPROC_RETRIES", "7", 1);
-    ::setenv("GAAS_MPROC_HEARTBEAT_MS", "123", 1);
-    ::setenv("GAAS_MPROC_HEARTBEAT_MISS", "9", 1);
-    ::setenv("GAAS_MPROC_BACKOFF_MS", "11", 1);
-    MprocOptions o = MprocOptions::fromEnv();
-    EXPECT_EQ(o.maxAttempts, 7u);
-    EXPECT_EQ(o.heartbeatMs, 123u);
-    EXPECT_EQ(o.heartbeatMiss, 9u);
-    EXPECT_EQ(o.backoffMs, 11u);
-
-    // Malformed values warn and keep the defaults (strict util/env).
-    ::setenv("GAAS_MPROC_RETRIES", "3x", 1);
-    EXPECT_EQ(MprocOptions::fromEnv().maxAttempts,
-              MprocOptions{}.maxAttempts);
-    for (const char *name :
-         {"GAAS_MPROC_RETRIES", "GAAS_MPROC_HEARTBEAT_MS",
-          "GAAS_MPROC_HEARTBEAT_MISS", "GAAS_MPROC_BACKOFF_MS"})
-        ::unsetenv(name);
-
-    ::setenv("GAAS_BENCH_MPROC", "5", 1);
-    EXPECT_EQ(mprocWorkers(), 5u);
-    ::unsetenv("GAAS_BENCH_MPROC");
-    EXPECT_EQ(mprocWorkers(), 0u);
 }
 
 TEST(Mproc, EmptyJobListIsANoOp)

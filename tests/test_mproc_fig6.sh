@@ -28,9 +28,7 @@ fail() {
 export GAAS_BENCH_INSTRUCTIONS=10000
 export GAAS_BENCH_MP=2
 export GAAS_BENCH_JOBS=1
-unset GAAS_FAULT GAAS_BENCH_RESUME GAAS_BENCH_WATCHDOG \
-      GAAS_BENCH_PROGRESS GAAS_BENCH_STATS_DIR GAAS_BENCH_MPROC \
-      2>/dev/null || true
+unset GAAS_FAULT GAAS_BENCH_WATCHDOG 2>/dev/null || true
 
 CSVS="fig6_l2_cpi.csv table2_l2_miss_ratios.csv"
 

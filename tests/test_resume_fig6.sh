@@ -26,8 +26,7 @@ fail() {
 export GAAS_BENCH_INSTRUCTIONS=10000
 export GAAS_BENCH_MP=2
 export GAAS_BENCH_JOBS=1
-unset GAAS_FAULT GAAS_BENCH_RESUME GAAS_BENCH_WATCHDOG \
-      GAAS_BENCH_PROGRESS GAAS_BENCH_STATS_DIR 2>/dev/null || true
+unset GAAS_FAULT GAAS_BENCH_WATCHDOG 2>/dev/null || true
 
 # 1. The uninterrupted reference run.
 GAAS_BENCH_CSV_DIR="$WORK/ref_csv" \

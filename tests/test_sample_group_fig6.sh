@@ -27,9 +27,7 @@ fail() {
 # fallback.
 export GAAS_BENCH_INSTRUCTIONS=500000
 export GAAS_BENCH_MP=2
-unset GAAS_FAULT GAAS_BENCH_RESUME GAAS_BENCH_WATCHDOG GAAS_BENCH_JOBS \
-      GAAS_BENCH_PROGRESS GAAS_BENCH_STATS_DIR GAAS_BENCH_MPROC \
-      GAAS_BENCH_SAMPLE 2>/dev/null || true
+unset GAAS_FAULT GAAS_BENCH_WATCHDOG GAAS_BENCH_JOBS 2>/dev/null || true
 
 run() {
     name="$1"

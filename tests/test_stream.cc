@@ -14,7 +14,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <filesystem>
 #include <sstream>
 #include <string>
@@ -445,24 +444,10 @@ TEST_F(StreamTest, JournalKeysTrackContentNotPathOrMode)
     EXPECT_EQ(core::sweepJobKey(job), "");
 }
 
-/** RAII arena-mode env guard (mirrors tests/test_arena.cc). */
-class ArenaEnv
-{
-  public:
-    explicit ArenaEnv(const char *value)
-    {
-        if (value)
-            ::setenv("GAAS_BENCH_ARENA", value, 1);
-        else
-            ::unsetenv("GAAS_BENCH_ARENA");
-    }
-    ~ArenaEnv() { ::unsetenv("GAAS_BENCH_ARENA"); }
-};
-
 TEST_F(StreamTest, GoldenPointsBitIdenticalAcrossReplayModes)
 {
-    // Three pinned design points simulated three ways over the same
-    // trace files -- per-block reader (arena off), in-memory arena,
+    // Three pinned design points simulated both ways over the same
+    // trace files -- in-memory arena (filled through TraceV3Reader)
     // and bounded StreamSource -- must dump byte-identical stats.
     // This is the contract that lets traceStreaming stay out of the
     // resume-journal key.  Each mode also replays noisy copies of
@@ -497,8 +482,7 @@ TEST_F(StreamTest, GoldenPointsBitIdenticalAcrossReplayModes)
 
     auto dump = [](core::SweepJob job,
                    const std::vector<std::string> &files,
-                   const char *arena, bool streaming) {
-        ArenaEnv env(arena);
+                   bool streaming) {
         job.traceFiles = files;
         job.traceStreaming = streaming;
         const core::SimResult result = core::runSweepJob(job);
@@ -509,13 +493,11 @@ TEST_F(StreamTest, GoldenPointsBitIdenticalAcrossReplayModes)
 
     for (const core::SweepJob &job : points) {
         SCOPED_TRACE(job.config.name);
-        const std::string viaReader = dump(job, clean, "0", false);
-        ASSERT_FALSE(viaReader.empty());
-        EXPECT_EQ(dump(job, clean, "1", false), viaReader);
-        EXPECT_EQ(dump(job, clean, "1", true), viaReader);
-        EXPECT_EQ(dump(job, noisy, "0", false), viaReader);
-        EXPECT_EQ(dump(job, noisy, "1", false), viaReader);
-        EXPECT_EQ(dump(job, noisy, "1", true), viaReader);
+        const std::string viaArena = dump(job, clean, false);
+        ASSERT_FALSE(viaArena.empty());
+        EXPECT_EQ(dump(job, clean, true), viaArena);
+        EXPECT_EQ(dump(job, noisy, false), viaArena);
+        EXPECT_EQ(dump(job, noisy, true), viaArena);
     }
 }
 
@@ -542,10 +524,9 @@ TEST_F(StreamTest, AddressAtOrAbove2To31FailsAsTraceIoInEveryMode)
     job.config = core::afterWritePolicy();
     job.instructions = 5'000;
     job.traceFiles = {path};
-    for (const char *mode : {"reader", "arena", "stream"}) {
-        SCOPED_TRACE(mode);
-        ArenaEnv env(std::string(mode) == "reader" ? "0" : "1");
-        job.traceStreaming = std::string(mode) == "stream";
+    for (const bool streaming : {false, true}) {
+        SCOPED_TRACE(streaming ? "stream" : "arena");
+        job.traceStreaming = streaming;
         for (int run = 0; run < 2; ++run) {
             const core::SweepOutcome out =
                 core::runSweepJobIsolated(job);

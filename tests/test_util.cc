@@ -289,6 +289,11 @@ TEST(Env, EnvU64FallsBackOnBadValues)
     EXPECT_EQ(envU64(name, 17), 17u);
     ::setenv(name, "0", 1); // zero is rejected: knobs are positive
     EXPECT_EQ(envU64(name, 17), 17u);
+    // ... unless the knob gives zero a meaning; garbage still falls
+    // back.
+    EXPECT_EQ(envU64(name, 17, true), 0u);
+    ::setenv(name, "0x", 1);
+    EXPECT_EQ(envU64(name, 17, true), 17u);
     ::unsetenv(name);
 }
 

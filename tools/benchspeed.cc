@@ -9,8 +9,10 @@
  * from perfbench/.
  *
  * Default mode: the pinned Fig. 6 ladder (7 L2 sizes x 4
- * organisations) with the trace arena off, then on; the arena must
- * also have reused streams.  `--floor R` then times warm-arena passes
+ * organisations) from fresh generators (Workload::fromSpecs, the
+ * reference), then from the trace arena (the standard workload); the
+ * arena must also have reused streams.  `--floor R` then times
+ * warm-arena passes
  * of the ladder on one worker, each after a calibration drain (a
  * single-thread synthetic-generator drain that never enters the
  * simulator), and fails unless the fastest pass reaches R times the
@@ -53,6 +55,7 @@
 #include "core/config.hh"
 #include "core/stats_dump.hh"
 #include "core/sweep.hh"
+#include "core/workload.hh"
 #include "proc/executor.hh"
 #include "synth/suite.hh"
 #include "trace/v3.hh"
@@ -121,20 +124,14 @@ struct ModeRun
 };
 
 /**
- * Run @p jobs with the trace arena on or off, across @p workers
- * threads or, with @p processes, forked worker processes (0 =
- * core::sweepWorkers()).  A failed point throws: every gate
- * assumes the whole ladder ran.
+ * Run @p jobs across @p workers threads or, with @p processes,
+ * forked worker processes (0 = core::sweepWorkers()).  A failed
+ * point throws: every gate assumes the whole ladder ran.
  */
 ModeRun
-runMode(const std::vector<core::SweepJob> &jobs, bool arena_on,
-        unsigned workers = 0, bool processes = false)
+runMode(const std::vector<core::SweepJob> &jobs, unsigned workers = 0,
+        bool processes = false)
 {
-    if (arena_on)
-        ::unsetenv("GAAS_BENCH_ARENA");
-    else
-        ::setenv("GAAS_BENCH_ARENA", "0", 1);
-
     ModeRun run;
     std::vector<core::SweepOutcome> outcomes;
     if (processes) {
@@ -206,29 +203,39 @@ calibrationRefsPerSecond()
 /** Calibration-drain / one-worker-pass pairs --floor times. */
 constexpr int kFloorPairs = 5;
 
-/** The default mode: arena off vs on, then the --floor gate if
- *  set.  Returns the process exit code. */
+/** The default mode: fresh generators vs the arena, then the
+ *  --floor gate if set.  Returns the process exit code. */
 int
 runLadderBench(bool smoke, double floor)
 {
     const auto jobs = ladder(smoke, "");
 
-    // Off first: the arena map is process-global and never evicted,
-    // so the on-mode run that follows starts cold and pays its own
-    // generation.
-    const ModeRun off = runMode(jobs, false);
-    std::cout << "  arena off: " << off.stats.wallSeconds
-              << " s wall, " << off.stats.refsPerSecond()
+    // The reference side builds every point's workload from fresh
+    // generators, so it never touches the arena.  It runs first:
+    // the arena map is process-global and never evicted, so the
+    // arena run that follows starts cold and pays its own generation.
+    std::vector<core::SweepJob> fresh = jobs;
+    for (core::SweepJob &job : fresh) {
+        const unsigned mp = job.mpLevel;
+        job.workload = [mp] {
+            return core::Workload::fromSpecs(synth::workloadSpecs(mp));
+        };
+    }
+    const ModeRun gen = runMode(fresh);
+    std::cout << "  generators: " << gen.stats.wallSeconds
+              << " s wall, " << gen.stats.refsPerSecond()
               << " refs/s\n";
-    const ModeRun on = runMode(jobs, true);
-    std::cout << "  arena on:  " << on.stats.wallSeconds << " s wall, "
-              << on.stats.refsPerSecond() << " refs/s, "
+    const ModeRun on = runMode(jobs);
+    std::cout << "  arena:      " << on.stats.wallSeconds
+              << " s wall, " << on.stats.refsPerSecond() << " refs/s, "
               << on.stats.arenaStreamsGenerated << " streams gen / "
               << on.stats.arenaStreamsReused << " reused\n";
 
-    int rc = sameDumps(off, on, jobs, "arena off and on") ? 0 : 1;
+    int rc =
+        sameDumps(gen, on, jobs, "fresh generators and the arena") ? 0
+                                                                   : 1;
     if (on.stats.arenaStreamsReused == 0) {
-        std::cerr << "benchspeed: FAIL: arena-on run reused no "
+        std::cerr << "benchspeed: FAIL: the arena run reused no "
                      "streams (arena path not exercised)\n";
         rc = 1;
     }
@@ -242,13 +249,13 @@ runLadderBench(bool smoke, double floor)
     double bestPass = 0.0;
     for (int k = 0; k < kFloorPairs; ++k) {
         const double drain = calibrationRefsPerSecond();
-        const ModeRun pass = runMode(jobs, true, 1);
+        const ModeRun pass = runMode(jobs, 1);
         const double rate = pass.stats.refsPerSecond();
         std::cout << "  floor pair " << k << ": drain " << drain
                   << " refs/s, one-worker pass " << rate
                   << " refs/s\n";
         if (!sameDumps(on, pass, jobs,
-                       "the arena-on run and a one-worker pass"))
+                       "the arena run and a one-worker pass"))
             rc = 1;
         bestDrain = std::max(bestDrain, drain);
         bestPass = std::max(bestPass, rate);
@@ -290,7 +297,7 @@ runMprocBench(bool smoke, double maxOverheadPct)
     // the same warm streams and the overhead number isolates the
     // process machinery (fork, pipes, result re-encoding) -- which
     // is exactly what the overhead gate is about.
-    (void)runMode(jobs, true);
+    (void)runMode(jobs);
 
     // One ~0.1 s pair is at the mercy of host noise, so time
     // kMprocPairs thread/process pairs, alternating which side runs
@@ -301,11 +308,11 @@ runMprocBench(bool smoke, double maxOverheadPct)
         const bool threadsFirst = p % 2 == 0;
         ModeRun threads, procs;
         if (threadsFirst) {
-            threads = runMode(jobs, true);
-            procs = runMode(jobs, true, 0, true);
+            threads = runMode(jobs);
+            procs = runMode(jobs, 0, true);
         } else {
-            procs = runMode(jobs, true, 0, true);
-            threads = runMode(jobs, true);
+            procs = runMode(jobs, 0, true);
+            threads = runMode(jobs);
         }
         const double threadWall = threads.stats.wallSeconds;
         const double overheadPct =
@@ -475,7 +482,7 @@ runStreamBench(bool smoke, double grefs, double ratioFloor)
     ModeRun first;
     auto pass = [&](bool streaming, const char *label) {
         job.traceStreaming = streaming;
-        ModeRun run = runMode({job}, true);
+        ModeRun run = runMode({job});
         const double rate = run.stats.refsPerSecond();
         std::cout << "  " << label << ": " << run.stats.wallSeconds
                   << " s wall, " << rate << " refs/s\n";
