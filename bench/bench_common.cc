@@ -320,7 +320,8 @@ mpLevel()
 Count
 warmupBudget()
 {
-    return envU64("GAAS_BENCH_WARMUP", instructionBudget() / 2, true);
+    return envU64("GAAS_BENCH_WARMUP", instructionBudget() / 2,
+                  /*zero_ok=*/true);
 }
 
 std::size_t
@@ -351,7 +352,7 @@ Sweep::add(const core::SystemConfig &config, unsigned mp_level,
     job.mpLevel = mp_level;
     job.instructions = instructions;
     job.warmup = warmup;
-    job.watchdogCycles = envU64("GAAS_BENCH_WATCHDOG", 0, true);
+    job.watchdogCycles = envU64("GAAS_BENCH_WATCHDOG", 0, /*zero_ok=*/true);
     job.sampling.enabled = options.sample;
     jobs.push_back(std::move(job));
     return jobs.size() - 1;

@@ -291,9 +291,9 @@ TEST(Env, EnvU64FallsBackOnBadValues)
     EXPECT_EQ(envU64(name, 17), 17u);
     // ... unless the knob gives zero a meaning; garbage still falls
     // back.
-    EXPECT_EQ(envU64(name, 17, true), 0u);
+    EXPECT_EQ(envU64(name, 17, /*zero_ok=*/true), 0u);
     ::setenv(name, "0x", 1);
-    EXPECT_EQ(envU64(name, 17, true), 17u);
+    EXPECT_EQ(envU64(name, 17, /*zero_ok=*/true), 17u);
     ::unsetenv(name);
 }
 
