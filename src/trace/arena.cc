@@ -248,13 +248,6 @@ TraceArena::acquire(
 }
 
 std::size_t
-TraceArena::streamCount() const
-{
-    std::lock_guard<std::mutex> lock(mapMutex);
-    return streams.size();
-}
-
-std::size_t
 TraceArena::totalBytes() const
 {
     std::lock_guard<std::mutex> lock(mapMutex);

@@ -182,9 +182,6 @@ class TraceArena
         std::size_t ref_hint,
         std::function<std::unique_ptr<TraceSource>()> factory);
 
-    /** Number of cached streams. */
-    std::size_t streamCount() const;
-
     /** Total packed bytes across all streams. */
     std::size_t totalBytes() const;
 
