@@ -12,11 +12,10 @@
  * organisations) from fresh generators (Workload::fromSpecs, the
  * reference), then from the trace arena (the standard workload); the
  * arena must also have reused streams.  `--floor R` then times
- * warm-arena passes
- * of the ladder on one worker, each after a calibration drain (a
- * single-thread synthetic-generator drain that never enters the
- * simulator), and fails unless the fastest pass reaches R times the
- * fastest drain's refs/s.
+ * warm-arena passes of the ladder on one worker, each after a
+ * calibration drain (a single-thread synthetic-generator drain that
+ * never enters the simulator), and fails unless the fastest pass
+ * reaches R times the fastest drain's refs/s.
  *
  * `--mproc`: after one untimed warm pass, five thread-pool /
  * forked-worker pairs (same worker count, alternating which side
