@@ -1,21 +1,24 @@
 /**
  * @file
  * Example: the trace substrate as a standalone tool -- generate
- * pixie-style binary traces from the synthetic suite and inspect
- * them.
+ * pixie-style v3 traces from the synthetic suite and inspect them.
  *
  * Usage:
  *   trace_tools gen <benchmark> <file> [instructions]
  *   trace_tools info <file>
  *   trace_tools sim <file> [instructions]
  *
- * Demonstrates: SyntheticBenchmark -> TraceFileWriter,
- * TraceFileReader -> MixSource, and driving the simulator from a
+ * Demonstrates: SyntheticBenchmark -> TraceV3Writer,
+ * TraceV3Reader -> MixSource, and driving the simulator from a
  * trace file instead of the built-in generator (the route you would
- * take with real externally captured traces).
+ * take with real externally captured traces, once `tracepack pack`
+ * has converted them to v3).  `sim` replays the file once, without
+ * looping, so it stops at the end of the trace when no instruction
+ * budget is given.
  */
 
 #include <cstdlib>
+#include <filesystem>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -24,7 +27,7 @@
 #include "core/simulator.hh"
 #include "synth/suite.hh"
 #include "trace/compose.hh"
-#include "trace/file.hh"
+#include "trace/v3.hh"
 #include "util/logging.hh"
 
 namespace
@@ -42,12 +45,12 @@ generate(const std::string &name, const std::string &path,
         auto scaled = spec;
         if (instructions)
             scaled.simInstructions = instructions;
-        trace::TraceFileWriter writer(path);
+        trace::TraceV3Writer writer(path);
         auto bench = synth::makeBenchmark(scaled);
         const auto n = writer.writeAll(*bench);
         writer.close();
         std::cout << "wrote " << n << " records ("
-                  << n * trace::kTraceRecordBytes / 1024
+                  << std::filesystem::file_size(path) / 1024
                   << " KiB) for " << name << " to " << path << '\n';
         return 0;
     }
@@ -62,7 +65,7 @@ int
 info(const std::string &path)
 {
     trace::MixSource mix(
-        std::make_unique<trace::TraceFileReader>(path));
+        std::make_unique<trace::TraceV3Reader>(path));
     trace::MemRef ref;
     while (mix.next(ref)) {
     }
@@ -83,7 +86,7 @@ int
 simulate(const std::string &path, Count instructions)
 {
     core::Workload wl;
-    wl.add(std::make_unique<trace::TraceFileReader>(path), 1.238,
+    wl.add(std::make_unique<trace::TraceV3Reader>(path), 1.238,
            path);
     core::Simulator sim(core::baseline(), std::move(wl));
     const auto res = sim.run(instructions ? instructions

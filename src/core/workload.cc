@@ -70,17 +70,13 @@ standardStream(const std::vector<synth::BenchmarkSpec> &specs,
 } // namespace
 
 Workload
-Workload::fromSpecs(const std::vector<synth::BenchmarkSpec> &specs,
-                    bool loop)
+Workload::fromSpecs(const std::vector<synth::BenchmarkSpec> &specs)
 {
     Workload wl;
     for (const auto &spec : specs) {
-        std::unique_ptr<trace::TraceSource> src =
-            synth::makeBenchmark(spec);
-        if (loop) {
-            src = std::make_unique<trace::LoopSource>(std::move(src));
-        }
-        wl.add(std::move(src), spec.baseCpi, spec.name);
+        wl.add(std::make_unique<trace::LoopSource>(
+                   synth::makeBenchmark(spec)),
+               spec.baseCpi, spec.name);
     }
     return wl;
 }
@@ -123,9 +119,9 @@ Workload::fromTraceFiles(const std::vector<std::string> &paths,
 
     // Decode each file once into the shared arena and replay it
     // zero-copy, keyed by content digest + record count
-    // (v3FileInfo validates the header up front, so a bad path
-    // fails here, not inside a lazily-invoked factory).  The arena
-    // fills through the reader's nextBatchPacked, which
+    // (v3FileInfo validates the file's structure up front, so a bad
+    // path fails here, not inside a lazily-invoked factory).  The
+    // arena fills through the reader's nextBatchPacked, which
     // canonicalizes every record, and materializes the whole file
     // here, so a rejected record anywhere in it fails the build.
     auto &arena = trace::TraceArena::global();

@@ -41,18 +41,16 @@ class Workload
     Workload() = default;
 
     /**
-     * Build from benchmark specs, one fresh generator per process.
-     * This is the reference the arena replay of standard() is
-     * checked against (ArenaEndToEnd tests, `benchspeed`).
+     * Build from benchmark specs, one fresh generator per process,
+     * each wrapped so it restarts when exhausted (the simulator runs
+     * to an instruction budget).  This is the reference the arena
+     * replay of standard() is checked against (ArenaEndToEnd tests,
+     * `benchspeed`).
      *
      * @param specs one process per spec, scheduled in spec order
-     * @param loop  wrap each trace so it restarts when exhausted
-     *              (the usual mode: the simulator runs to an
-     *              instruction budget)
      */
-    static Workload fromSpecs(
-        const std::vector<synth::BenchmarkSpec> &specs,
-        bool loop = true);
+    static Workload
+    fromSpecs(const std::vector<synth::BenchmarkSpec> &specs);
 
     /**
      * The standard workload of the paper's experiments: the first
@@ -86,13 +84,16 @@ class Workload
      *    bounded-memory StreamSource; the GAAS_TRACE_STREAM_MB
      *    ceiling is split evenly across the files, so total
      *    buffering stays under one ceiling regardless of how many
-     *    traces the workload names.
+     *    traces the workload names.  `gaassim --trace` uses this
+     *    mode.
      *
      * Both modes produce bit-identical reference streams (wrapped
      * in LoopSource, like every other workload source), passing
      * every record through the ingest packer (trace/packed.hh), so
-     * a file that is not packable replays like any other.  Files
-     * must be format v3 -- convert v1/v2 with `tracepack pack`.
+     * a file that is not packable replays like any other.  Both
+     * open every file as a V3File while the workload is built, so
+     * a missing or malformed file -- or a v1/v2 one, which the
+     * error says to convert with `tracepack pack` -- fails here.
      *
      * @param base_cpi CPU-stall CPI floor assigned to every trace
      *        process (the paper's 1.238)

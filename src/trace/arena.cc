@@ -18,17 +18,6 @@ namespace
 constexpr std::size_t kUnknownPassLen =
     std::numeric_limits<std::size_t>::max();
 
-/** Global + thread-local tally counters. */
-struct GlobalTally
-{
-    std::atomic<std::uint64_t> streamsGenerated{0};
-    std::atomic<std::uint64_t> streamsReused{0};
-    std::atomic<std::uint64_t> refsGenerated{0};
-    std::atomic<std::uint64_t> genNanos{0};
-};
-
-GlobalTally globalTally;
-
 thread_local ArenaTally threadTallySlice;
 
 double
@@ -160,15 +149,8 @@ ArenaStream::ensure(std::size_t want)
     if (done)
         passLen.store(total, std::memory_order_release);
 
-    const std::uint64_t generated = total - before;
-    const double seconds = secondsSince(start);
-    globalTally.refsGenerated.fetch_add(generated,
-                                        std::memory_order_relaxed);
-    globalTally.genNanos.fetch_add(
-        static_cast<std::uint64_t>(seconds * 1e9),
-        std::memory_order_relaxed);
-    threadTallySlice.refsGenerated += generated;
-    threadTallySlice.genSeconds += seconds;
+    threadTallySlice.refsGenerated += total - before;
+    threadTallySlice.genSeconds += secondsSince(start);
 }
 
 std::size_t
@@ -233,15 +215,10 @@ TraceArena::acquire(
         }
         stream = it->second.get();
     }
-    if (created) {
-        globalTally.streamsGenerated.fetch_add(
-            1, std::memory_order_relaxed);
+    if (created)
         ++threadTallySlice.streamsGenerated;
-    } else {
-        globalTally.streamsReused.fetch_add(
-            1, std::memory_order_relaxed);
+    else
         ++threadTallySlice.streamsReused;
-    }
     if (ref_hint > 0)
         stream->ensure(ref_hint);
     return stream;
@@ -255,22 +232,6 @@ TraceArena::totalBytes() const
     for (const auto &entry : streams)
         bytes += entry.second->bytes();
     return bytes;
-}
-
-ArenaTally
-TraceArena::totals()
-{
-    ArenaTally t;
-    t.streamsGenerated =
-        globalTally.streamsGenerated.load(std::memory_order_relaxed);
-    t.streamsReused =
-        globalTally.streamsReused.load(std::memory_order_relaxed);
-    t.refsGenerated =
-        globalTally.refsGenerated.load(std::memory_order_relaxed);
-    t.genSeconds = static_cast<double>(globalTally.genNanos.load(
-                       std::memory_order_relaxed)) *
-                   1e-9;
-    return t;
 }
 
 ArenaTally

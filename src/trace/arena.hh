@@ -45,7 +45,7 @@
 namespace gaas::trace
 {
 
-/** Arena activity counters (global totals and per-thread slices). */
+/** Arena activity counters of one thread (TraceArena::threadTally). */
 struct ArenaTally
 {
     /** Streams this scope materialized first (cache misses). */
@@ -185,15 +185,12 @@ class TraceArena
     /** Total packed bytes across all streams. */
     std::size_t totalBytes() const;
 
-    /** Process-wide activity totals. */
-    static ArenaTally totals();
-
     /**
      * @name Per-thread tally
-     * The arena also accumulates its counters into a thread-local
-     * slice, so the sweep engine can attribute generation work to
-     * the job that performed it.  resetThreadTally() zeroes the
-     * calling thread's slice; threadTally() reads it.
+     * The arena accumulates its counters into a thread-local slice,
+     * so the sweep engine can attribute generation work to the job
+     * that performed it.  resetThreadTally() zeroes the calling
+     * thread's slice; threadTally() reads it.
      */
     ///@{
     static ArenaTally threadTally();

@@ -1,11 +1,9 @@
 #include "file.hh"
 
-#include <cstring>
-
+#include "trace/v3.hh"
 #include "util/error.hh"
 #include "util/fault.hh"
 #include "util/file_io.hh"
-#include "util/logging.hh"
 
 namespace gaas::trace
 {
@@ -15,22 +13,6 @@ namespace
 
 constexpr std::size_t kHeaderBytes = 4 + 4 + 8;
 constexpr std::size_t kBufferRecords = 64 * 1024;
-
-void
-putU32(unsigned char *dst, std::uint32_t v)
-{
-    dst[0] = static_cast<unsigned char>(v);
-    dst[1] = static_cast<unsigned char>(v >> 8);
-    dst[2] = static_cast<unsigned char>(v >> 16);
-    dst[3] = static_cast<unsigned char>(v >> 24);
-}
-
-void
-putU64(unsigned char *dst, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        dst[i] = static_cast<unsigned char>(v >> (8 * i));
-}
 
 std::uint32_t
 getU32(const unsigned char *src)
@@ -50,17 +32,6 @@ getU64(const unsigned char *src)
     return v;
 }
 
-unsigned char
-packMeta(const MemRef &ref)
-{
-    auto meta = static_cast<unsigned char>(ref.kind);
-    if (ref.syscall)
-        meta |= 0x04;
-    if (ref.partialWord)
-        meta |= 0x08;
-    return meta;
-}
-
 MemRef
 unpackRecord(const unsigned char *bytes)
 {
@@ -78,95 +49,6 @@ unpackRecord(const unsigned char *bytes)
 
 } // namespace
 
-TraceFileWriter::TraceFileWriter(const std::string &path_)
-    : path(path_)
-{
-    if (fault::shouldFail("trace-open")) {
-        gaas_error(ErrorCode::TraceIO,
-                   "injected fault: trace-open (writing ", path,
-                   ")");
-    }
-    file = std::fopen(path.c_str(), "wb");
-    if (!file)
-        gaas_error(ErrorCode::TraceIO,
-                   "cannot open trace file for writing: ", path);
-    buffer.reserve(kBufferRecords * kTraceRecordBytes);
-    // Placeholder header; the count is patched on close().
-    unsigned char header[kHeaderBytes];
-    putU32(header, kTraceMagic);
-    putU32(header + 4, kTraceVersion);
-    putU64(header + 8, 0);
-    if (!util::writeBytes(file, header, kHeaderBytes))
-        gaas_error(ErrorCode::TraceIO,
-                   "short write on trace header: ", path);
-}
-
-TraceFileWriter::~TraceFileWriter()
-{
-    try {
-        close();
-    } catch (const FatalError &err) {
-        warn("trace writer close failed: ", err.what());
-    }
-}
-
-void
-TraceFileWriter::write(const MemRef &ref)
-{
-    if (!file)
-        gaas_panic("write on closed TraceFileWriter");
-    unsigned char rec[kTraceRecordBytes];
-    putU64(rec, ref.addr);
-    rec[8] = packMeta(ref);
-    buffer.insert(buffer.end(), rec, rec + kTraceRecordBytes);
-    ++count;
-    if (buffer.size() >= kBufferRecords * kTraceRecordBytes)
-        flushBuffer();
-}
-
-std::uint64_t
-TraceFileWriter::writeAll(TraceSource &src)
-{
-    MemRef ref;
-    std::uint64_t n = 0;
-    while (src.next(ref)) {
-        write(ref);
-        ++n;
-    }
-    return n;
-}
-
-void
-TraceFileWriter::flushBuffer()
-{
-    if (buffer.empty())
-        return;
-    if (!util::writeBytes(file, buffer.data(), buffer.size())) {
-        gaas_error(ErrorCode::TraceIO, "short write on trace file: ",
-                   path);
-    }
-    buffer.clear();
-}
-
-void
-TraceFileWriter::close()
-{
-    if (!file)
-        return;
-    flushBuffer();
-    // Patch the record count into the header (64-bit seek: the
-    // write position can be anywhere past 2 GiB by now).
-    unsigned char countBytes[8];
-    putU64(countBytes, count);
-    bool ok = util::seekTo(file, 8) &&
-              util::writeBytes(file, countBytes, 8) &&
-              util::flushAndSync(file);
-    ok = std::fclose(file) == 0 && ok;
-    file = nullptr;
-    if (!ok)
-        gaas_error(ErrorCode::TraceIO, "error finalising trace file: ", path);
-}
-
 TraceFileReader::TraceFileReader(const std::string &path_)
     : path(path_)
 {
@@ -178,9 +60,15 @@ TraceFileReader::TraceFileReader(const std::string &path_)
     file = std::fopen(path.c_str(), "rb");
     if (!file)
         gaas_error(ErrorCode::TraceIO, "cannot open trace file: ", path);
+    try {
+        readHeader();
+        validateSize();
+    } catch (...) {
+        std::fclose(file);
+        file = nullptr;
+        throw;
+    }
     buffer.resize(kBufferRecords * kTraceRecordBytes);
-    readHeader();
-    validateSize();
 }
 
 TraceFileReader::~TraceFileReader()
@@ -199,13 +87,11 @@ TraceFileReader::readHeader()
         gaas_error(ErrorCode::TraceIO, "bad magic in trace file: ", path);
     version = getU32(header + 4);
     if (version < kTraceMinVersion || version > kTraceVersion) {
-        // Version 3 is the block-compressed format (trace/v3.hh);
-        // this reader only speaks the flat record layout.
-        if (version == 3) {
+        // Version 3 is the block-compressed format (trace/v3.hh)
+        // every other reader takes as it is.
+        if (version == kV3Version) {
             gaas_error(ErrorCode::TraceIO, "trace file ", path,
-                       " is format v3; open it with TraceV3Reader /"
-                       " openTraceFile (trace/v3.hh), or convert it"
-                       " with `tracepack unpack`");
+                       " is already format v3; it needs no import");
         }
         gaas_error(ErrorCode::TraceIO, "unsupported trace version ",
                    version, " in ", path,

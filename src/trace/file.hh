@@ -1,15 +1,16 @@
 /**
  * @file
- * Binary trace file reader/writer -- the on-disk analogue of a pixie
- * address trace.
+ * Reader for the flat v1/v2 trace format, the on-disk analogue of a
+ * pixie address trace.  Its one caller outside tests is `tracepack
+ * pack`, which imports v1/v2 files into v3 (trace/v3.hh), the only
+ * format the simulator and the other tools read.
  *
  * Format (little endian):
  *   header: magic "GTRC" (4 bytes), version u32, record count u64
  *   records: addr u64, meta u8
  *     meta bits [1:0] = RefKind, bit 2 = syscall, bit 3 = partialWord
  *
- * The record count in the header is written on close.  Version 2
- * (current) has the same layout as version 1 but guarantees the file
+ * Version 2 has the same layout as version 1 but guarantees the file
  * holds exactly `header + count * record` bytes; the reader enforces
  * that at open time for both versions (the v1 writer also wrote
  * exact sizes, so any mismatch is truncation or trailing garbage)
@@ -22,7 +23,6 @@
 #define GAAS_TRACE_FILE_HH
 
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -31,10 +31,7 @@
 namespace gaas::trace
 {
 
-/** Magic bytes at the start of every trace file. */
-inline constexpr std::uint32_t kTraceMagic = 0x43525447; // "GTRC"
-
-/** Current trace file format version (written by TraceFileWriter). */
+/** Newest flat-format version TraceFileReader accepts. */
 inline constexpr std::uint32_t kTraceVersion = 2;
 
 /** Oldest version TraceFileReader still accepts. */
@@ -42,38 +39,6 @@ inline constexpr std::uint32_t kTraceMinVersion = 1;
 
 /** Bytes per on-disk record (u64 addr + u8 meta). */
 inline constexpr std::size_t kTraceRecordBytes = 9;
-
-/** Streaming writer; flushes and finalises the header on close. */
-class TraceFileWriter
-{
-  public:
-    /** Open @p path for writing; throws FatalError on failure. */
-    explicit TraceFileWriter(const std::string &path);
-
-    TraceFileWriter(const TraceFileWriter &) = delete;
-    TraceFileWriter &operator=(const TraceFileWriter &) = delete;
-
-    ~TraceFileWriter();
-
-    /** Append one record. */
-    void write(const MemRef &ref);
-
-    /** Drain @p src into the file; @return records written. */
-    std::uint64_t writeAll(TraceSource &src);
-
-    /** Finalise the header and close; implied by the destructor. */
-    void close();
-
-    std::uint64_t recordsWritten() const { return count; }
-
-  private:
-    void flushBuffer();
-
-    std::string path;
-    std::FILE *file = nullptr;
-    std::vector<unsigned char> buffer;
-    std::uint64_t count = 0;
-};
 
 /** Streaming reader implementing TraceSource (resettable). */
 class TraceFileReader : public TraceSource

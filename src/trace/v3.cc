@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "trace/file.hh"
 #include "trace/packed.hh"
 #include "util/error.hh"
 #include "util/fault.hh"
@@ -268,29 +267,12 @@ decodeBlockPacked(const unsigned char *payload, std::size_t bytes,
 V3FileInfo
 v3FileInfo(const std::string &path)
 {
-    std::FILE *file = std::fopen(path.c_str(), "rb");
-    if (!file)
-        gaas_error(ErrorCode::TraceIO, "cannot open trace file: ",
-                   path);
-    unsigned char header[kV3HeaderBytes];
-    const bool got = std::fread(header, 1, kV3HeaderBytes, file) ==
-                     kV3HeaderBytes;
-    std::fclose(file);
-    if (!got)
-        gaas_error(ErrorCode::TraceIO, "trace file too short: ",
-                   path);
-    if (getU32(header) != kTraceMagic)
-        gaas_error(ErrorCode::TraceIO, "bad magic in trace file: ",
-                   path);
-    const std::uint32_t version = getU32(header + 4);
-    if (version != kV3Version)
-        gaas_error(ErrorCode::TraceIO, "trace file ", path,
-                   " is format v", version, ", not v3");
+    const V3File file(path);
     V3FileInfo info;
-    info.records = getU64(header + 8);
-    info.blockRefs = getU32(header + 16);
-    info.flags = getU32(header + 20);
-    info.digest = getU64(header + 24);
+    info.records = file.recordCount();
+    info.blockRefs = file.blockRefs();
+    info.flags = file.flags();
+    info.digest = file.digest();
     return info;
 }
 
@@ -459,15 +441,13 @@ V3File::openAndValidate()
         gaas_error(ErrorCode::TraceIO,
                    "cannot determine size of trace file: ", path_);
     const auto size = static_cast<std::uint64_t>(size64);
-    if (size < kV3HeaderBytes + kV3TailBytes)
-        gaas_error(ErrorCode::TraceIO, "trace file too short: ",
-                   path_, " (", size, " bytes; a v3 file is at "
-                   "least ", kV3HeaderBytes + kV3TailBytes,
-                   " bytes)");
 
-    unsigned char header[kV3HeaderBytes];
-    if (std::fread(header, 1, kV3HeaderBytes, file) !=
-        kV3HeaderBytes)
+    // Magic and version come first, so a short v1/v2 file is named
+    // as such rather than as a short v3 file.
+    unsigned char header[kV3HeaderBytes] = {};
+    const std::size_t got =
+        std::fread(header, 1, kV3HeaderBytes, file);
+    if (got < 8)
         gaas_error(ErrorCode::TraceIO, "trace file too short: ",
                    path_);
     if (getU32(header) != kTraceMagic)
@@ -477,9 +457,13 @@ V3File::openAndValidate()
     if (version != kV3Version)
         gaas_error(ErrorCode::TraceIO, "trace file ", path_,
                    " is format v", version,
-                   "; the v3 reader only reads v3 (open v1/v2 "
-                   "files with TraceFileReader, or convert with "
-                   "`tracepack pack`)");
+                   ", not v3; convert v1/v2 traces with "
+                   "`tracepack pack`");
+    if (size < kV3HeaderBytes + kV3TailBytes)
+        gaas_error(ErrorCode::TraceIO, "trace file too short: ",
+                   path_, " (", size, " bytes; a v3 file is at "
+                   "least ", kV3HeaderBytes + kV3TailBytes,
+                   " bytes)");
     records_ = getU64(header + 8);
     blockRefs_ = getU32(header + 16);
     flags_ = getU32(header + 20);
@@ -689,29 +673,6 @@ std::string
 TraceV3Reader::name() const
 {
     return src.path();
-}
-
-std::unique_ptr<TraceSource>
-openTraceFile(const std::string &path)
-{
-    // Peek the version (the magic check is repeated, and deepened,
-    // by whichever reader we hand off to).
-    std::FILE *file = std::fopen(path.c_str(), "rb");
-    if (!file)
-        gaas_error(ErrorCode::TraceIO, "cannot open trace file: ",
-                   path);
-    unsigned char header[8];
-    const bool got = std::fread(header, 1, 8, file) == 8;
-    std::fclose(file);
-    if (!got)
-        gaas_error(ErrorCode::TraceIO, "trace file too short: ",
-                   path);
-    if (getU32(header) != kTraceMagic)
-        gaas_error(ErrorCode::TraceIO, "bad magic in trace file: ",
-                   path);
-    if (getU32(header + 4) == kV3Version)
-        return std::make_unique<TraceV3Reader>(path);
-    return std::make_unique<TraceFileReader>(path);
 }
 
 } // namespace gaas::trace

@@ -1,8 +1,10 @@
 /**
  * @file
- * Trace file format v3: block-compressed address traces.
+ * Trace file format v3: block-compressed address traces, the one
+ * format the simulator and its tools read.
  *
- * v1/v2 (trace/file.hh) spend 9 bytes per record; at the paper's
+ * The flat v1/v2 format (trace/file.hh, read only by `tracepack
+ * pack`) spends 9 bytes per record; at the paper's
  * 2.5-billion-reference regime that is ~21 GiB per workload and the
  * whole file must be decoded serially.  v3 delta-encodes word
  * addresses inside fixed-population blocks that are independently
@@ -44,16 +46,16 @@
  * without anyone reading them end to end; the resume journal keys
  * trace-file sweep points on it.
  *
- * Every malformed-file rejection is a SimError with
- * ErrorCode::TraceIO and a byte-accurate offset, like the v2
- * reader's.
+ * Every v3 entry point opens the file through V3File, so all of
+ * them validate the same structure.  Every malformed-file rejection
+ * is a SimError with ErrorCode::TraceIO and a byte-accurate offset;
+ * a v1/v2 file is rejected with a message naming `tracepack pack`.
  */
 
 #ifndef GAAS_TRACE_V3_HH
 #define GAAS_TRACE_V3_HH
 
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -63,7 +65,10 @@
 namespace gaas::trace
 {
 
-/** v3 format version number (shares kTraceMagic with v1/v2). */
+/** Magic bytes at the start of every trace file, any version. */
+inline constexpr std::uint32_t kTraceMagic = 0x43525447; // "GTRC"
+
+/** v3 format version number. */
 inline constexpr std::uint32_t kV3Version = 3;
 
 /** Magic at the very end of the file, after the seek table. */
@@ -95,7 +100,7 @@ inline constexpr std::size_t kV3MaxRecordBytes = 10;
 /** Header flag bit 0: every record passes packed::packable(). */
 inline constexpr std::uint32_t kV3FlagPackable = 1u;
 
-/** Cheap metadata peek (header only; no payload is read). */
+/** Metadata of a validated v3 file (no payload is read). */
 struct V3FileInfo
 {
     std::uint64_t records = 0;
@@ -107,9 +112,9 @@ struct V3FileInfo
 };
 
 /**
- * Read and validate the 32-byte v3 header of @p path.  Throws
- * SimError(TraceIO) if the file is missing, too short, has the wrong
- * magic or is not version 3.
+ * Open @p path as a V3File -- the header, footer and seek-table
+ * validation every v3 reader runs -- and return its metadata.
+ * Throws SimError(TraceIO) on any defect V3File rejects.
  */
 V3FileInfo v3FileInfo(const std::string &path);
 
@@ -206,7 +211,8 @@ class TraceV3Writer
  * An open, fully validated v3 file with random block access: the
  * shared substrate of the sequential reader (TraceV3Reader) and the
  * prefetching streamer (StreamSource).  Open-time validation covers
- * header, tail, seek-table checksum, offset monotonicity/bounds and
+ * header (magic, then version: v1/v2 are rejected naming `tracepack
+ * pack`), tail, seek-table checksum, offset monotonicity/bounds and
  * block-count/record-count consistency; per-block validation
  * (frame/table agreement, payload checksum) happens in readBlock.
  *
@@ -307,13 +313,6 @@ class TraceV3Reader : public TraceSource
     std::uint64_t curBlock = ~std::uint64_t{0};
     std::uint64_t pos = 0; // global record cursor
 };
-
-/**
- * Open @p path as whatever trace version it is: v1/v2 get a
- * TraceFileReader, v3 a TraceV3Reader.  Throws SimError(TraceIO) on
- * anything else.
- */
-std::unique_ptr<TraceSource> openTraceFile(const std::string &path);
 
 } // namespace gaas::trace
 

@@ -21,7 +21,9 @@
  * Known injection points (grep for the literals):
  *   file-write   util::writeBytes -- one buffered write fails
  *   file-flush   util::flushAndSync -- flush/fsync fails
- *   trace-open   TraceFileReader/Writer open
+ *   trace-open   trace file open: V3File (every v3 reader and
+ *                v3FileInfo), TraceV3Writer, and the v1/v2 reader
+ *                of `tracepack pack` (trace/file.hh)
  *   journal-write  RunJournal::append persistence
  *   sweep-job    runSweepJob -- the whole simulation job throws
  *   bench-kill   bench notePoint -- hard process exit (std::_Exit),

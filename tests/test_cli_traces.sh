@@ -1,15 +1,19 @@
-# Trace-format and argument-parsing test for the gaassim, cachesim
-# and calibrate front ends.
+# Trace-format and argument-parsing test for the gaassim, cachesim,
+# tracepack and calibrate front ends.
 #
 # Usage: test_cli_traces.sh <tracepack> <gaassim> <cachesim> <calibrate>
 #
-# Synthesizes a small v3 trace with tracepack and makes a v2 copy of
-# it with `tracepack unpack`.  On both files, `gaassim --trace` and
-# `cachesim` must exit 0 and report nonzero instruction and access
-# counts.  Malformed or zero numeric flags, an unknown cachesim
-# --kind, and a bad calibrate budget or mode must exit nonzero,
-# naming the bad value, before any simulation; a zero tracepack
-# count or size must exit 2, naming the option.
+# v3 is the only format the tools read; `tracepack pack` is the one
+# reader of the flat v1/v2 format.  A small v2 fixture, built here
+# byte by byte, must be rejected by gaassim, cachesim and tracepack
+# info/drain/verify with a message naming `tracepack pack`; after
+# `tracepack pack`, cachesim must count the fixture's exact records.
+# `pack` of a v3 input and the removed `unpack` must exit nonzero.
+# A synthesized v3 trace runs through `gaassim --trace` and cachesim.
+# Malformed or zero numeric flags, --mp given with --trace, an
+# unknown cachesim --kind, and a bad calibrate budget or mode must
+# exit nonzero, naming the bad value, before any simulation; a zero
+# tracepack count or size must exit 2, naming the option.
 
 set -u
 
@@ -27,23 +31,71 @@ fail() {
 
 "$TRACEPACK" synth "$dir/t.v3" --instructions 20000 >/dev/null \
     || fail "tracepack synth"
-"$TRACEPACK" unpack "$dir/t.v3" "$dir/t.v2" >/dev/null \
-    || fail "tracepack unpack"
 
-for trace in "$dir/t.v3" "$dir/t.v2"; do
-    out=$("$GAASSIM" --trace "$trace" --instructions 30000) \
-        || fail "gaassim --trace $trace exited nonzero"
-    instr=$(echo "$out" |
-        sed -n 's/^sim\.instructions  *\([0-9]*\) .*/\1/p')
-    [ -n "$instr" ] && [ "$instr" -gt 0 ] \
-        || fail "gaassim --trace $trace reported no instructions"
+out=$("$GAASSIM" --trace "$dir/t.v3" --instructions 30000) \
+    || fail "gaassim --trace t.v3 exited nonzero"
+instr=$(echo "$out" |
+    sed -n 's/^sim\.instructions  *\([0-9]*\) .*/\1/p')
+[ -n "$instr" ] && [ "$instr" -gt 0 ] \
+    || fail "gaassim --trace t.v3 reported no instructions"
 
-    out=$("$CACHESIM" "$trace") \
-        || fail "cachesim $trace exited nonzero"
-    accesses=$(echo "$out" | sed -n 's/^accesses: \([0-9]*\)$/\1/p')
-    [ -n "$accesses" ] && [ "$accesses" -gt 0 ] \
-        || fail "cachesim $trace reported no accesses"
+out=$("$CACHESIM" "$dir/t.v3") || fail "cachesim t.v3 exited nonzero"
+accesses=$(echo "$out" | sed -n 's/^accesses: \([0-9]*\)$/\1/p')
+[ -n "$accesses" ] && [ "$accesses" -gt 0 ] \
+    || fail "cachesim t.v3 reported no accesses"
+
+# A v2 file: header (magic "GTRC", version 2, record count 6), then
+# 9-byte records (u64 address, meta byte: kind | syscall << 2 |
+# partialWord << 3), all little endian.  3 instructions (one a
+# syscall), 1 load, 2 stores (one partial-word).
+{
+    printf 'GTRC\002\000\000\000\006\000\000\000\000\000\000\000'
+    printf '\000\000\100\000\000\000\000\000\000'
+    printf '\000\000\000\020\000\000\000\000\001'
+    printf '\004\000\100\000\000\000\000\000\000'
+    printf '\000\377\376\177\000\000\000\000\002'
+    printf '\010\000\100\000\000\000\000\000\004'
+    printf '\004\377\376\177\000\000\000\000\012'
+} >"$dir/t.v2"
+[ "$(wc -c <"$dir/t.v2")" -eq 70 ] || fail "the v2 fixture is not 70 bytes"
+
+# Every v3 reader rejects it, pointing at the importer.
+for cmd in "$GAASSIM --trace" "$CACHESIM" "$TRACEPACK info" \
+           "$TRACEPACK drain" "$TRACEPACK verify"; do
+    # shellcheck disable=SC2086
+    if $cmd "$dir/t.v2" >/dev/null 2>"$dir/err"; then
+        fail "$cmd accepted a v2 file"
+    fi
+    grep -q 'tracepack pack' "$dir/err" \
+        || fail "$cmd did not name tracepack pack for a v2 file"
 done
+
+# The importer converts it losslessly.
+"$TRACEPACK" pack "$dir/t.v2" "$dir/p.v3" >/dev/null \
+    || fail "tracepack pack of the v2 fixture exited nonzero"
+"$TRACEPACK" verify "$dir/p.v3" >/dev/null \
+    || fail "tracepack verify of the packed fixture exited nonzero"
+out=$("$CACHESIM" "$dir/p.v3") \
+    || fail "cachesim of the packed fixture exited nonzero"
+echo "$out" | grep -q '^trace: .* (3 inst, 1 loads, 2 stores)$' \
+    || fail "cachesim counted the packed fixture wrong: $out"
+
+# v3 needs no import, and the v3 -> v2 direction is gone.
+"$TRACEPACK" pack "$dir/t.v3" "$dir/again.v3" >/dev/null 2>"$dir/err" \
+    && fail "tracepack pack accepted a v3 input"
+grep -q 'already format v3' "$dir/err" \
+    || fail "tracepack pack of a v3 input did not say it is v3"
+[ -e "$dir/again.v3" ] && fail "a rejected tracepack pack wrote output"
+"$TRACEPACK" unpack "$dir/t.v3" "$dir/back.v2" >/dev/null 2>&1
+status=$?
+[ "$status" -eq 2 ] || fail "tracepack unpack exited $status, not 2"
+
+# --mp sizes the synthetic workload only.
+if "$GAASSIM" --mp 3 --trace "$dir/t.v3" --instructions 1000 \
+    >/dev/null 2>"$dir/err"; then
+    fail "gaassim --mp 3 --trace exited 0"
+fi
+grep -q -- "--mp" "$dir/err" || fail "gaassim --mp --trace did not name --mp"
 
 # --warmup 0 stays legal.
 "$GAASSIM" --trace "$dir/t.v3" --instructions 1000 --warmup 0 \
@@ -110,4 +162,5 @@ for case in "abc base|abc" "0 base|0" "4x|4x" "20000 bogus|bogus" \
         || fail "calibrate $args did not name '$bad'"
 done
 
-echo "ok: gaassim and cachesim read v2 and v3; bad arguments rejected"
+echo "ok: v3 read, v2 rejected and imported by tracepack pack;" \
+    "bad arguments rejected"

@@ -24,6 +24,7 @@
 #include "core/config.hh"
 #include "core/config_io.hh"
 #include "core/simulator.hh"
+#include "flat_trace.hh"
 #include "trace/file.hh"
 #include "trace/v3.hh"
 #include "util/error.hh"
@@ -266,25 +267,19 @@ scratchDir(const std::string &name)
     return dir;
 }
 
-/** Write a small valid trace file and return its bytes. */
+/** The bytes of a small valid v2 trace file. */
 std::string
-validTraceBytes(const std::string &dir)
+validTraceBytes()
 {
-    const std::string path = dir + "/valid.gtrc";
-    {
-        trace::TraceFileWriter writer(path);
-        for (int i = 0; i < 16; ++i) {
-            trace::MemRef ref;
-            ref.addr = 0x1000u + 4u * static_cast<Addr>(i);
-            ref.kind = i % 3 == 0 ? trace::RefKind::Load
-                                  : trace::RefKind::Inst;
-            writer.write(ref);
-        }
+    std::vector<trace::MemRef> refs;
+    for (int i = 0; i < 16; ++i) {
+        trace::MemRef ref;
+        ref.addr = 0x1000u + 4u * static_cast<Addr>(i);
+        ref.kind = i % 3 == 0 ? trace::RefKind::Load
+                              : trace::RefKind::Inst;
+        refs.push_back(ref);
     }
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    return ss.str();
+    return test::flatTraceBytes(refs);
 }
 
 /**
@@ -314,7 +309,7 @@ expectStructuredTraceOpen(const std::string &dir,
 TEST(TraceHeaderFuzz, DirectedHeaderCorruptions)
 {
     const std::string dir = scratchDir("trace-directed");
-    const std::string valid = validTraceBytes(dir);
+    const std::string valid = validTraceBytes();
 
     auto expectTraceIo = [&](std::string bytes) {
         const std::string path = dir + "/bad.gtrc";
@@ -345,7 +340,7 @@ TEST(TraceHeaderFuzz, DirectedHeaderCorruptions)
         expectTraceIo(bytes);
     }
     {
-        std::string bytes = valid; // version 3 (from the future)
+        std::string bytes = valid; // version 3 (the v3 stamp)
         bytes[4] = 3;
         expectTraceIo(bytes);
     }
@@ -400,7 +395,7 @@ TEST_P(TraceHeaderFuzz, MutatedFilesOpenOrRejectStructurally)
     Rng rng(GetParam() * 104729);
     const std::string dir =
         scratchDir("trace-" + std::to_string(GetParam()));
-    std::string bytes = validTraceBytes(dir);
+    std::string bytes = validTraceBytes();
 
     const unsigned mutations = 1 + rng.nextBounded(3);
     for (unsigned m = 0; m < mutations; ++m) {
@@ -657,9 +652,9 @@ TEST(TraceV3Fuzz, PackedDecodeRejectsALyingPackableFlag)
 }
 
 /**
- * Open (and fully read) @p bytes via the version-dispatching
- * opener, requiring either success or SimError(TraceIO) -- random
- * mutation may turn a v3 file into anything.
+ * Open (and fully read) @p bytes as a v3 file, requiring either
+ * success or SimError(TraceIO) -- random mutation may turn a v3 file
+ * into anything.
  */
 void
 expectStructuredV3Open(const std::string &dir,
@@ -672,9 +667,9 @@ expectStructuredV3Open(const std::string &dir,
                   static_cast<std::streamsize>(bytes.size()));
     }
     try {
-        auto reader = trace::openTraceFile(path);
+        trace::TraceV3Reader reader(path);
         trace::MemRef ref;
-        while (reader->next(ref)) {
+        while (reader.next(ref)) {
         }
     } catch (const SimError &e) {
         EXPECT_EQ(e.code(), ErrorCode::TraceIO) << e.what();

@@ -13,7 +13,7 @@
 #include "core/config.hh"
 #include "core/simulator.hh"
 #include "synth/suite.hh"
-#include "trace/file.hh"
+#include "trace/v3.hh"
 #include "util/logging.hh"
 
 namespace gaas::core
@@ -218,18 +218,18 @@ TEST(Integration, TraceFileRoundTripDrivesSimulator)
     // Write a short synthetic trace to disk, then simulate from the
     // file: the pixie-style flow end to end.
     const auto path = (std::filesystem::temp_directory_path() /
-                       "gaas_integration.gtrc")
+                       "gaas_integration.v3")
                           .string();
     auto spec = synth::defaultSuite()[0];
     spec.simInstructions = 20'000;
     {
-        trace::TraceFileWriter writer(path);
+        trace::TraceV3Writer writer(path);
         auto bench = synth::makeBenchmark(spec);
         writer.writeAll(*bench);
     }
 
     Workload wl;
-    wl.add(std::make_unique<trace::TraceFileReader>(path),
+    wl.add(std::make_unique<trace::TraceV3Reader>(path),
            spec.baseCpi, spec.name);
     Simulator sim(baseline(), std::move(wl));
     const auto res = sim.run(20'000);

@@ -1,20 +1,26 @@
 /**
  * @file
  * Unit tests for the trace substrate: records, composing sources,
- * and the binary trace file format.
+ * the flat v1/v2 reader behind `tracepack pack`, and the import of
+ * v1/v2 files into v3.
  */
 
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
-#include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <functional>
 #include <string>
 
+#include "flat_trace.hh"
 #include "trace/compose.hh"
 #include "trace/file.hh"
 #include "trace/source.hh"
+#include "trace/stream.hh"
+#include "trace/v3.hh"
+#include "util/error.hh"
 #include "util/logging.hh"
 
 namespace gaas::trace
@@ -57,16 +63,6 @@ TEST(VectorSource, PlaysBackAndResets)
     src.reset();
     auto second = collect(src, 100);
     EXPECT_EQ(second, sampleTrace());
-}
-
-TEST(LimitSource, Truncates)
-{
-    auto inner =
-        std::make_unique<VectorSource>("sample", sampleTrace());
-    LimitSource limited(std::move(inner), 3);
-    EXPECT_EQ(collect(limited, 100).size(), 3u);
-    limited.reset();
-    EXPECT_EQ(collect(limited, 100).size(), 3u);
 }
 
 TEST(LoopSource, WrapsAround)
@@ -201,22 +197,6 @@ TEST(LoopSource, SkipOnEmptyInnerReturnsZero)
     EXPECT_FALSE(looped.next(ref));
 }
 
-TEST(ConcatSource, PlaysPartsInOrder)
-{
-    std::vector<std::unique_ptr<TraceSource>> parts;
-    parts.push_back(std::make_unique<VectorSource>(
-        "a", std::vector<MemRef>{instRef(1)}));
-    parts.push_back(std::make_unique<VectorSource>(
-        "b", std::vector<MemRef>{instRef(2), instRef(3)}));
-    ConcatSource cat(std::move(parts));
-    auto refs = collect(cat, 100);
-    ASSERT_EQ(refs.size(), 3u);
-    EXPECT_EQ(refs[0].addr, 1u);
-    EXPECT_EQ(refs[2].addr, 3u);
-    cat.reset();
-    EXPECT_EQ(collect(cat, 100).size(), 3u);
-}
-
 TEST(MixSource, CountsKinds)
 {
     MixSource mix(
@@ -253,51 +233,44 @@ class TraceFileTest : public ::testing::Test
     void
     TearDown() override
     {
-        std::filesystem::remove(path);
+        for (const std::string &p : {path, v3Path(), refPath()})
+            std::filesystem::remove(p);
     }
+
+    /** Scratch v3 files next to `path`, for the import cases. */
+    std::string v3Path() const { return path + ".v3"; }
+    std::string refPath() const { return path + ".ref.v3"; }
 
     std::string path;
 };
 
 TEST_F(TraceFileTest, RoundTrip)
 {
-    {
-        TraceFileWriter writer(path);
-        for (const auto &ref : sampleTrace())
-            writer.write(ref);
-        writer.close();
-        EXPECT_EQ(writer.recordsWritten(), sampleTrace().size());
-    }
+    test::writeFlatTrace(path, sampleTrace());
     TraceFileReader reader(path);
+    EXPECT_EQ(reader.formatVersion(), 2u);
     EXPECT_EQ(reader.recordCount(), sampleTrace().size());
-    auto refs = collect(reader, 100);
-    EXPECT_EQ(refs, sampleTrace());
+    EXPECT_EQ(collect(reader, 100), sampleTrace());
 }
 
 TEST_F(TraceFileTest, ResetRewinds)
 {
-    {
-        TraceFileWriter writer(path);
-        VectorSource src("sample", sampleTrace());
-        EXPECT_EQ(writer.writeAll(src), sampleTrace().size());
-    }
+    test::writeFlatTrace(path, sampleTrace());
     TraceFileReader reader(path);
     auto first = collect(reader, 100);
     reader.reset();
     auto second = collect(reader, 100);
+    EXPECT_EQ(first, sampleTrace());
     EXPECT_EQ(first, second);
 }
 
 TEST_F(TraceFileTest, LargeTraceBuffering)
 {
+    // More records than the reader's 64 Ki-record buffer holds.
     std::vector<MemRef> big;
     for (std::uint64_t i = 0; i < 200000; ++i)
         big.push_back(instRef(0x400000 + 4 * i, i % 977 == 0));
-    {
-        TraceFileWriter writer(path);
-        for (const auto &ref : big)
-            writer.write(ref);
-    } // destructor closes
+    test::writeFlatTrace(path, big);
     TraceFileReader reader(path);
     EXPECT_EQ(reader.recordCount(), big.size());
     auto refs = collect(reader, big.size() + 1);
@@ -312,44 +285,14 @@ TEST_F(TraceFileTest, MissingFileIsFatal)
 
 TEST_F(TraceFileTest, BadMagicIsFatal)
 {
-    {
-        std::FILE *f = std::fopen(path.c_str(), "wb");
-        ASSERT_NE(f, nullptr);
-        const char junk[32] = "not a trace file at all";
-        std::fwrite(junk, 1, sizeof(junk), f);
-        std::fclose(f);
-    }
+    test::writeFileBytes(path, "not a trace file at all, 32 byte");
     EXPECT_THROW(TraceFileReader reader(path), FatalError);
-}
-
-TEST_F(TraceFileTest, WriterEmitsCurrentVersion)
-{
-    {
-        TraceFileWriter writer(path);
-        for (const auto &ref : sampleTrace())
-            writer.write(ref);
-    }
-    TraceFileReader reader(path);
-    EXPECT_EQ(reader.formatVersion(), kTraceVersion);
 }
 
 TEST_F(TraceFileTest, V1FilesRemainReadable)
 {
-    {
-        TraceFileWriter writer(path);
-        for (const auto &ref : sampleTrace())
-            writer.write(ref);
-    }
-    // Rewrite the header's version field to 1; the payload layout is
-    // identical, so a v1 file is this file with an older stamp.
-    {
-        std::FILE *f = std::fopen(path.c_str(), "r+b");
-        ASSERT_NE(f, nullptr);
-        const unsigned char v1[4] = {1, 0, 0, 0};
-        ASSERT_EQ(std::fseek(f, 4, SEEK_SET), 0);
-        ASSERT_EQ(std::fwrite(v1, 1, 4, f), 4u);
-        std::fclose(f);
-    }
+    // v1 has the v2 layout under an older version stamp.
+    test::writeFlatTrace(path, sampleTrace(), 1);
     TraceFileReader reader(path);
     EXPECT_EQ(reader.formatVersion(), 1u);
     EXPECT_EQ(collect(reader, 100), sampleTrace());
@@ -357,28 +300,13 @@ TEST_F(TraceFileTest, V1FilesRemainReadable)
 
 TEST_F(TraceFileTest, FutureVersionIsFatal)
 {
-    {
-        TraceFileWriter writer(path);
-        writer.write(instRef(0x400000));
-    }
-    {
-        std::FILE *f = std::fopen(path.c_str(), "r+b");
-        ASSERT_NE(f, nullptr);
-        const unsigned char v9[4] = {9, 0, 0, 0};
-        ASSERT_EQ(std::fseek(f, 4, SEEK_SET), 0);
-        ASSERT_EQ(std::fwrite(v9, 1, 4, f), 4u);
-        std::fclose(f);
-    }
+    test::writeFlatTrace(path, {instRef(0x400000)}, 9);
     EXPECT_THROW(TraceFileReader reader(path), FatalError);
 }
 
 TEST_F(TraceFileTest, TruncationIsFatalAtOpen)
 {
-    {
-        TraceFileWriter writer(path);
-        for (const auto &ref : sampleTrace())
-            writer.write(ref);
-    }
+    test::writeFlatTrace(path, sampleTrace());
     const auto full = std::filesystem::file_size(path);
     // Cut mid-record (drop 4 bytes) and at a record boundary (drop
     // exactly two records): both must be rejected when the file is
@@ -404,20 +332,8 @@ TEST_F(TraceFileTest, TruncationIsFatalAtOpen)
 
 TEST_F(TraceFileTest, TrailingGarbageIsFatalAtOpen)
 {
-    {
-        TraceFileWriter writer(path);
-        for (const auto &ref : sampleTrace())
-            writer.write(ref);
-    }
-    const auto full = std::filesystem::file_size(path);
-    {
-        std::FILE *f = std::fopen(path.c_str(), "ab");
-        ASSERT_NE(f, nullptr);
-        const char junk[5] = {'j', 'u', 'n', 'k', '!'};
-        ASSERT_EQ(std::fwrite(junk, 1, sizeof(junk), f),
-                  sizeof(junk));
-        std::fclose(f);
-    }
+    const std::string bytes = test::flatTraceBytes(sampleTrace());
+    test::writeFileBytes(path, bytes + "junk!");
     try {
         TraceFileReader reader(path);
         FAIL() << "garbage-suffixed file must fail at open";
@@ -426,7 +342,7 @@ TEST_F(TraceFileTest, TrailingGarbageIsFatalAtOpen)
         EXPECT_NE(what.find("trailing garbage"), std::string::npos)
             << what;
         // Byte-accurate: names the offset where the garbage starts.
-        EXPECT_NE(what.find("offset " + std::to_string(full)),
+        EXPECT_NE(what.find("offset " + std::to_string(bytes.size())),
                   std::string::npos)
             << what;
     }
@@ -434,26 +350,141 @@ TEST_F(TraceFileTest, TrailingGarbageIsFatalAtOpen)
 
 TEST_F(TraceFileTest, HeaderCountMismatchIsFatalAtOpen)
 {
+    // Forge the header to promise one extra record (the count's low
+    // byte is at offset 8): the file is now "truncated" relative to
+    // its own header.
+    std::string bytes = test::flatTraceBytes(sampleTrace());
+    bytes[8] = static_cast<char>(sampleTrace().size() + 1);
+    test::writeFileBytes(path, bytes);
+    EXPECT_THROW(TraceFileReader reader(path), FatalError);
+}
+
+TEST_F(TraceFileTest, PackImportsV1AndV2Losslessly)
+{
+    // Every record shape the formats carry: flags on every kind
+    // (including ones the ingest packer would drop), an unaligned
+    // address, and addresses past 2^31 and 2^60 -- the last two
+    // kinds escape to raw v3 records -- plus enough sequential
+    // fetches to fill several 256-record blocks.
+    std::vector<MemRef> refs = sampleTrace();
+    refs.push_back(loadRef(0x10000001));
+    refs.push_back(storeRef(Addr{1} << 40, true));
+    refs.push_back(MemRef{0x20, RefKind::Load, true, true});
+    refs.push_back(instRef(~Addr{0} - 3, true));
+    refs.push_back(loadRef(0x4));
+    for (std::uint64_t i = 0; i < 3000; ++i)
+        refs.push_back(instRef(0x400000 + 4 * i, i % 701 == 0));
+
     {
-        TraceFileWriter writer(path);
-        for (const auto &ref : sampleTrace())
+        TraceV3Writer direct(refPath(), 256);
+        for (const MemRef &ref : refs)
+            direct.write(ref);
+    }
+    for (const std::uint32_t version : {1u, 2u}) {
+        SCOPED_TRACE("v" + std::to_string(version));
+        test::writeFlatTrace(path, refs, version);
+        {
+            // The import exactly as `tracepack pack` runs it.
+            TraceFileReader src(path);
+            TraceV3Writer writer(v3Path(), 256);
+            EXPECT_EQ(writer.writeAll(src), refs.size());
+        }
+        TraceV3Reader imported(v3Path());
+        TraceV3Reader direct(refPath());
+        const auto got = collect(imported, refs.size() + 1);
+        EXPECT_EQ(got, refs);
+        EXPECT_EQ(got, collect(direct, refs.size() + 1));
+        // Same records in the same blocks: identical payloads.
+        EXPECT_EQ(v3FileInfo(v3Path()).digest,
+                  v3FileInfo(refPath()).digest);
+    }
+}
+
+TEST_F(TraceFileTest, PackRejectsAV3Input)
+{
+    {
+        TraceV3Writer writer(v3Path());
+        writer.write(instRef(0x400000));
+    }
+    try {
+        TraceFileReader reader(v3Path());
+        FAIL() << "a v3 file was imported as v1/v2";
+    } catch (const SimError &e) {
+        EXPECT_EQ(e.code(), ErrorCode::TraceIO);
+        EXPECT_NE(std::string(e.what()).find("already format v3"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+TEST_F(TraceFileTest, V3EntryPointsRejectFlatFilesNamingPack)
+{
+    // A one-record flat file is shorter than any v3 file and a
+    // 200-record one is not; both must be named as v1/v2 files, not
+    // as short or broken v3 files.
+    const std::vector<std::vector<MemRef>> fixtures = {
+        {instRef(0x400000)},
+        std::vector<MemRef>(200, instRef(0x400000))};
+    for (const auto &refs : fixtures) {
+        for (const std::uint32_t version : {1u, 2u}) {
+            test::writeFlatTrace(path, refs, version);
+            const std::string format =
+                "format v" + std::to_string(version);
+            auto expectPackHint = [&](const char *entry,
+                                      auto open) {
+                try {
+                    open();
+                    FAIL() << entry << " accepted a " << format
+                           << " file";
+                } catch (const SimError &e) {
+                    const std::string what = e.what();
+                    EXPECT_EQ(e.code(), ErrorCode::TraceIO) << what;
+                    EXPECT_NE(what.find(format), std::string::npos)
+                        << entry << ": " << what;
+                    EXPECT_NE(what.find("`tracepack pack`"),
+                              std::string::npos)
+                        << entry << ": " << what;
+                }
+            };
+            expectPackHint("v3FileInfo", [&] { v3FileInfo(path); });
+            expectPackHint("TraceV3Reader",
+                           [&] { TraceV3Reader reader(path); });
+            expectPackHint("StreamSource",
+                           [&] { StreamSource stream(path); });
+        }
+    }
+}
+
+TEST_F(TraceFileTest, InfoRejectsWhatTheReadersReject)
+{
+    // v3FileInfo once read only the header, so a file whose footer
+    // magic was corrupt passed `tracepack info` and failed every
+    // reader.  It now opens the file the way the readers do.
+    {
+        TraceV3Writer writer(v3Path());
+        for (const MemRef &ref : sampleTrace())
             writer.write(ref);
     }
-    // Forge the header to promise one extra record: the file is now
-    // "truncated" relative to its own header.
     {
-        std::FILE *f = std::fopen(path.c_str(), "r+b");
-        ASSERT_NE(f, nullptr);
-        const auto count =
-            static_cast<std::uint64_t>(sampleTrace().size()) + 1;
-        unsigned char bytes[8];
-        for (int i = 0; i < 8; ++i)
-            bytes[i] = static_cast<unsigned char>(count >> (8 * i));
-        ASSERT_EQ(std::fseek(f, 8, SEEK_SET), 0);
-        ASSERT_EQ(std::fwrite(bytes, 1, 8, f), 8u);
-        std::fclose(f);
+        std::fstream f(v3Path(), std::ios::in | std::ios::out |
+                                     std::ios::binary);
+        f.seekp(-1, std::ios::end);
+        f.put('X'); // last byte of the "GSK3" footer magic
     }
-    EXPECT_THROW(TraceFileReader reader(path), FatalError);
+    for (const auto &open :
+         {std::function<void()>([&] { v3FileInfo(v3Path()); }),
+          std::function<void()>(
+              [&] { TraceV3Reader reader(v3Path()); })}) {
+        try {
+            open();
+            FAIL() << "a corrupt footer was accepted";
+        } catch (const SimError &e) {
+            EXPECT_EQ(e.code(), ErrorCode::TraceIO);
+            EXPECT_NE(std::string(e.what()).find("footer magic"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 } // namespace

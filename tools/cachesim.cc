@@ -2,11 +2,12 @@
  * @file
  * Single-cache trace simulator (a Dinero-style utility).
  *
- * Runs one cache of arbitrary geometry over a binary trace file
- * (v1/v2 or v3) and reports miss ratios -- useful for characterising
- * captured traces independently of the full two-level system.  A
- * malformed or zero --size/--assoc/--line, or an unknown --kind,
- * exits 1 naming the flag before the trace is read.
+ * Runs one cache of arbitrary geometry over a v3 trace file (convert
+ * v1/v2 traces with `tracepack pack`) and reports miss ratios --
+ * useful for characterising captured traces independently of the
+ * full two-level system.  A malformed or zero --size/--assoc/--line,
+ * or an unknown --kind, exits 1 naming the flag before the trace is
+ * read.
  *
  * Usage:
  *   cachesim <trace-file> [--size WORDS] [--assoc N] [--line WORDS]
@@ -99,12 +100,12 @@ main(int argc, char **argv)
 
     try {
         cache::TagStore store(cfg, "cachesim");
-        const auto reader = trace::openTraceFile(path);
+        trace::TraceV3Reader reader(path);
 
         Count accesses = 0, misses = 0;
         Count inst = 0, loads = 0, stores = 0;
         trace::MemRef ref;
-        while (reader->next(ref)) {
+        while (reader.next(ref)) {
             switch (ref.kind) {
               case trace::RefKind::Inst:
                 ++inst;

@@ -3,11 +3,14 @@
  * gaassim: the main simulator front end.
  *
  * Runs a configuration (a preset name or a config file) over the
- * standard synthetic workload or a set of trace files (v1/v2 or v3,
- * each looped), and writes a gem5-style flat statistics dump.
- * Numeric flags parse strictly: a malformed value, or a zero
- * --instructions/--mp/--slice, exits 1 naming the flag before any
- * simulation (--warmup 0 is legal).
+ * standard synthetic workload or a set of v3 trace files, and writes
+ * a gem5-style flat statistics dump.  Trace files replay through
+ * Workload::fromTraceFiles in streaming mode, one looped process per
+ * file, under the GAAS_TRACE_STREAM_MB ceiling.  Numeric flags parse
+ * strictly: a malformed value, or a zero --instructions/--mp/--slice,
+ * exits 1 naming the flag before any simulation (--warmup 0 is
+ * legal).  --mp sizes the synthetic workload only, so --mp with
+ * --trace exits 1 as well.
  *
  * Usage:
  *   gaassim [--preset NAME | --config FILE]
@@ -21,7 +24,7 @@
  * Examples:
  *   gaassim --preset optimized --instructions 8000000
  *   tracepack synth a.v3 --instructions 2000000
- *   gaassim --config my.cfg --trace a.v3 --trace b.gtrc \
+ *   gaassim --config my.cfg --trace a.v3 --trace b.v3 \
  *           --stats out/stats.txt
  */
 
@@ -36,8 +39,7 @@
 #include "core/config_io.hh"
 #include "core/simulator.hh"
 #include "core/stats_dump.hh"
-#include "trace/compose.hh"
-#include "trace/v3.hh"
+#include "core/workload.hh"
 #include "util/env.hh"
 #include "util/logging.hh"
 
@@ -108,7 +110,7 @@ main(int argc, char **argv)
     std::vector<std::string> traces;
     Count instructions = 4'000'000;
     std::optional<Count> warmup; // default: half the budget
-    unsigned mp = 8;
+    std::optional<unsigned> mp; // default: 8
     std::string stats_path;
     std::string stats_json_path;
 
@@ -146,16 +148,17 @@ main(int argc, char **argv)
             }
         }
 
-        core::Workload wl;
-        if (traces.empty()) {
-            wl = core::Workload::standard(mp);
-        } else {
-            for (const auto &path : traces) {
-                wl.add(std::make_unique<trace::LoopSource>(
-                           trace::openTraceFile(path)),
-                       1.238, path);
-            }
+        if (mp && !traces.empty()) {
+            std::cerr << "gaassim: --mp sets the synthetic workload's "
+                         "process count; with --trace each trace "
+                         "file is one process\n";
+            return 1;
         }
+        core::Workload wl =
+            traces.empty()
+                ? core::Workload::standard(mp.value_or(8))
+                : core::Workload::fromTraceFiles(traces,
+                                                 /*streaming=*/true);
 
         std::cout << cfg.describe() << "\n\n";
         core::Simulator sim(cfg, std::move(wl));
