@@ -60,15 +60,18 @@ accesses=$(echo "$out" | sed -n 's/^accesses: \([0-9]*\)$/\1/p')
 [ "$(wc -c <"$dir/t.v2")" -eq 70 ] || fail "the v2 fixture is not 70 bytes"
 
 # Every v3 reader rejects it, pointing at the importer.
-for cmd in "$GAASSIM --trace" "$CACHESIM" "$TRACEPACK info" \
-           "$TRACEPACK drain" "$TRACEPACK verify"; do
-    # shellcheck disable=SC2086
-    if $cmd "$dir/t.v2" >/dev/null 2>"$dir/err"; then
-        fail "$cmd accepted a v2 file"
+rejects_v2() {
+    if "$@" "$dir/t.v2" >/dev/null 2>"$dir/err"; then
+        fail "$* accepted a v2 file"
     fi
     grep -q 'tracepack pack' "$dir/err" \
-        || fail "$cmd did not name tracepack pack for a v2 file"
-done
+        || fail "$* did not name tracepack pack for a v2 file"
+}
+rejects_v2 "$GAASSIM" --trace
+rejects_v2 "$CACHESIM"
+rejects_v2 "$TRACEPACK" info
+rejects_v2 "$TRACEPACK" drain
+rejects_v2 "$TRACEPACK" verify
 
 # The importer converts it losslessly.
 "$TRACEPACK" pack "$dir/t.v2" "$dir/p.v3" >/dev/null \
