@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -22,6 +23,7 @@
 #include "core/result_io.hh"
 #include "core/sweep.hh"
 #include "obs/json.hh"
+#include "trace/v3.hh"
 #include "util/error.hh"
 #include "util/fault.hh"
 
@@ -51,6 +53,22 @@ sampleResult()
     job.instructions = 10'000;
     job.warmup = 2'000;
     return runSweepJob(job);
+}
+
+/** Replace the contents of @p path with @p text. */
+void
+writeText(const std::string &path, const std::string &text)
+{
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << text;
+}
+
+/** The whole of @p path. */
+std::string
+readText(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
 }
 
 /** The exact-serialization fingerprint of @p r (every field). */
@@ -306,6 +324,118 @@ TEST(Journal, KeyTracksEverythingThatDeterminesTheResult)
     SweepJob custom = job;
     custom.workload = [] { return Workload{}; };
     EXPECT_EQ(sweepJobKey(custom), "");
+}
+
+TEST(Journal, KeysArePinned)
+{
+    // A key digests saveConfig's text, so these literals pin that
+    // text byte for byte: a journal written by an earlier build must
+    // keep resuming.  They were computed before the config codec
+    // became table-driven.
+    SweepJob job;
+    job.config = baseline();
+    job.mpLevel = 4;
+    job.instructions = 10'000;
+    job.warmup = 2'000;
+    EXPECT_EQ(sweepJobKey(job), "f981c0b42fc1cabe");
+
+    SweepJob sampled = job;
+    sampled.config = optimized();
+    sampled.sampling.enabled = true;
+    EXPECT_EQ(sweepJobKey(sampled), "44d16ed4758da7fa");
+
+    const std::string path = scratchDir("pinned-trace") + "/t.v3";
+    {
+        trace::TraceV3Writer writer(path);
+        for (Addr i = 0; i < 1000; ++i) {
+            writer.write(trace::instRef(0x40'0000 + 4 * i));
+            if (i % 3 == 0)
+                writer.write(trace::loadRef(0x1000'0000 + 8 * i));
+            if (i % 7 == 0)
+                writer.write(trace::storeRef(0x1000'8000 + 4 * i));
+        }
+        writer.close();
+    }
+    SweepJob traced;
+    traced.config = afterWritePolicy();
+    traced.instructions = 10'000;
+    traced.traceFiles = {path};
+    EXPECT_EQ(sweepJobKey(traced), "8277386dbd495cbc");
+}
+
+/** An Ok line as fig6_l2_orgs journaled it before the outcome codec
+ *  was shared with the worker protocol. */
+const char *const kEarlierOkLine =
+    "{\"key\":\"6b2c12afd0b6735f\",\"status\":\"ok\","
+    "\"result\":{\"config\":\"base+write-only\","
+    "\"instructions\":800000,\"cycles\":1664622,"
+    "\"cpu_stall_cycles\":205516,\"context_switches\":4,"
+    "\"syscall_switches\":1,\"comp.l1i_miss\":25434,"
+    "\"comp.l1d_miss\":119400,\"comp.l1_writes\":2709,"
+    "\"comp.wb_wait\":26805,\"comp.l2i_miss\":146714,"
+    "\"comp.l2d_miss\":338044,\"comp.tlb\":0,\"sys.ifetches\":800000,"
+    "\"sys.l1i_misses\":4239,\"sys.loads\":169294,"
+    "\"sys.l1d_read_misses\":19900,\"sys.stores\":47635,"
+    "\"sys.l1d_write_misses\":2709,"
+    "\"sys.write_only_read_misses\":2323,\"sys.l2i_accesses\":4239,"
+    "\"sys.l2i_misses\":930,\"sys.l2d_accesses\":19900,"
+    "\"sys.l2d_misses\":1796,\"sys.l2_dirty_misses\":1010,"
+    "\"sys.l2_write_allocates\":316,\"sys.wb.pushes\":47635,"
+    "\"sys.wb.full_stalls\":937,\"sys.wb.full_stall_cycles\":2282,"
+    "\"sys.wb.drain_waits\":3008,\"sys.wb.drain_wait_cycles\":24523,"
+    "\"sys.wb.bypasses\":0,\"sys.wb.max_occupancy\":8,"
+    "\"sys.mem.reads\":2726,\"sys.mem.dirty_writebacks\":1010,"
+    "\"sys.mem.bus_wait_cycles\":0,\"sys.mem.bus_waits\":0,"
+    "\"sys.itlb.accesses\":800000,\"sys.itlb.misses\":22,"
+    "\"sys.dtlb.accesses\":216929,\"sys.dtlb.misses\":49,"
+    "\"host_seconds\":0.127379592,\"host_stats_seconds\":5.48e-07,"
+    "\"sampling.passes\":0,\"sampling.intervals\":0,"
+    "\"sampling.measured_instructions\":0,"
+    "\"sampling.warmed_instructions\":0,"
+    "\"sampling.skipped_instructions\":0,\"sampling.cpi_mean\":0,"
+    "\"sampling.cpi_std_error\":0,\"sampling.cpi_half_width\":0,"
+    "\"sampling.confidence\":0}}";
+
+/** A Failed line from the same earlier build (it carries no config
+ *  name). */
+const char *const kEarlierFailedLine =
+    "{\"key\":\"00000000000000bb\",\"status\":\"failed\","
+    "\"code\":\"watchdog\",\"error\":\"fatal: budget exceeded\"}";
+
+TEST(Journal, EarlierJournalLinesStillLoad)
+{
+    const std::string dir = scratchDir("earlier");
+    const std::string path = dir + "/j.jsonl";
+    writeText(path, std::string(kEarlierOkLine) + "\n" +
+                        kEarlierFailedLine + "\n");
+
+    RunJournal j;
+    std::string error;
+    ASSERT_TRUE(j.open(path, &error)) << error;
+    EXPECT_EQ(j.loadedRecords(), 2u);
+
+    const auto *ok = j.find("6b2c12afd0b6735f");
+    ASSERT_NE(ok, nullptr);
+    EXPECT_EQ(ok->status, PointStatus::Ok);
+    EXPECT_EQ(ok->result.configName, "base+write-only");
+    EXPECT_EQ(ok->result.cycles, 1'664'622u);
+    EXPECT_EQ(ok->result.sys.dtlb.misses, 49u);
+    EXPECT_EQ(ok->result.hostSeconds, 0.127379592);
+
+    const auto *failed = j.find("00000000000000bb");
+    ASSERT_NE(failed, nullptr);
+    EXPECT_EQ(failed->status, PointStatus::Failed);
+    EXPECT_EQ(failed->errorCode, ErrorCode::Watchdog);
+    EXPECT_EQ(failed->error, "fatal: budget exceeded");
+
+    // Journaling the Ok point again writes the earlier bytes.
+    const std::string again = dir + "/again.jsonl";
+    {
+        RunJournal out;
+        ASSERT_TRUE(out.open(again));
+        ASSERT_TRUE(out.append("6b2c12afd0b6735f", *ok));
+    }
+    EXPECT_EQ(readText(again), std::string(kEarlierOkLine) + "\n");
 }
 
 TEST(Journal, InjectedWriteFaultDegradesButJournalStaysUsable)

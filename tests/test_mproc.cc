@@ -6,7 +6,10 @@
  * hang costs a requeue (and a respawn), never the run; a job whose
  * workers keep dying degrades to failed:worker-lost after the
  * attempt budget; and journal reuse and cooperative cancellation
- * behave exactly as in-process.
+ * behave exactly as in-process.  The Protocol tests check the frame
+ * codec on its own: outcomes round-trip exactly, and every malformed
+ * frame throws SimError, which the supervisor treats as a lost
+ * worker.
  */
 
 #include <gtest/gtest.h>
@@ -21,6 +24,7 @@
 #include "core/stats_dump.hh"
 #include "core/sweep.hh"
 #include "proc/executor.hh"
+#include "proc/protocol.hh"
 #include "util/error.hh"
 #include "util/fault.hh"
 
@@ -86,6 +90,129 @@ fastOptions(unsigned workers)
     o.heartbeatMs = 20;
     o.heartbeatMiss = 5;
     return o;
+}
+
+/** @p payload behind its 4-byte little-endian length prefix. */
+std::string
+framed(const std::string &payload)
+{
+    std::string out;
+    for (int i = 0; i < 4; ++i) {
+        const std::size_t byte = (payload.size() >> (8 * i)) & 0xff;
+        out.push_back(static_cast<char>(byte));
+    }
+    return out + payload;
+}
+
+/** One Ok, one Degraded and one Failed outcome, each with job stats. */
+std::vector<SweepOutcome>
+sampleOutcomes()
+{
+    SweepOutcome ok = core::runSweepJobIsolated(ladder(1)[0]);
+    ok.stats.buildSeconds = 0.1;
+    ok.stats.simSeconds = 1.0 / 3.0;
+    ok.stats.totalSeconds = 2.5e-7;
+    ok.stats.arenaStreamsGenerated = 3;
+    ok.stats.arenaStreamsReused = 5;
+    ok.stats.arenaRefsGenerated = 123'456'789'012;
+    ok.stats.arenaGenSeconds = 1e-9;
+
+    SweepOutcome degraded = ok;
+    degraded.status = PointStatus::Degraded;
+
+    SweepOutcome failed;
+    failed.status = PointStatus::Failed;
+    failed.errorCode = ErrorCode::Watchdog;
+    failed.error = "fatal: \"quoted\"\nsecond line";
+    failed.result.configName = "failed-config";
+    failed.stats = ok.stats;
+    return {ok, degraded, failed};
+}
+
+TEST(Protocol, OutcomesRoundTripExactly)
+{
+    for (const SweepOutcome &orig : sampleOutcomes()) {
+        SCOPED_TRACE(core::pointStatusName(orig.status));
+        ASSERT_EQ(orig.status == PointStatus::Failed,
+                  orig.result.cycles == 0);
+        const std::string payload = encodeResult(7, orig);
+        std::uint64_t job = 0;
+        SweepOutcome back;
+        ASSERT_EQ(decodeResponse(payload, job, back), FrameType::Result);
+        EXPECT_EQ(job, 7u);
+        EXPECT_EQ(back.status, orig.status);
+        EXPECT_EQ(back.errorCode, orig.errorCode);
+        EXPECT_EQ(back.error, orig.error);
+        EXPECT_EQ(back.result.configName, orig.result.configName);
+        EXPECT_EQ(dump(back.result), dump(orig.result));
+        EXPECT_EQ(back.result.hostSeconds, orig.result.hostSeconds);
+        EXPECT_EQ(back.stats.buildSeconds, orig.stats.buildSeconds);
+        EXPECT_EQ(back.stats.simSeconds, orig.stats.simSeconds);
+        EXPECT_EQ(back.stats.totalSeconds, orig.stats.totalSeconds);
+        EXPECT_EQ(back.stats.arenaStreamsGenerated,
+                  orig.stats.arenaStreamsGenerated);
+        EXPECT_EQ(back.stats.arenaStreamsReused,
+                  orig.stats.arenaStreamsReused);
+        EXPECT_EQ(back.stats.arenaRefsGenerated,
+                  orig.stats.arenaRefsGenerated);
+        EXPECT_EQ(back.stats.arenaGenSeconds,
+                  orig.stats.arenaGenSeconds);
+        EXPECT_EQ(encodeResult(7, back), payload);
+    }
+}
+
+TEST(Protocol, FrameSplitterReassemblesFramesFedOneByteAtATime)
+{
+    const std::vector<std::string> payloads = {
+        encodeHeartbeat(), encodeResult(3, sampleOutcomes()[0]),
+        encodeJobRequest(9, kFlagKill), encodeShutdown()};
+    std::string stream;
+    for (const std::string &p : payloads)
+        stream += framed(p);
+
+    FrameSplitter splitter;
+    std::vector<std::string> got;
+    std::string payload;
+    for (const char c : stream) {
+        splitter.feed(&c, 1);
+        while (splitter.next(payload))
+            got.push_back(payload);
+    }
+    EXPECT_EQ(got, payloads);
+    EXPECT_EQ(splitter.pendingBytes(), 0u);
+}
+
+TEST(Protocol, MalformedFramesThrowSimError)
+{
+    FrameSplitter splitter;
+    const char oversized[4] = {'\xff', '\xff', '\xff', '\x7f'};
+    splitter.feed(oversized, sizeof oversized);
+    std::string payload;
+    EXPECT_THROW(splitter.next(payload), SimError);
+
+    const std::string unknown(1, static_cast<char>(99));
+    std::uint64_t job = 0;
+    SweepOutcome out;
+    EXPECT_THROW(decodeRequest(unknown), SimError);
+    EXPECT_THROW(decodeResponse(unknown, job, out), SimError);
+
+    EXPECT_THROW(decodeRequest(encodeJobRequest(1, 0).substr(0, 5)),
+                 SimError);
+
+    const std::string failed = encodeResult(7, sampleOutcomes()[2]);
+    EXPECT_THROW(decodeResponse(failed.substr(0, 5), job, out),
+                 SimError);
+
+    std::string bogus = failed;
+    const std::size_t status = bogus.find("\"failed\"");
+    ASSERT_NE(status, std::string::npos);
+    bogus.replace(status, 8, "\"bogus\"");
+    EXPECT_THROW(decodeResponse(bogus, job, out), SimError);
+
+    const std::size_t stats = failed.find(",\"stats\":");
+    ASSERT_NE(stats, std::string::npos);
+    EXPECT_THROW(decodeResponse(failed.substr(0, stats) + "}", job, out),
+                 SimError);
 }
 
 TEST(Mproc, ShardingIsBitIdenticalToSerialAtAnyWorkerCount)
