@@ -5,6 +5,7 @@
 #include <ostream>
 #include <sstream>
 
+#include "util/error.hh"
 #include "util/logging.hh"
 
 namespace gaas::obs
@@ -274,7 +275,8 @@ class Parser
     [[noreturn]] void
     fail(const char *what)
     {
-        gaas_fatal("JSON parse error at offset ", pos, ": ", what);
+        gaas_error(ErrorCode::StatsIO, "JSON parse error at offset ",
+                   pos, ": ", what);
     }
 
     void

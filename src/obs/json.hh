@@ -91,9 +91,11 @@ std::string writeJsonString(const JsonValue &v);
 std::string writeJsonCompact(const JsonValue &v);
 
 /**
- * Parse @p text (throws FatalError with an offset on malformed
- * input).  Number tokens are kept verbatim, so re-emitting a parsed
- * document reproduces this library's own output byte-for-byte.
+ * Parse @p text (throws SimError(StatsIO) with an offset on
+ * malformed input, so a decoder that reads a document sees one
+ * error type for bad syntax and bad content).  Number tokens are
+ * kept verbatim, so re-emitting a parsed document reproduces this
+ * library's own output byte-for-byte.
  */
 JsonValue parseJson(std::string_view text);
 

@@ -215,6 +215,18 @@ TEST(Protocol, MalformedFramesThrowSimError)
                  SimError);
 }
 
+TEST(Protocol, TruncatedResultJsonThrowsSimError)
+{
+    // A well-framed Result whose JSON is cut short: the supervisor
+    // catches SimError only, so anything else would escape it.
+    const std::string payload = encodeResult(7, SweepOutcome{});
+    std::uint64_t job = 0;
+    SweepOutcome out;
+    EXPECT_THROW(
+        decodeResponse(payload.substr(0, payload.size() - 5), job, out),
+        SimError);
+}
+
 TEST(Mproc, ShardingIsBitIdenticalToSerialAtAnyWorkerCount)
 {
     const auto jobs = ladder();
