@@ -1,13 +1,16 @@
 #include "config_io.hh"
 
-#include <algorithm>
-#include <array>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <ostream>
-#include <sstream>
-#include <vector>
+#include <set>
+#include <span>
+#include <string_view>
+#include <type_traits>
+#include <utility>
 
+#include "util/env.hh"
 #include "util/error.hh"
 
 namespace gaas::core
@@ -16,136 +19,173 @@ namespace gaas::core
 namespace
 {
 
-const char *
-policyKey(WritePolicy p)
+/**
+ * Apply @p f(key, field) to every key of the config text, in
+ * canonical order: the order saveConfig writes and loadConfig
+ * applies.  Instantiated over `const SystemConfig &` (saving) and
+ * `SystemConfig &` (loading), so the two directions can never
+ * disagree about the key list.
+ *
+ * A key that does more than set its field when loaded passes a third
+ * argument that does the rest: each `*.line_words` also sets the
+ * fetch size (the study grows both together, Section 8), and
+ * `write_policy` applies the policy's write-buffer shape.
+ * `write_policy` ranks before `wb.depth` / `wb.entry_words`, so an
+ * explicit wb.* line always wins, wherever it appears in the file.
+ */
+template <typename Config, typename Fn>
+void
+visitKeys(Config &c, Fn &&f)
 {
-    switch (p) {
-      case WritePolicy::WriteBack:
-        return "writeback";
-      case WritePolicy::WriteMissInvalidate:
-        return "invalidate";
-      case WritePolicy::WriteOnly:
-        return "writeonly";
-      case WritePolicy::SubblockPlacement:
-        return "subblock";
+    f("name", c.name);
+    f("l1i.size_words", c.l1i.sizeWords);
+    f("l1i.assoc", c.l1i.assoc);
+    f("l1i.line_words", c.l1i.lineWords, [](SystemConfig &s) {
+        s.l1i.fetchWords = s.l1i.lineWords;
+    });
+    f("l1d.size_words", c.l1d.sizeWords);
+    f("l1d.assoc", c.l1d.assoc);
+    f("l1d.line_words", c.l1d.lineWords, [](SystemConfig &s) {
+        s.l1d.fetchWords = s.l1d.lineWords;
+    });
+    f("write_policy", c.writePolicy, [](SystemConfig &s) {
+        s.applyPolicyDefaults();
+    });
+    f("l2.org", c.l2Org);
+    f("l2.size_words", c.l2.cache.sizeWords);
+    f("l2.assoc", c.l2.cache.assoc);
+    f("l2.line_words", c.l2.cache.lineWords, [](SystemConfig &s) {
+        s.l2.cache.fetchWords = s.l2.cache.lineWords;
+    });
+    f("l2.access_time", c.l2.accessTime);
+    f("l2i.size_words", c.l2i.cache.sizeWords);
+    f("l2i.assoc", c.l2i.cache.assoc);
+    f("l2i.line_words", c.l2i.cache.lineWords, [](SystemConfig &s) {
+        s.l2i.cache.fetchWords = s.l2i.cache.lineWords;
+    });
+    f("l2i.access_time", c.l2i.accessTime);
+    f("l2d.size_words", c.l2d.cache.sizeWords);
+    f("l2d.assoc", c.l2d.cache.assoc);
+    f("l2d.line_words", c.l2d.cache.lineWords, [](SystemConfig &s) {
+        s.l2d.cache.fetchWords = s.l2d.cache.lineWords;
+    });
+    f("l2d.access_time", c.l2d.accessTime);
+    f("transfer_words_per_cycle", c.transferWordsPerCycle);
+    f("wb.depth", c.wbDepth);
+    f("wb.entry_words", c.wbEntryWords);
+    f("wb.stream_overlap", c.wbStreamOverlap);
+    f("concurrent_i_refill", c.concurrentIRefill);
+    f("load_bypass", c.loadBypass);
+    f("l2_dirty_buffer", c.l2DirtyBuffer);
+    f("memory.clean_miss", c.memory.cleanMissPenalty);
+    f("memory.dirty_miss", c.memory.dirtyMissPenalty);
+    f("mmu.tlb_miss_penalty", c.mmu.tlbMissPenalty);
+    f("mmu.page_colors", c.mmu.pageTable.colors);
+    f("mmu.page_coloring", c.mmu.pageTable.coloring);
+    f("time_slice_cycles", c.timeSliceCycles);
+}
+
+/**
+ * @name Value names of the non-numeric fields
+ * saveConfig writes the first name listed for a value; loadConfig
+ * accepts every name listed.
+ */
+///@{
+template <typename E>
+using Names = std::span<const std::pair<E, const char *>>;
+
+constexpr std::pair<WritePolicy, const char *> kWritePolicies[] = {
+    {WritePolicy::WriteBack, "writeback"},
+    {WritePolicy::WriteMissInvalidate, "invalidate"},
+    {WritePolicy::WriteOnly, "writeonly"},
+    {WritePolicy::SubblockPlacement, "subblock"},
+};
+
+constexpr std::pair<L2Org, const char *> kL2Orgs[] = {
+    {L2Org::Unified, "unified"},
+    {L2Org::LogicalSplit, "logical"},
+    {L2Org::PhysicalSplit, "physical"},
+};
+
+constexpr std::pair<LoadBypass, const char *> kLoadBypasses[] = {
+    {LoadBypass::None, "none"},
+    {LoadBypass::Associative, "associative"},
+    {LoadBypass::DirtyBit, "dirtybit"},
+};
+
+constexpr std::pair<bool, const char *> kBools[] = {
+    {true, "true"}, {false, "false"}, {true, "1"},
+    {false, "0"},   {true, "yes"},    {false, "no"},
+};
+
+Names<WritePolicy> names(WritePolicy) { return kWritePolicies; }
+Names<L2Org> names(L2Org) { return kL2Orgs; }
+Names<LoadBypass> names(LoadBypass) { return kLoadBypasses; }
+Names<bool> names(bool) { return kBools; }
+///@}
+
+/** An unsigned field of any width (bool is a named value). */
+template <typename T>
+constexpr bool kIsNumber =
+    std::is_unsigned_v<T> && !std::is_same_v<T, bool>;
+
+/** Write one field's value as the config text spells it. */
+template <typename T>
+void
+writeValue(std::ostream &os, const T &value)
+{
+    if constexpr (std::is_same_v<T, std::string> || kIsNumber<T>) {
+        os << value;
+    } else {
+        for (const auto &[v, name] : names(value)) {
+            if (v == value) {
+                os << name;
+                return;
+            }
+        }
     }
-    return "?";
 }
 
 /** One `key = value` line, collected before any state is touched. */
 struct Entry
 {
-    std::string key;
     std::string value;
     unsigned lineno = 0;
 };
 
-WritePolicy
-parsePolicy(const Entry &e)
+/**
+ * Parse @p e's value into @p out.  Numbers are unsigned decimals
+ * (no sign, base prefix or trailing text) within the field's
+ * width; named values must be one of the field's names.
+ */
+template <typename T>
+void
+parseValue(const char *key, const Entry &e, T &out)
 {
-    const std::string &v = e.value;
-    if (v == "writeback")
-        return WritePolicy::WriteBack;
-    if (v == "invalidate")
-        return WritePolicy::WriteMissInvalidate;
-    if (v == "writeonly")
-        return WritePolicy::WriteOnly;
-    if (v == "subblock")
-        return WritePolicy::SubblockPlacement;
-    gaas_error(ErrorCode::Config, "config line ", e.lineno,
-               ": unknown write policy '", v, "'");
-}
-
-const char *
-orgKey(L2Org org)
-{
-    switch (org) {
-      case L2Org::Unified:
-        return "unified";
-      case L2Org::LogicalSplit:
-        return "logical";
-      case L2Org::PhysicalSplit:
-        return "physical";
-    }
-    return "?";
-}
-
-L2Org
-parseOrg(const Entry &e)
-{
-    const std::string &v = e.value;
-    if (v == "unified")
-        return L2Org::Unified;
-    if (v == "logical")
-        return L2Org::LogicalSplit;
-    if (v == "physical")
-        return L2Org::PhysicalSplit;
-    gaas_error(ErrorCode::Config, "config line ", e.lineno,
-               ": unknown L2 organisation '", v, "'");
-}
-
-const char *
-bypassKey(LoadBypass b)
-{
-    switch (b) {
-      case LoadBypass::None:
-        return "none";
-      case LoadBypass::Associative:
-        return "associative";
-      case LoadBypass::DirtyBit:
-        return "dirtybit";
-    }
-    return "?";
-}
-
-LoadBypass
-parseBypass(const Entry &e)
-{
-    const std::string &v = e.value;
-    if (v == "none")
-        return LoadBypass::None;
-    if (v == "associative")
-        return LoadBypass::Associative;
-    if (v == "dirtybit")
-        return LoadBypass::DirtyBit;
-    gaas_error(ErrorCode::Config, "config line ", e.lineno,
-               ": unknown load-bypass scheme '", v, "'");
-}
-
-std::uint64_t
-parseU64(const Entry &e)
-{
-    std::size_t used = 0;
-    std::uint64_t out = 0;
-    try {
-        out = std::stoull(e.value, &used, 0);
-    } catch (const std::exception &) {
-        used = 0;
-    }
-    if (used != e.value.size()) {
+    if constexpr (std::is_same_v<T, std::string>) {
+        out = e.value;
+    } else if constexpr (kIsNumber<T>) {
+        const auto v = parseU64(e.value);
+        if (!v || *v > std::numeric_limits<T>::max()) {
+            gaas_error(ErrorCode::Config, "config line ", e.lineno,
+                       ": bad value for ", key, ": '", e.value,
+                       "' (want a decimal integer up to ",
+                       std::numeric_limits<T>::max(), ")");
+        }
+        out = static_cast<T>(*v);
+    } else {
+        std::string choices;
+        for (const auto &[v, name] : names(out)) {
+            if (e.value == name) {
+                out = v;
+                return;
+            }
+            choices += choices.empty() ? name : std::string(", ") + name;
+        }
         gaas_error(ErrorCode::Config, "config line ", e.lineno,
-                   ": bad numeric value for ", e.key, ": '", e.value,
-                   "'");
+                   ": bad value for ", key, ": '", e.value,
+                   "' (want one of ", choices, ")");
     }
-    return out;
-}
-
-unsigned
-parseU32(const Entry &e)
-{
-    return static_cast<unsigned>(parseU64(e));
-}
-
-bool
-parseBool(const Entry &e)
-{
-    const std::string &v = e.value;
-    if (v == "true" || v == "1" || v == "yes")
-        return true;
-    if (v == "false" || v == "0" || v == "no")
-        return false;
-    gaas_error(ErrorCode::Config, "config line ", e.lineno,
-               ": bad boolean value for ", e.key, ": '", v, "'");
 }
 
 std::string
@@ -158,222 +198,17 @@ trim(const std::string &s)
     return s.substr(first, last - first + 1);
 }
 
-/**
- * The config schema: every legal key, in canonical apply order (the
- * same order saveConfig writes).
- *
- * loadConfig applies collected entries in THIS order, never in file
- * order, so a parse result is a pure function of the key/value set.
- * The one ordering subtlety the schema encodes: `write_policy` ranks
- * before `wb.depth` / `wb.entry_words`, so the policy's write-buffer
- * defaults (applyPolicyDefaults) always land first and an explicit
- * wb.* line always wins, wherever it appears in the file.
- */
-struct SchemaKey
-{
-    const char *key;
-    void (*apply)(SystemConfig &, const Entry &);
-};
-
-constexpr SchemaKey kSchema[] = {
-    {"name",
-     [](SystemConfig &c, const Entry &e) { c.name = e.value; }},
-    {"l1i.size_words",
-     [](SystemConfig &c, const Entry &e) {
-         c.l1i.sizeWords = parseU64(e);
-     }},
-    {"l1i.assoc",
-     [](SystemConfig &c, const Entry &e) {
-         c.l1i.assoc = parseU32(e);
-     }},
-    {"l1i.line_words",
-     [](SystemConfig &c, const Entry &e) {
-         c.l1i.lineWords = c.l1i.fetchWords = parseU32(e);
-     }},
-    {"l1d.size_words",
-     [](SystemConfig &c, const Entry &e) {
-         c.l1d.sizeWords = parseU64(e);
-     }},
-    {"l1d.assoc",
-     [](SystemConfig &c, const Entry &e) {
-         c.l1d.assoc = parseU32(e);
-     }},
-    {"l1d.line_words",
-     [](SystemConfig &c, const Entry &e) {
-         c.l1d.lineWords = c.l1d.fetchWords = parseU32(e);
-     }},
-    {"write_policy",
-     [](SystemConfig &c, const Entry &e) {
-         c.writePolicy = parsePolicy(e);
-         c.applyPolicyDefaults();
-     }},
-    {"l2.org",
-     [](SystemConfig &c, const Entry &e) {
-         c.l2Org = parseOrg(e);
-     }},
-    {"l2.size_words",
-     [](SystemConfig &c, const Entry &e) {
-         c.l2.cache.sizeWords = parseU64(e);
-     }},
-    {"l2.assoc",
-     [](SystemConfig &c, const Entry &e) {
-         c.l2.cache.assoc = parseU32(e);
-     }},
-    {"l2.line_words",
-     [](SystemConfig &c, const Entry &e) {
-         c.l2.cache.lineWords = c.l2.cache.fetchWords = parseU32(e);
-     }},
-    {"l2.access_time",
-     [](SystemConfig &c, const Entry &e) {
-         c.l2.accessTime = parseU64(e);
-     }},
-    {"l2i.size_words",
-     [](SystemConfig &c, const Entry &e) {
-         c.l2i.cache.sizeWords = parseU64(e);
-     }},
-    {"l2i.assoc",
-     [](SystemConfig &c, const Entry &e) {
-         c.l2i.cache.assoc = parseU32(e);
-     }},
-    {"l2i.line_words",
-     [](SystemConfig &c, const Entry &e) {
-         c.l2i.cache.lineWords = c.l2i.cache.fetchWords =
-             parseU32(e);
-     }},
-    {"l2i.access_time",
-     [](SystemConfig &c, const Entry &e) {
-         c.l2i.accessTime = parseU64(e);
-     }},
-    {"l2d.size_words",
-     [](SystemConfig &c, const Entry &e) {
-         c.l2d.cache.sizeWords = parseU64(e);
-     }},
-    {"l2d.assoc",
-     [](SystemConfig &c, const Entry &e) {
-         c.l2d.cache.assoc = parseU32(e);
-     }},
-    {"l2d.line_words",
-     [](SystemConfig &c, const Entry &e) {
-         c.l2d.cache.lineWords = c.l2d.cache.fetchWords =
-             parseU32(e);
-     }},
-    {"l2d.access_time",
-     [](SystemConfig &c, const Entry &e) {
-         c.l2d.accessTime = parseU64(e);
-     }},
-    {"transfer_words_per_cycle",
-     [](SystemConfig &c, const Entry &e) {
-         c.transferWordsPerCycle = parseU32(e);
-     }},
-    {"wb.depth",
-     [](SystemConfig &c, const Entry &e) {
-         c.wbDepth = parseU32(e);
-     }},
-    {"wb.entry_words",
-     [](SystemConfig &c, const Entry &e) {
-         c.wbEntryWords = parseU32(e);
-     }},
-    {"wb.stream_overlap",
-     [](SystemConfig &c, const Entry &e) {
-         c.wbStreamOverlap = parseU64(e);
-     }},
-    {"concurrent_i_refill",
-     [](SystemConfig &c, const Entry &e) {
-         c.concurrentIRefill = parseBool(e);
-     }},
-    {"load_bypass",
-     [](SystemConfig &c, const Entry &e) {
-         c.loadBypass = parseBypass(e);
-     }},
-    {"l2_dirty_buffer",
-     [](SystemConfig &c, const Entry &e) {
-         c.l2DirtyBuffer = parseBool(e);
-     }},
-    {"memory.clean_miss",
-     [](SystemConfig &c, const Entry &e) {
-         c.memory.cleanMissPenalty = parseU64(e);
-     }},
-    {"memory.dirty_miss",
-     [](SystemConfig &c, const Entry &e) {
-         c.memory.dirtyMissPenalty = parseU64(e);
-     }},
-    {"mmu.tlb_miss_penalty",
-     [](SystemConfig &c, const Entry &e) {
-         c.mmu.tlbMissPenalty = parseU64(e);
-     }},
-    {"mmu.page_colors",
-     [](SystemConfig &c, const Entry &e) {
-         c.mmu.pageTable.colors = parseU32(e);
-     }},
-    {"mmu.page_coloring",
-     [](SystemConfig &c, const Entry &e) {
-         c.mmu.pageTable.coloring = parseBool(e);
-     }},
-    {"time_slice_cycles",
-     [](SystemConfig &c, const Entry &e) {
-         c.timeSliceCycles = parseU64(e);
-     }},
-};
-
-constexpr std::size_t kSchemaSize = std::size(kSchema);
-
-/** @return the schema rank of @p key, or kSchemaSize if unknown. */
-std::size_t
-schemaRank(const std::string &key)
-{
-    for (std::size_t i = 0; i < kSchemaSize; ++i) {
-        if (key == kSchema[i].key)
-            return i;
-    }
-    return kSchemaSize;
-}
-
 } // namespace
 
 void
 saveConfig(const SystemConfig &cfg, std::ostream &os)
 {
-    os << "# gaascache system configuration\n"
-       << "name = " << cfg.name << '\n'
-       << "l1i.size_words = " << cfg.l1i.sizeWords << '\n'
-       << "l1i.assoc = " << cfg.l1i.assoc << '\n'
-       << "l1i.line_words = " << cfg.l1i.lineWords << '\n'
-       << "l1d.size_words = " << cfg.l1d.sizeWords << '\n'
-       << "l1d.assoc = " << cfg.l1d.assoc << '\n'
-       << "l1d.line_words = " << cfg.l1d.lineWords << '\n'
-       << "write_policy = " << policyKey(cfg.writePolicy) << '\n'
-       << "l2.org = " << orgKey(cfg.l2Org) << '\n'
-       << "l2.size_words = " << cfg.l2.cache.sizeWords << '\n'
-       << "l2.assoc = " << cfg.l2.cache.assoc << '\n'
-       << "l2.line_words = " << cfg.l2.cache.lineWords << '\n'
-       << "l2.access_time = " << cfg.l2.accessTime << '\n'
-       << "l2i.size_words = " << cfg.l2i.cache.sizeWords << '\n'
-       << "l2i.assoc = " << cfg.l2i.cache.assoc << '\n'
-       << "l2i.line_words = " << cfg.l2i.cache.lineWords << '\n'
-       << "l2i.access_time = " << cfg.l2i.accessTime << '\n'
-       << "l2d.size_words = " << cfg.l2d.cache.sizeWords << '\n'
-       << "l2d.assoc = " << cfg.l2d.cache.assoc << '\n'
-       << "l2d.line_words = " << cfg.l2d.cache.lineWords << '\n'
-       << "l2d.access_time = " << cfg.l2d.accessTime << '\n'
-       << "transfer_words_per_cycle = " << cfg.transferWordsPerCycle
-       << '\n'
-       << "wb.depth = " << cfg.wbDepth << '\n'
-       << "wb.entry_words = " << cfg.wbEntryWords << '\n'
-       << "wb.stream_overlap = " << cfg.wbStreamOverlap << '\n'
-       << "concurrent_i_refill = "
-       << (cfg.concurrentIRefill ? "true" : "false") << '\n'
-       << "load_bypass = " << bypassKey(cfg.loadBypass) << '\n'
-       << "l2_dirty_buffer = "
-       << (cfg.l2DirtyBuffer ? "true" : "false") << '\n'
-       << "memory.clean_miss = " << cfg.memory.cleanMissPenalty
-       << '\n'
-       << "memory.dirty_miss = " << cfg.memory.dirtyMissPenalty
-       << '\n'
-       << "mmu.tlb_miss_penalty = " << cfg.mmu.tlbMissPenalty << '\n'
-       << "mmu.page_colors = " << cfg.mmu.pageTable.colors << '\n'
-       << "mmu.page_coloring = "
-       << (cfg.mmu.pageTable.coloring ? "true" : "false") << '\n'
-       << "time_slice_cycles = " << cfg.timeSliceCycles << '\n';
+    os << "# gaascache system configuration\n";
+    visitKeys(cfg, [&os](const char *key, const auto &field, auto...) {
+        os << key << " = ";
+        writeValue(os, field);
+        os << '\n';
+    });
 }
 
 void
@@ -390,12 +225,17 @@ saveConfigFile(const SystemConfig &cfg, const std::string &path)
 SystemConfig
 loadConfig(std::istream &is)
 {
+    SystemConfig cfg = baseline();
+    cfg.name = "loaded";
+    std::set<std::string_view> known;
+    visitKeys(cfg, [&known](const char *key, const auto &...) {
+        known.insert(key);
+    });
+
     // Phase 1: collect every key/value pair without touching any
     // config state.  Unknown keys, malformed lines, and duplicate
     // keys are fatal here, with the offending line number.
-    std::vector<Entry> entries;
-    std::map<std::string, unsigned> firstSeen;
-
+    std::map<std::string, Entry, std::less<>> entries;
     std::string line;
     unsigned lineno = 0;
     while (std::getline(is, line)) {
@@ -408,35 +248,30 @@ loadConfig(std::istream &is)
             gaas_error(ErrorCode::Config, "config line ", lineno,
                        ": expected 'key = value', got '", text, "'");
         }
-        Entry e{trim(text.substr(0, eq)), trim(text.substr(eq + 1)),
-                lineno};
-        if (schemaRank(e.key) == kSchemaSize) {
+        const std::string key = trim(text.substr(0, eq));
+        if (!known.count(key)) {
             gaas_error(ErrorCode::Config, "config line ", lineno,
-                       ": unknown key '", e.key, "'");
+                       ": unknown key '", key, "'");
         }
-        const auto [it, inserted] = firstSeen.emplace(e.key, lineno);
+        const auto [it, inserted] = entries.emplace(
+            key, Entry{trim(text.substr(eq + 1)), lineno});
         if (!inserted) {
             gaas_error(ErrorCode::Config, "config line ", lineno,
-                       ": duplicate key '", e.key,
-                       "' (first set on line ", it->second, ")");
+                       ": duplicate key '", key,
+                       "' (first set on line ", it->second.lineno, ")");
         }
-        entries.push_back(std::move(e));
     }
 
-    // Phase 2: apply in schema order, never in file order -- each
+    // Phase 2: apply in key-table order, never in file order -- each
     // key appears at most once, so the result is a pure function of
-    // the key/value set.  In particular write_policy (whose
-    // applyPolicyDefaults resets the write-buffer shape) always
-    // applies before any explicit wb.* override.
-    std::sort(entries.begin(), entries.end(),
-              [](const Entry &a, const Entry &b) {
-                  return schemaRank(a.key) < schemaRank(b.key);
-              });
-
-    SystemConfig cfg = baseline();
-    cfg.name = "loaded";
-    for (const auto &e : entries)
-        kSchema[schemaRank(e.key)].apply(cfg, e);
+    // the key/value set.
+    visitKeys(cfg, [&](const char *key, auto &field, auto... effect) {
+        const auto it = entries.find(key);
+        if (it == entries.end())
+            return;
+        parseValue(key, it->second, field);
+        (effect(cfg), ...);
+    });
 
     cfg.validate();
     return cfg;

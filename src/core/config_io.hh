@@ -27,16 +27,20 @@ void saveConfigFile(const SystemConfig &config,
  * Parse a configuration from `key = value` lines.
  *
  * Two-phase and order-independent: all pairs are collected first,
- * then applied in a fixed schema order (the order saveConfig
+ * then applied in the one key table's order (the order saveConfig
  * writes), so the result never depends on the line order of the
  * file.  Policy defaults triggered by `write_policy` are applied
  * before any explicit `wb.*` override, wherever those lines appear.
  *
- * Unknown keys, bad values, malformed lines, and duplicate keys are
- * fatal with the offending line number (a config file with a typo
- * must not silently fall back to a default).  Blank lines and lines
- * starting with '#' are ignored.  Keys not present keep the
- * baseline default.  The result is validated.
+ * Numbers are unsigned decimals that fit the field: a sign, a base
+ * prefix, trailing text or a value past the field's width is an
+ * error, and a leading zero does not mean octal.  Unknown keys, bad
+ * values, malformed lines, and duplicate keys are fatal
+ * (ErrorCode::Config) with the offending line number and key (a
+ * config file with a typo must not silently fall back to a
+ * default).  Blank lines and lines starting with '#' are ignored.
+ * Keys not present keep the baseline default.  The result is
+ * validated.
  */
 SystemConfig loadConfig(std::istream &is);
 

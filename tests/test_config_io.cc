@@ -9,11 +9,13 @@
 #include <filesystem>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/config.hh"
 #include "core/config_io.hh"
 #include "core/simulator.hh"
+#include "util/error.hh"
 #include "util/logging.hh"
 
 namespace gaas::core
@@ -239,6 +241,39 @@ TEST(ConfigIo, BadNumberIsFatal)
 {
     std::istringstream is("l2.access_time = six\n");
     EXPECT_THROW(loadConfig(is), FatalError);
+}
+
+TEST(ConfigIo, LeadingZeroIsDecimal)
+{
+    std::istringstream is("l2.access_time = 010\n");
+    EXPECT_EQ(loadConfig(is).l2.accessTime, 10u);
+}
+
+TEST(ConfigIo, NonDecimalOrOutOfRangeNumbersNameLineAndKey)
+{
+    // A sign, a base prefix or a value past the field's width must
+    // not be read as some other number.
+    const std::pair<const char *, const char *> cases[] = {
+        {"l2.access_time", "-1"},
+        {"l1i.assoc", "+4"},
+        {"l1i.assoc", "0x2"},
+        {"wb.depth", "4294967300"},
+    };
+    for (const auto &[key, value] : cases) {
+        const std::string text = std::string("# comment\n") + key +
+                                 " = " + value + "\n";
+        SCOPED_TRACE(text);
+        std::istringstream is(text);
+        try {
+            loadConfig(is);
+            FAIL() << "accepted";
+        } catch (const SimError &err) {
+            const std::string what = err.what();
+            EXPECT_EQ(err.code(), ErrorCode::Config);
+            EXPECT_NE(what.find("line 2"), std::string::npos) << what;
+            EXPECT_NE(what.find(key), std::string::npos) << what;
+        }
+    }
 }
 
 TEST(ConfigIo, BadEnumIsFatal)
