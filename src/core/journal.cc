@@ -30,64 +30,6 @@ namespace
 
 using util::Fnv1a;
 
-/** Decode one journal line; throws FatalError on malformed input. */
-JournalRecord
-decodeRecord(const obs::JsonValue &v, std::string &key)
-{
-    const obs::JsonValue *key_m = v.member("key");
-    const obs::JsonValue *status_m = v.member("status");
-    if (!key_m || key_m->type != obs::JsonValue::Type::String ||
-        !status_m || status_m->type != obs::JsonValue::Type::String)
-        gaas_error(ErrorCode::StatsIO,
-                   "journal record lacks key/status strings");
-    key = key_m->scalar;
-
-    JournalRecord rec;
-    if (!parsePointStatus(status_m->scalar, rec.status))
-        gaas_error(ErrorCode::StatsIO,
-                   "journal record has unknown status '",
-                   status_m->scalar, "'");
-
-    if (rec.status == PointStatus::Failed) {
-        const obs::JsonValue *code_m = v.member("code");
-        if (!code_m ||
-            code_m->type != obs::JsonValue::Type::String ||
-            !parseErrorCode(code_m->scalar, rec.errorCode))
-            gaas_error(ErrorCode::StatsIO,
-                       "failed journal record lacks a valid code");
-        if (const obs::JsonValue *err_m = v.member("error"))
-            rec.error = err_m->scalar;
-    } else {
-        const obs::JsonValue *result_m = v.member("result");
-        if (!result_m)
-            gaas_error(ErrorCode::StatsIO,
-                       "journal record lacks its result");
-        rec.result = resultFromJson(*result_m);
-    }
-    return rec;
-}
-
-obs::JsonValue
-encodeRecord(const std::string &key, const JournalRecord &record)
-{
-    obs::JsonValue v = obs::JsonValue::object();
-    v.members.emplace_back("key", obs::JsonValue::string(key));
-    v.members.emplace_back(
-        "status",
-        obs::JsonValue::string(pointStatusName(record.status)));
-    if (record.status == PointStatus::Failed) {
-        v.members.emplace_back(
-            "code", obs::JsonValue::string(
-                        errorCodeName(record.errorCode)));
-        v.members.emplace_back(
-            "error", obs::JsonValue::string(record.error));
-    } else {
-        v.members.emplace_back("result",
-                               resultToJson(record.result));
-    }
-    return v;
-}
-
 bool
 truncateTo(std::FILE *file, std::int64_t size)
 {
@@ -175,10 +117,13 @@ RunJournal::open(const std::string &path, std::string *error)
             if (line.empty())
                 continue;
             try {
-                std::string key;
-                JournalRecord rec =
-                    decodeRecord(obs::parseJson(line), key);
-                records[key] = std::move(rec); // last record wins
+                const obs::JsonValue v = obs::parseJson(line);
+                const obs::JsonValue *key = v.member("key");
+                if (!key || key->type != obs::JsonValue::Type::String)
+                    gaas_error(ErrorCode::StatsIO,
+                               "journal record lacks its key");
+                // The last record per key wins.
+                records[key->scalar] = outcomeFromJson(v, false);
             } catch (const FatalError &e) {
                 if (error) {
                     *error = "journal " + path +
@@ -223,7 +168,7 @@ RunJournal::open(const std::string &path, std::string *error)
     return true;
 }
 
-const JournalRecord *
+const SweepOutcome *
 RunJournal::find(const std::string &key) const
 {
     const auto it = records.find(key);
@@ -231,16 +176,17 @@ RunJournal::find(const std::string &key) const
 }
 
 bool
-RunJournal::append(const std::string &key,
-                   const JournalRecord &record)
+RunJournal::append(const std::string &key, const SweepOutcome &outcome)
 {
     if (!file || key.empty())
         return false;
     if (fault::shouldFail("journal-write"))
         return false;
 
-    const std::string line =
-        obs::writeJsonCompact(encodeRecord(key, record)) + "\n";
+    obs::JsonValue record = outcomeToJson(outcome, false);
+    record.members.emplace(record.members.begin(), "key",
+                           obs::JsonValue::string(key));
+    const std::string line = obs::writeJsonCompact(record) + "\n";
     // File size, not tellPos: in append mode the position before the
     // first write is implementation-defined, but writes always land
     // at end-of-file.
@@ -253,7 +199,9 @@ RunJournal::append(const std::string &key,
             close();
         return false;
     }
-    records[key] = record;
+    SweepOutcome &kept = records[key] = outcome;
+    kept.stats = {};
+    kept.reused = false;
     return true;
 }
 

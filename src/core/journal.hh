@@ -12,10 +12,12 @@
  * run of the same ladder: points journaled Ok or Degraded are reused
  * without simulating, Failed and missing points run again.
  *
- * Because each record carries the complete SimResult via
- * core/result_io (bit-exact round-trip), a resumed run re-tabulates
- * its CSVs and per-point JSON dumps byte-identically to an
- * uninterrupted one.
+ * A record is the key followed by the point's SweepOutcome in
+ * core/result_io's outcome codec (the one mproc Result frames use,
+ * without the job stats): the status, then the complete SimResult
+ * (bit-exact round-trip) or the failure's code, message and
+ * configuration name.  So a resumed run re-tabulates its CSVs and
+ * per-point JSON dumps byte-identically to an uninterrupted one.
  *
  * Loading tolerates a torn trailing line (the record being written
  * when the process died) and takes the last record per key, so
@@ -44,21 +46,6 @@ namespace gaas::core
  */
 std::string sweepJobKey(const SweepJob &job);
 
-/** One journal line, decoded. */
-struct JournalRecord
-{
-    PointStatus status = PointStatus::Ok;
-
-    /** Valid when status != Failed. */
-    SimResult result;
-
-    /** @name Failure details (status == Failed only) */
-    ///@{
-    ErrorCode errorCode = ErrorCode::Internal;
-    std::string error;
-    ///@}
-};
-
 /** Append-only journal file; see file comment. */
 class RunJournal
 {
@@ -84,18 +71,19 @@ class RunJournal
      */
     bool open(const std::string &path, std::string *error = nullptr);
 
-    /** The last record journaled under @p key; nullptr if none. */
-    const JournalRecord *find(const std::string &key) const;
+    /** The last outcome journaled under @p key; nullptr if none.
+     *  Its stats are zero: the journal keeps no telemetry. */
+    const SweepOutcome *find(const std::string &key) const;
 
     /**
-     * Append one record and fsync it.  A failure (disk full,
+     * Append @p outcome's record and fsync it.  A failure (disk full,
      * injected "journal-write" fault) leaves the journal usable for
      * later appends.
      *
      * @return false on write failure; the sweep downgrades the
      *         point to Degraded rather than aborting
      */
-    bool append(const std::string &key, const JournalRecord &record);
+    bool append(const std::string &key, const SweepOutcome &outcome);
 
     /** Records loaded at open() time. */
     std::size_t loadedRecords() const { return records.size(); }
@@ -105,7 +93,7 @@ class RunJournal
     void close();
 
   private:
-    std::map<std::string, JournalRecord> records;
+    std::map<std::string, SweepOutcome> records;
     std::FILE *file = nullptr;
 };
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <charconv>
+#include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -110,11 +112,72 @@ visitSamplingDoubles(Result &r, Fn &&f)
 }
 ///@}
 
+/** Host-time telemetry of one job, for the worker protocol. */
+template <typename Stats, typename Fn>
+void
+visitJobStats(Stats &s, Fn &&f)
+{
+    f("build_seconds", s.buildSeconds);
+    f("sim_seconds", s.simSeconds);
+    f("total_seconds", s.totalSeconds);
+    f("arena_streams_generated", s.arenaStreamsGenerated);
+    f("arena_streams_reused", s.arenaStreamsReused);
+    f("arena_refs_generated", s.arenaRefsGenerated);
+    f("arena_gen_seconds", s.arenaGenSeconds);
+}
+
 [[noreturn]] void
 badField(const char *name, const char *what)
 {
-    gaas_error(ErrorCode::StatsIO, "journal result record: field '",
-               name, "' ", what);
+    gaas_error(ErrorCode::StatsIO, "record field '", name,
+               "' ", what);
+}
+
+/**
+ * Read member @p name of object @p v into @p out: a string, an
+ * unsigned decimal counter, or a double, where null reads as 0 (the
+ * writer turns non-finite doubles into null; no double it writes
+ * feeds byte-compared output).  A missing member is an error unless
+ * @p optional, which leaves @p out as it was.
+ */
+template <typename T>
+void
+readMember(const obs::JsonValue &v, const char *name, T &out,
+           bool optional = false)
+{
+    const obs::JsonValue *m = v.member(name);
+    if (!m) {
+        if (!optional)
+            badField(name, "is missing");
+        return;
+    }
+    if constexpr (std::is_same_v<T, std::string>) {
+        if (m->type != obs::JsonValue::Type::String)
+            badField(name, "is not a string");
+        out = m->scalar;
+    } else {
+        if (std::is_floating_point_v<T> &&
+            m->type == obs::JsonValue::Type::Null) {
+            out = 0;
+            return;
+        }
+        if (m->type != obs::JsonValue::Type::Number)
+            badField(name, "is not a number");
+        const char *first = m->scalar.data();
+        const char *last = first + m->scalar.size();
+        const auto res = std::from_chars(first, last, out);
+        if (res.ec != std::errc{} || res.ptr != last)
+            badField(name, "does not fit its type");
+    }
+}
+
+/** A field visitor that appends each field to object @p doc. */
+auto
+writeMember(obs::JsonValue &doc)
+{
+    return [&doc](const char *name, const auto &v) {
+        doc.members.emplace_back(name, obs::JsonValue::number(v));
+    };
 }
 
 } // namespace
@@ -125,18 +188,10 @@ resultToJson(const SimResult &result)
     obs::JsonValue root = obs::JsonValue::object();
     root.members.emplace_back(
         "config", obs::JsonValue::string(result.configName));
-    visitCounters(result, [&root](const char *name, Count v) {
-        root.members.emplace_back(name, obs::JsonValue::number(v));
-    });
-    visitDoubles(result, [&root](const char *name, double v) {
-        root.members.emplace_back(name, obs::JsonValue::number(v));
-    });
-    visitSamplingCounters(result, [&root](const char *name, Count v) {
-        root.members.emplace_back(name, obs::JsonValue::number(v));
-    });
-    visitSamplingDoubles(result, [&root](const char *name, double v) {
-        root.members.emplace_back(name, obs::JsonValue::number(v));
-    });
+    visitCounters(result, writeMember(root));
+    visitDoubles(result, writeMember(root));
+    visitSamplingCounters(result, writeMember(root));
+    visitSamplingDoubles(result, writeMember(root));
     return root;
 }
 
@@ -144,78 +199,90 @@ SimResult
 resultFromJson(const obs::JsonValue &v)
 {
     if (v.type != obs::JsonValue::Type::Object)
-        gaas_error(ErrorCode::StatsIO,
-                   "journal result record is not an object");
+        gaas_error(ErrorCode::StatsIO, "result record is not an object");
 
     SimResult result;
-
-    const obs::JsonValue *config = v.member("config");
-    if (!config || config->type != obs::JsonValue::Type::String)
-        badField("config", "is missing or not a string");
-    result.configName = config->scalar;
-
-    visitCounters(result, [&v](const char *name, Count &out) {
-        const obs::JsonValue *m = v.member(name);
-        if (!m || m->type != obs::JsonValue::Type::Number)
-            badField(name, "is missing or not a number");
-        const char *first = m->scalar.data();
-        const char *last = first + m->scalar.size();
-        const auto res = std::from_chars(first, last, out);
-        if (res.ec != std::errc{} || res.ptr != last)
-            badField(name, "is not an unsigned integer");
-    });
-
-    visitDoubles(result, [&v](const char *name, double &out) {
-        const obs::JsonValue *m = v.member(name);
-        if (!m)
-            badField(name, "is missing");
-        if (m->type == obs::JsonValue::Type::Null) {
-            // number(double) writes non-finite values as null; the
-            // timing fields never feed byte-compared output, so any
-            // placeholder that round-trips through null is fine.
-            out = 0.0;
-            return;
-        }
-        if (m->type != obs::JsonValue::Type::Number)
-            badField(name, "is not a number");
-        const char *first = m->scalar.data();
-        const char *last = first + m->scalar.size();
-        const auto res = std::from_chars(first, last, out);
-        if (res.ec != std::errc{} || res.ptr != last)
-            badField(name, "is not a double");
-    });
-
-    visitSamplingCounters(result, [&v](const char *name, Count &out) {
-        const obs::JsonValue *m = v.member(name);
-        if (!m) {
-            out = 0; // pre-sampling journal record
-            return;
-        }
-        if (m->type != obs::JsonValue::Type::Number)
-            badField(name, "is not a number");
-        const char *first = m->scalar.data();
-        const char *last = first + m->scalar.size();
-        const auto res = std::from_chars(first, last, out);
-        if (res.ec != std::errc{} || res.ptr != last)
-            badField(name, "is not an unsigned integer");
-    });
-
-    visitSamplingDoubles(result, [&v](const char *name, double &out) {
-        const obs::JsonValue *m = v.member(name);
-        if (!m || m->type == obs::JsonValue::Type::Null) {
-            out = 0.0; // pre-sampling record, or non-finite → null
-            return;
-        }
-        if (m->type != obs::JsonValue::Type::Number)
-            badField(name, "is not a number");
-        const char *first = m->scalar.data();
-        const char *last = first + m->scalar.size();
-        const auto res = std::from_chars(first, last, out);
-        if (res.ec != std::errc{} || res.ptr != last)
-            badField(name, "is not a double");
-    });
-
+    const auto required = [&v](const char *name, auto &out) {
+        readMember(v, name, out);
+    };
+    // Records written before sampled simulation existed lack these;
+    // an unsampled result keeps the all-zero SamplingInfo either way.
+    const auto optional = [&v](const char *name, auto &out) {
+        readMember(v, name, out, /*optional=*/true);
+    };
+    readMember(v, "config", result.configName);
+    visitCounters(result, required);
+    visitDoubles(result, required);
+    visitSamplingCounters(result, optional);
+    visitSamplingDoubles(result, optional);
     return result;
+}
+
+obs::JsonValue
+outcomeToJson(const SweepOutcome &outcome, bool with_stats)
+{
+    obs::JsonValue doc = obs::JsonValue::object();
+    doc.members.emplace_back(
+        "status",
+        obs::JsonValue::string(pointStatusName(outcome.status)));
+    if (outcome.status == PointStatus::Failed) {
+        doc.members.emplace_back(
+            "code",
+            obs::JsonValue::string(errorCodeName(outcome.errorCode)));
+        doc.members.emplace_back("error",
+                                 obs::JsonValue::string(outcome.error));
+        // The zeroed result still names its configuration; the
+        // figure CSVs print it next to the failed cell.
+        doc.members.emplace_back(
+            "config",
+            obs::JsonValue::string(outcome.result.configName));
+    } else {
+        doc.members.emplace_back("result",
+                                 resultToJson(outcome.result));
+    }
+    if (with_stats) {
+        obs::JsonValue stats = obs::JsonValue::object();
+        visitJobStats(outcome.stats, writeMember(stats));
+        doc.members.emplace_back("stats", std::move(stats));
+    }
+    return doc;
+}
+
+SweepOutcome
+outcomeFromJson(const obs::JsonValue &v, bool with_stats)
+{
+    if (v.type != obs::JsonValue::Type::Object)
+        gaas_error(ErrorCode::StatsIO, "outcome record is not an object");
+
+    SweepOutcome outcome;
+    std::string name;
+    readMember(v, "status", name);
+    if (!parsePointStatus(name, outcome.status))
+        badField("status", "names no point status");
+    if (outcome.status == PointStatus::Failed) {
+        readMember(v, "code", name);
+        if (!parseErrorCode(name, outcome.errorCode))
+            badField("code", "names no error code");
+        // Failed journal records written before this codec was shared
+        // with the worker protocol carry no configuration name.
+        readMember(v, "error", outcome.error, /*optional=*/true);
+        readMember(v, "config", outcome.result.configName,
+                   /*optional=*/true);
+    } else {
+        const obs::JsonValue *result = v.member("result");
+        if (!result)
+            badField("result", "is missing");
+        outcome.result = resultFromJson(*result);
+    }
+    if (with_stats) {
+        const obs::JsonValue *stats = v.member("stats");
+        if (!stats || stats->type != obs::JsonValue::Type::Object)
+            badField("stats", "is missing or not an object");
+        visitJobStats(outcome.stats, [stats](const char *n, auto &out) {
+            readMember(*stats, n, out);
+        });
+    }
+    return outcome;
 }
 
 void

@@ -366,15 +366,14 @@ driveSweep(const std::vector<SweepJob> &jobs, SweepExecutor &executor,
     // Resolve journal reuse up front so the executor only ever sees
     // the points that actually need simulating.
     for (std::size_t i = 0; i < n; ++i) {
-        const JournalRecord *rec = nullptr;
+        const SweepOutcome *rec = nullptr;
         if (journal) {
             keys[i] = sweepJobKey(jobs[i]);
             if (!keys[i].empty())
                 rec = journal->find(keys[i]);
         }
         if (rec && rec->status != PointStatus::Failed) {
-            outcomes[i].status = rec->status;
-            outcomes[i].result = rec->result;
+            outcomes[i] = *rec;
             outcomes[i].reused = true;
             ready[i] = 1;
         } else {
@@ -395,12 +394,7 @@ driveSweep(const std::vector<SweepJob> &jobs, SweepExecutor &executor,
             if (!journal || out.reused || keys[next].empty() ||
                 out.errorCode == ErrorCode::Cancelled)
                 continue;
-            JournalRecord rec;
-            rec.status = out.status;
-            rec.result = out.result;
-            rec.errorCode = out.errorCode;
-            rec.error = out.error;
-            if (!journal->append(keys[next], rec) &&
+            if (!journal->append(keys[next], out) &&
                 out.status == PointStatus::Ok) {
                 // The point itself is fine; only its durability is
                 // lost.  Never abort a sweep over journal I/O.

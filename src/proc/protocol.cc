@@ -1,8 +1,5 @@
 #include "protocol.hh"
 
-#include <charconv>
-#include <cstring>
-
 #include "core/result_io.hh"
 #include "obs/json.hh"
 #include "util/error.hh"
@@ -60,46 +57,6 @@ badFrame(const char *what)
                "mproc protocol: malformed frame (", what, ")");
 }
 
-obs::JsonValue
-num(double v)
-{
-    return obs::JsonValue::number(v);
-}
-
-double
-memberDouble(const obs::JsonValue &v, const char *name)
-{
-    const obs::JsonValue *m = v.member(name);
-    if (!m)
-        badFrame(name);
-    if (m->type == obs::JsonValue::Type::Null)
-        return 0.0; // non-finite host timing -> null; placeholder ok
-    if (m->type != obs::JsonValue::Type::Number)
-        badFrame(name);
-    double out = 0.0;
-    const char *first = m->scalar.data();
-    const char *last = first + m->scalar.size();
-    const auto res = std::from_chars(first, last, out);
-    if (res.ec != std::errc{} || res.ptr != last)
-        badFrame(name);
-    return out;
-}
-
-std::uint64_t
-memberU64(const obs::JsonValue &v, const char *name)
-{
-    const obs::JsonValue *m = v.member(name);
-    if (!m || m->type != obs::JsonValue::Type::Number)
-        badFrame(name);
-    std::uint64_t out = 0;
-    const char *first = m->scalar.data();
-    const char *last = first + m->scalar.size();
-    const auto res = std::from_chars(first, last, out);
-    if (res.ec != std::errc{} || res.ptr != last)
-        badFrame(name);
-    return out;
-}
-
 } // namespace
 
 std::string
@@ -128,53 +85,10 @@ encodeHeartbeat()
 std::string
 encodeResult(std::uint64_t job, const core::SweepOutcome &outcome)
 {
-    obs::JsonValue doc = obs::JsonValue::object();
-    doc.members.emplace_back(
-        "status", obs::JsonValue::string(
-                      core::pointStatusName(outcome.status)));
-    if (outcome.status == core::PointStatus::Failed) {
-        doc.members.emplace_back(
-            "code", obs::JsonValue::string(
-                        errorCodeName(outcome.errorCode)));
-        doc.members.emplace_back(
-            "error", obs::JsonValue::string(outcome.error));
-        // The zeroed result still names its configuration; the
-        // figure CSVs print it next to the failed cell.
-        doc.members.emplace_back(
-            "config",
-            obs::JsonValue::string(outcome.result.configName));
-    } else {
-        doc.members.emplace_back(
-            "result", core::resultToJson(outcome.result));
-    }
-
-    obs::JsonValue st = obs::JsonValue::object();
-    st.members.emplace_back("build_seconds",
-                            num(outcome.stats.buildSeconds));
-    st.members.emplace_back("sim_seconds",
-                            num(outcome.stats.simSeconds));
-    st.members.emplace_back("total_seconds",
-                            num(outcome.stats.totalSeconds));
-    st.members.emplace_back(
-        "arena_streams_generated",
-        obs::JsonValue::number(
-            Count(outcome.stats.arenaStreamsGenerated)));
-    st.members.emplace_back(
-        "arena_streams_reused",
-        obs::JsonValue::number(
-            Count(outcome.stats.arenaStreamsReused)));
-    st.members.emplace_back(
-        "arena_refs_generated",
-        obs::JsonValue::number(
-            Count(outcome.stats.arenaRefsGenerated)));
-    st.members.emplace_back("arena_gen_seconds",
-                            num(outcome.stats.arenaGenSeconds));
-    doc.members.emplace_back("stats", std::move(st));
-
     std::string out;
     out.push_back(static_cast<char>(FrameType::Result));
     putU64(out, job);
-    out += obs::writeJsonCompact(doc);
+    out += obs::writeJsonCompact(core::outcomeToJson(outcome, true));
     return out;
 }
 
@@ -216,45 +130,8 @@ decodeResponse(std::string_view payload, std::uint64_t &job,
     if (payload.size() < 1 + 8)
         badFrame("short result frame");
     job = getU64(payload, 1);
-
-    const obs::JsonValue doc =
-        obs::parseJson(payload.substr(1 + 8));
-    const obs::JsonValue *status = doc.member("status");
-    if (!status || status->type != obs::JsonValue::Type::String)
-        badFrame("status");
-    outcome = core::SweepOutcome{};
-    if (!core::parsePointStatus(status->scalar, outcome.status))
-        badFrame("status name");
-    if (outcome.status == core::PointStatus::Failed) {
-        const obs::JsonValue *code = doc.member("code");
-        if (!code || code->type != obs::JsonValue::Type::String ||
-            !parseErrorCode(code->scalar, outcome.errorCode))
-            badFrame("code");
-        if (const obs::JsonValue *err = doc.member("error"))
-            outcome.error = err->scalar;
-        if (const obs::JsonValue *cfg = doc.member("config"))
-            outcome.result.configName = cfg->scalar;
-    } else {
-        const obs::JsonValue *result = doc.member("result");
-        if (!result)
-            badFrame("result");
-        outcome.result = core::resultFromJson(*result);
-    }
-
-    const obs::JsonValue *st = doc.member("stats");
-    if (!st || st->type != obs::JsonValue::Type::Object)
-        badFrame("stats");
-    outcome.stats.buildSeconds = memberDouble(*st, "build_seconds");
-    outcome.stats.simSeconds = memberDouble(*st, "sim_seconds");
-    outcome.stats.totalSeconds = memberDouble(*st, "total_seconds");
-    outcome.stats.arenaStreamsGenerated =
-        memberU64(*st, "arena_streams_generated");
-    outcome.stats.arenaStreamsReused =
-        memberU64(*st, "arena_streams_reused");
-    outcome.stats.arenaRefsGenerated =
-        memberU64(*st, "arena_refs_generated");
-    outcome.stats.arenaGenSeconds =
-        memberDouble(*st, "arena_gen_seconds");
+    outcome = core::outcomeFromJson(obs::parseJson(payload.substr(1 + 8)),
+                                    true);
     return type;
 }
 

@@ -17,12 +17,11 @@
  *   Heartbeat u8 type.  Emitted on a timer by a worker-side thread;
  *             the supervisor SIGKILLs a worker whose last frame of
  *             any kind is older than its heartbeat deadline.
- *   Result    u8 type, u64le job index, then a compact-JSON
- *             SweepOutcome.  The embedded SimResult reuses
- *             core/result_io's bit-exact encoding -- the same bytes
- *             the resume journal stores -- so a result that crossed
- *             a process boundary is indistinguishable from one
- *             simulated in-process.
+ *   Result    u8 type, u64le job index, then the SweepOutcome as
+ *             compact JSON in core/result_io's outcome codec, job
+ *             stats included -- the codec the resume journal stores
+ *             -- so a result that crossed a process boundary is
+ *             indistinguishable from one simulated in-process.
  *
  * Frames are small (a result is a few KiB) relative to the pipe
  * buffer, so worker writes never block against a live supervisor;
@@ -93,8 +92,9 @@ Request decodeRequest(std::string_view payload);
  *
  * @return the frame type; @p job and @p outcome are only written
  *         for FrameType::Result
- * @throws SimError(Internal) on a malformed frame (the supervisor
- *         treats the worker as lost)
+ * @throws SimError on any malformed frame: Internal for bad
+ *         framing, StatsIO for a Result whose JSON does not parse or
+ *         decode (the supervisor treats the worker as lost)
  */
 FrameType decodeResponse(std::string_view payload,
                          std::uint64_t &job,

@@ -161,12 +161,12 @@ TEST(Journal, AppendLoadRoundTrip)
         ASSERT_TRUE(j.open(path));
         EXPECT_EQ(j.loadedRecords(), 0u);
 
-        JournalRecord ok;
+        SweepOutcome ok;
         ok.status = PointStatus::Ok;
         ok.result = result;
         EXPECT_TRUE(j.append("aaaa", ok));
 
-        JournalRecord failed;
+        SweepOutcome failed;
         failed.status = PointStatus::Failed;
         failed.errorCode = ErrorCode::Watchdog;
         failed.error = "fatal: budget exceeded";
@@ -178,12 +178,12 @@ TEST(Journal, AppendLoadRoundTrip)
     ASSERT_TRUE(j.open(path, &error)) << error;
     EXPECT_EQ(j.loadedRecords(), 2u);
 
-    const JournalRecord *ok = j.find("aaaa");
+    const SweepOutcome *ok = j.find("aaaa");
     ASSERT_NE(ok, nullptr);
     EXPECT_EQ(ok->status, PointStatus::Ok);
     EXPECT_EQ(fingerprint(ok->result), fingerprint(result));
 
-    const JournalRecord *failed = j.find("bbbb");
+    const SweepOutcome *failed = j.find("bbbb");
     ASSERT_NE(failed, nullptr);
     EXPECT_EQ(failed->status, PointStatus::Failed);
     EXPECT_EQ(failed->errorCode, ErrorCode::Watchdog);
@@ -226,7 +226,7 @@ TEST(Journal, TornTrailingLineIsTolerated)
     {
         RunJournal j;
         ASSERT_TRUE(j.open(path));
-        JournalRecord rec;
+        SweepOutcome rec;
         rec.result = sampleResult();
         ASSERT_TRUE(j.append("aaaa", rec));
     }
@@ -266,19 +266,19 @@ TEST(Journal, LastRecordPerKeyWins)
     {
         RunJournal j;
         ASSERT_TRUE(j.open(path));
-        JournalRecord failed;
+        SweepOutcome failed;
         failed.status = PointStatus::Failed;
         failed.errorCode = ErrorCode::TraceIO;
         failed.error = "fatal: first try";
         ASSERT_TRUE(j.append("aaaa", failed));
-        JournalRecord ok;
+        SweepOutcome ok;
         ok.result = sampleResult();
         ASSERT_TRUE(j.append("aaaa", ok));
     }
     RunJournal j;
     ASSERT_TRUE(j.open(path));
     EXPECT_EQ(j.loadedRecords(), 1u);
-    const JournalRecord *rec = j.find("aaaa");
+    const SweepOutcome *rec = j.find("aaaa");
     ASSERT_NE(rec, nullptr);
     EXPECT_EQ(rec->status, PointStatus::Ok);
 }
@@ -445,7 +445,7 @@ TEST(Journal, InjectedWriteFaultDegradesButJournalStaysUsable)
     RunJournal j;
     ASSERT_TRUE(j.open(path));
 
-    JournalRecord rec;
+    SweepOutcome rec;
     rec.result = sampleResult();
 
     fault::configure("journal-write:1");
@@ -513,7 +513,7 @@ TEST(Journal, FailedRecordsAreReSimulatedOnResume)
     {
         RunJournal j;
         ASSERT_TRUE(j.open(path));
-        JournalRecord failed;
+        SweepOutcome failed;
         failed.status = PointStatus::Failed;
         failed.errorCode = ErrorCode::Internal;
         failed.error = "fatal: injected earlier";

@@ -152,7 +152,7 @@ TEST_P(SweepContract, FailedJournalAppendDegradesTheOkPoint)
     EXPECT_EQ(reloaded.loadedRecords(), jobs.size() - 1);
     EXPECT_EQ(reloaded.find(sweepJobKey(jobs[0])), nullptr);
     for (std::size_t i = 1; i < jobs.size(); ++i) {
-        const JournalRecord *rec = reloaded.find(sweepJobKey(jobs[i]));
+        const SweepOutcome *rec = reloaded.find(sweepJobKey(jobs[i]));
         ASSERT_NE(rec, nullptr) << i;
         EXPECT_EQ(rec->status, PointStatus::Ok) << i;
     }
@@ -181,7 +181,7 @@ TEST_P(SweepContract, ProgressDowngradeIsJournaled)
     ASSERT_TRUE(reloaded.open(path));
     EXPECT_EQ(reloaded.loadedRecords(), jobs.size());
     for (std::size_t i = 0; i < jobs.size(); ++i) {
-        const JournalRecord *rec = reloaded.find(sweepJobKey(jobs[i]));
+        const SweepOutcome *rec = reloaded.find(sweepJobKey(jobs[i]));
         ASSERT_NE(rec, nullptr) << i;
         EXPECT_EQ(rec->status, i == 1 ? PointStatus::Degraded
                                       : PointStatus::Ok)
