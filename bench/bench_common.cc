@@ -11,6 +11,7 @@
 #include <sstream>
 
 #include "core/journal.hh"
+#include "core/result_io.hh"
 #include "core/stats_dump.hh"
 #include "obs/json.hh"
 #include "proc/executor.hh"
@@ -39,6 +40,16 @@ struct Options
     /** statsJsonDir failed its init() probe: dumps are off and Ok
      *  points are downgraded to Degraded. */
     bool statsDirBroken = false;
+
+    /** @name The environment knobs, read once by init() */
+    ///@{
+    Count instructions = 0;
+    Count warmup = 0;
+    unsigned mp = 0;
+    Cycles watchdog = 0;
+    unsigned jobs = 0; //!< sweep worker threads
+    std::string csvDir;
+    ///@}
 };
 
 Options options;
@@ -58,13 +69,6 @@ std::size_t cancelledPoints = 0;
 
 /** CSV files emit() could not write (exit 1). */
 std::size_t failedCsvs = 0;
-
-std::string
-csvDir()
-{
-    const char *dir = std::getenv("GAAS_BENCH_CSV_DIR");
-    return dir && *dir ? dir : "bench_out";
-}
 
 [[noreturn]] void
 usage(const char *prog, int exit_code)
@@ -199,6 +203,17 @@ init(int argc, char **argv)
             usage(prog, 2);
         }
     }
+    // Each knob is parsed here and only here, so a malformed one
+    // warns once, before the banner, however many points read it.
+    options.instructions = envU64("GAAS_BENCH_INSTRUCTIONS", 4'000'000);
+    options.warmup = envU64("GAAS_BENCH_WARMUP", options.instructions / 2,
+                            /*zero_ok=*/true);
+    options.mp = static_cast<unsigned>(envU64("GAAS_BENCH_MP", 8));
+    options.watchdog = envU64("GAAS_BENCH_WATCHDOG", 0, /*zero_ok=*/true);
+    options.jobs = core::sweepWorkers();
+    const char *csv_dir = std::getenv("GAAS_BENCH_CSV_DIR");
+    options.csvDir = csv_dir && *csv_dir ? csv_dir : "bench_out";
+
     std::signal(SIGTERM, cancelSignalHandler);
     std::signal(SIGINT, cancelSignalHandler);
     validateStatsDir();
@@ -234,22 +249,13 @@ notePoint(core::SweepOutcome &outcome)
              "]: ", firstLine(outcome.error));
         const std::string &dir = options.statsJsonDir;
         if (!dir.empty() && !options.statsDirBroken) {
-            obs::JsonValue doc = obs::JsonValue::object();
-            doc.members.emplace_back(
-                "config", obs::JsonValue::string(result.configName));
-            doc.members.emplace_back(
-                "status", obs::JsonValue::string("failed"));
-            doc.members.emplace_back(
-                "code", obs::JsonValue::string(
-                            errorCodeName(outcome.errorCode)));
-            doc.members.emplace_back(
-                "error", obs::JsonValue::string(outcome.error));
             std::ostringstream name;
             name << std::setw(3) << std::setfill('0') << point << '-'
                  << sanitizeName(result.configName) << ".failed.json";
             std::string error;
             if (!util::writeFileAtomicRetry(
-                    dir + "/" + name.str(), obs::writeJsonString(doc),
+                    dir + "/" + name.str(),
+                    obs::writeJsonString(core::outcomeToJson(outcome, false)),
                     &error))
                 warn("failure record: ", error);
         }
@@ -308,20 +314,19 @@ cell(const core::SweepOutcome &outcome, double value, int precision)
 Count
 instructionBudget()
 {
-    return envU64("GAAS_BENCH_INSTRUCTIONS", 4'000'000);
+    return options.instructions;
 }
 
 unsigned
 mpLevel()
 {
-    return static_cast<unsigned>(envU64("GAAS_BENCH_MP", 8));
+    return options.mp;
 }
 
 Count
 warmupBudget()
 {
-    return envU64("GAAS_BENCH_WARMUP", instructionBudget() / 2,
-                  /*zero_ok=*/true);
+    return options.warmup;
 }
 
 std::size_t
@@ -352,7 +357,7 @@ Sweep::add(const core::SystemConfig &config, unsigned mp_level,
     job.mpLevel = mp_level;
     job.instructions = instructions;
     job.warmup = warmup;
-    job.watchdogCycles = envU64("GAAS_BENCH_WATCHDOG", 0, /*zero_ok=*/true);
+    job.watchdogCycles = options.watchdog;
     job.sampling.enabled = options.sample;
     jobs.push_back(std::move(job));
     return jobs.size() - 1;
@@ -484,8 +489,8 @@ Sweep::run()
         outcomes = proc::runSweepMproc(jobs, opts, &stats, note,
                                        journal_ptr);
     } else {
-        outcomes = core::runSweepOutcomes(jobs, 0, &stats, note,
-                                          journal_ptr);
+        outcomes = core::runSweepOutcomes(jobs, options.jobs, &stats,
+                                          note, journal_ptr);
     }
     jobs.clear();
     std::cout << "[sweep: " << stats.jobs << " configs on "
@@ -525,7 +530,7 @@ emit(const stats::Table &table, const std::string &name)
     // must be loud on stdout (not just a suppressible warn) -- the
     // CSVs are the figures' product, and a silently missing one
     // reads as "nothing changed" to any diff-based consumer.
-    const std::string path = csvDir() + "/" + name + ".csv";
+    const std::string path = options.csvDir + "/" + name + ".csv";
     if (table.writeCsv(path)) {
         std::cout << "[csv: " << path << "]\n";
     } else {
@@ -544,7 +549,7 @@ banner(const std::string &figure, const std::string &caption)
     if (options.mproc > 0)
         std::cout << options.mproc << " worker process(es)\n\n";
     else
-        std::cout << core::sweepWorkers() << " sweep worker(s)\n\n";
+        std::cout << options.jobs << " sweep worker(s)\n\n";
 }
 
 } // namespace gaas::bench

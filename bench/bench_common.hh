@@ -21,10 +21,11 @@
  *   GAAS_BENCH_WATCHDOG      per-instruction cycle budget for the
  *                            zero-progress watchdog (default 0: off)
  *
- * All numeric knobs parse strictly (util/env.hh): trailing garbage,
- * signs and overflow are rejected with a warning, and so is zero
- * except for GAAS_BENCH_WARMUP and GAAS_BENCH_WATCHDOG.  Everything
- * else a run can vary is a flag of init().
+ * init() reads every knob once.  The numeric ones parse strictly
+ * (util/env.hh): trailing garbage, signs and overflow are rejected
+ * with one warning, and so is zero except for GAAS_BENCH_WARMUP and
+ * GAAS_BENCH_WATCHDOG.  Everything else a run can vary is a flag of
+ * init().
  *
  * Failure model: a sweep point that throws becomes a Failed
  * SweepOutcome; the figure keeps running, renders the point as
@@ -69,7 +70,9 @@ namespace gaas::bench
  *   --help             print usage and exit 0
  *
  * Anything else prints usage to stderr and exits 2.  Call first in
- * every figure main().
+ * every figure main(): it also reads the environment knobs, warning
+ * once for each malformed one, and every accessor below returns
+ * what it read.
  *
  * The stats-dump directory is validated here, once: created if
  * missing and probe-written.  If it is unusable a single structured
@@ -112,14 +115,15 @@ void notePoint(core::SweepOutcome &outcome);
 std::string cell(const core::SweepOutcome &outcome, double value,
                  int precision = 4);
 
-/** Per-configuration instruction budget. */
+/** Per-configuration instruction budget (GAAS_BENCH_INSTRUCTIONS). */
 Count instructionBudget();
 
 /** Warmup instructions before measurement (GAAS_BENCH_WARMUP,
  *  default half the measurement budget; 0 = no warmup). */
 Count warmupBudget();
 
-/** Multiprogramming level for workload construction. */
+/** Multiprogramming level for workload construction
+ *  (GAAS_BENCH_MP). */
 unsigned mpLevel();
 
 /**

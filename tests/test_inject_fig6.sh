@@ -11,7 +11,8 @@
 # `[csv FAILED: ...]` and exit 1.  Last, the two knobs whose zero
 # means something: GAAS_BENCH_WARMUP=0 (no warmup) must be accepted
 # without a warning and change the CSV, and GAAS_BENCH_WATCHDOG=1
-# must fail every point as failed:watchdog.
+# must fail every point as failed:watchdog.  Finally, each malformed
+# knob warns exactly once, though all 28 points read it.
 #
 # Usage: test_inject_fig6.sh <path-to-fig6_l2_orgs>
 set -u
@@ -107,6 +108,19 @@ n=$(grep -o "failed:watchdog" "$WORK/watchdog/fig6_l2_cpi.csv" | wc -l)
 [ "$n" -eq 28 ] \
     || fail "GAAS_BENCH_WATCHDOG=1: $n failed:watchdog cells, expected 28"
 
+# A malformed knob falls back to its default with one warning, not
+# one per point that reads it.
+GAAS_BENCH_MP=x GAAS_BENCH_WARMUP=x GAAS_BENCH_WATCHDOG=abc \
+    GAAS_BENCH_JOBS=4x GAAS_BENCH_CSV_DIR="$WORK/badknobs" "$FIG6" \
+    > "$WORK/badknobs.out" 2>"$WORK/badknobs.err" \
+    || fail "malformed knobs: run exited nonzero"
+for knob in GAAS_BENCH_MP GAAS_BENCH_WARMUP GAAS_BENCH_WATCHDOG \
+        GAAS_BENCH_JOBS; do
+    n=$(grep -c "$knob=" "$WORK/badknobs.err")
+    [ "$n" -eq 1 ] || fail "$knob: $n warnings, expected 1"
+done
+
 echo "ok: injected failure isolated, reported, and exit code is 1;" \
-    "zero warmup and a one-cycle watchdog honoured"
+    "zero warmup and a one-cycle watchdog honoured;" \
+    "each malformed knob warned once"
 exit 0
