@@ -31,27 +31,19 @@ constexpr double kConfidence = 0.95;
 
 /**
  * Per-process trace references consumed per *global* skipped
- * instruction.  The round-robin scheduler hands each process an
- * instruction share proportional to its speed (1 / baseCpi, the
- * same model workload.cc's refHint uses); references per
- * instruction are 1 (Inst) + loadFrac + storeFrac.  No slack
- * factor: this converts a gap we want to *land after*, not a
- * buffer we want to oversize.
+ * instruction: the process's instruction share
+ * (synth::instructionShares, the model workload.cc's refHint uses)
+ * times its references per instruction, 1 (Inst) + loadFrac +
+ * storeFrac.  No slack factor: this converts a gap we want to *land
+ * after*, not a buffer we want to oversize.
  */
 std::vector<double>
 refsPerSkippedInstruction(
     const std::vector<synth::BenchmarkSpec> &specs)
 {
-    double invSum = 0.0;
-    for (const auto &s : specs)
-        invSum += 1.0 / s.baseCpi;
-    std::vector<double> factors;
-    factors.reserve(specs.size());
-    for (const auto &s : specs) {
-        const double share = (1.0 / s.baseCpi) / invSum;
-        factors.push_back(share *
-                          (1.0 + s.loadFrac + s.storeFrac));
-    }
+    std::vector<double> factors = synth::instructionShares(specs);
+    for (std::size_t i = 0; i < specs.size(); ++i)
+        factors[i] *= 1.0 + specs[i].loadFrac + specs[i].storeFrac;
     return factors;
 }
 

@@ -19,25 +19,19 @@ namespace
 {
 
 /**
- * Estimate how many references process @p i of @p specs consumes in
- * a run of @p total_instr instructions.  The scheduler is
- * cycle-driven round robin, so a process's instruction share is
- * proportional to its speed, 1/baseCpi; references per instruction
- * are 1 (Inst) + loadFrac + storeFrac.  30% slack covers scheduling
- * skew and cache-stall imbalance; underestimates only cost a second
- * growth step (grow-on-demand), never correctness.
+ * Estimate how many references a process with instruction @p share
+ * (synth::instructionShares) of a run of @p total_instr instructions
+ * consumes.  References per instruction are 1 (Inst) + loadFrac +
+ * storeFrac.  30% slack covers scheduling skew and cache-stall
+ * imbalance; underestimates only cost a second growth step
+ * (grow-on-demand), never correctness.
  */
 std::size_t
-refHint(const std::vector<synth::BenchmarkSpec> &specs,
-        std::size_t i, Count total_instr)
+refHint(const synth::BenchmarkSpec &spec, double share,
+        Count total_instr)
 {
     if (total_instr == 0)
         return 0;
-    double invSum = 0.0;
-    for (const auto &s : specs)
-        invSum += 1.0 / s.baseCpi;
-    const auto &spec = specs[i];
-    const double share = (1.0 / spec.baseCpi) / invSum;
     const double instr =
         share * static_cast<double>(total_instr);
     const double refs =
@@ -153,12 +147,13 @@ Workload::standard(unsigned mp_level, Count instr_hint)
     // semantics of Workload::fromSpecs.
     const std::vector<synth::BenchmarkSpec> specs =
         synth::workloadSpecs(mp_level);
+    const std::vector<double> shares = synth::instructionShares(specs);
     Workload wl;
     for (std::size_t i = 0; i < specs.size(); ++i) {
         const synth::BenchmarkSpec &spec = specs[i];
         auto view = std::make_unique<trace::ArenaSource>(
             standardStream(specs, mp_level, i,
-                           refHint(specs, i, instr_hint)),
+                           refHint(spec, shares[i], instr_hint)),
             spec.name + "[arena]");
         wl.add(std::make_unique<trace::LoopSource>(std::move(view)),
                spec.baseCpi, spec.name);
@@ -174,11 +169,13 @@ Workload::prewarmStandardStreams(unsigned mp_level,
         return;
     const std::vector<synth::BenchmarkSpec> specs =
         synth::workloadSpecs(mp_level);
+    const std::vector<double> shares = synth::instructionShares(specs);
     std::vector<std::thread> generators;
     generators.reserve(specs.size());
     for (std::size_t i = 0; i < specs.size(); ++i) {
         // The entries standard() will acquire, grown to the same hint.
-        const std::size_t want = refHint(specs, i, instr_hint);
+        const std::size_t want =
+            refHint(specs[i], shares[i], instr_hint);
         generators.emplace_back([&specs, mp_level, i, want] {
             standardStream(specs, mp_level, i, 0)->ensure(want);
         });

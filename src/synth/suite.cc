@@ -381,6 +381,19 @@ workloadSpecs(unsigned mp_level)
     return {suite.begin(), suite.begin() + mp_level};
 }
 
+std::vector<double>
+instructionShares(const std::vector<BenchmarkSpec> &specs)
+{
+    double invSum = 0.0;
+    for (const auto &s : specs)
+        invSum += 1.0 / s.baseCpi;
+    std::vector<double> shares;
+    shares.reserve(specs.size());
+    for (const auto &s : specs)
+        shares.push_back((1.0 / s.baseCpi) / invSum);
+    return shares;
+}
+
 void
 scaleSuite(std::vector<BenchmarkSpec> &specs, double factor)
 {

@@ -44,6 +44,15 @@ const std::vector<BenchmarkSpec> &defaultSuite();
 std::vector<BenchmarkSpec> workloadSpecs(unsigned mp_level);
 
 /**
+ * Each process's share of the instructions a workload of @p specs
+ * executes.  The scheduler is cycle-driven round robin, so a share
+ * is proportional to the process's speed:
+ * (1 / baseCpi) / sum over all processes of (1 / baseCpi).
+ */
+std::vector<double>
+instructionShares(const std::vector<BenchmarkSpec> &specs);
+
+/**
  * Multiply every benchmark's simInstructions by @p factor (used by
  * quick-look tooling and by tests that want tiny runs).
  */

@@ -407,21 +407,19 @@ int
 runStreamBench(bool smoke, double grefs, double ratioFloor)
 {
     // One file per process of the multiprogramming workload.  File
-    // sizes follow the scheduler's instruction shares (speed-
-    // proportional, like Workload::standard's refHint) with 10%
-    // slack, so most files last the whole run without wrapping --
-    // though wrapping would be bit-identical too (LoopSource).
+    // sizes follow the scheduler's instruction shares
+    // (synth::instructionShares, as Workload::standard's refHint)
+    // with 10% slack, so most files last the whole run without
+    // wrapping -- though wrapping would be bit-identical too
+    // (LoopSource).
     const unsigned files = smoke ? 2 : 8;
     const double targetRefs = smoke ? 4.0e6 : grefs * 1e9;
     auto specs = synth::workloadSpecs(files);
+    const std::vector<double> shares = synth::instructionShares(specs);
 
-    double invSum = 0.0;
     double minRpi = 10.0;
-    for (const auto &s : specs) {
-        invSum += 1.0 / s.baseCpi;
-        minRpi =
-            std::min(minRpi, 1.0 + s.loadFrac + s.storeFrac);
-    }
+    for (const auto &s : specs)
+        minRpi = std::min(minRpi, 1.0 + s.loadFrac + s.storeFrac);
     // Simulation budget sized so the measured run consumes at least
     // targetRefs references even if every instruction landed in the
     // lowest-refs-per-instruction process (2% margin on top).
@@ -438,9 +436,8 @@ runStreamBench(bool smoke, double grefs, double ratioFloor)
     std::vector<std::string> paths;
     for (unsigned i = 0; i < files; ++i) {
         synth::BenchmarkSpec spec = specs[i];
-        const double share = (1.0 / spec.baseCpi) / invSum;
         spec.simInstructions = static_cast<Count>(
-            share * static_cast<double>(totalInstr) * 1.1);
+            shares[i] * static_cast<double>(totalInstr) * 1.1);
         const std::string path =
             dir.path() + "/" + std::to_string(i) + ".v3";
         auto src = synth::makeBenchmark(spec);
