@@ -199,9 +199,7 @@ RunJournal::append(const std::string &key, const SweepOutcome &outcome)
             close();
         return false;
     }
-    SweepOutcome &kept = records[key] = outcome;
-    kept.stats = {};
-    kept.reused = false;
+    records[key] = outcome;
     return true;
 }
 

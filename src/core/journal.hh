@@ -71,8 +71,7 @@ class RunJournal
      */
     bool open(const std::string &path, std::string *error = nullptr);
 
-    /** The last outcome journaled under @p key; nullptr if none.
-     *  Its stats are zero: the journal keeps no telemetry. */
+    /** The last outcome journaled under @p key; nullptr if none. */
     const SweepOutcome *find(const std::string &key) const;
 
     /**

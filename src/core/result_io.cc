@@ -155,12 +155,10 @@ readMember(const obs::JsonValue &v, const char *name, T &out,
         if (m->type != obs::JsonValue::Type::String)
             badField(name, "is not a string");
         out = m->scalar;
+    } else if (std::is_floating_point_v<T> &&
+               m->type == obs::JsonValue::Type::Null) {
+        out = 0;
     } else {
-        if (std::is_floating_point_v<T> &&
-            m->type == obs::JsonValue::Type::Null) {
-            out = 0;
-            return;
-        }
         if (m->type != obs::JsonValue::Type::Number)
             badField(name, "is not a number");
         const char *first = m->scalar.data();

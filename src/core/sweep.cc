@@ -373,7 +373,8 @@ driveSweep(const std::vector<SweepJob> &jobs, SweepExecutor &executor,
                 rec = journal->find(keys[i]);
         }
         if (rec && rec->status != PointStatus::Failed) {
-            outcomes[i] = *rec;
+            outcomes[i].status = rec->status;
+            outcomes[i].result = rec->result;
             outcomes[i].reused = true;
             ready[i] = 1;
         } else {

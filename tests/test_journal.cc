@@ -170,6 +170,7 @@ TEST(Journal, AppendLoadRoundTrip)
         failed.status = PointStatus::Failed;
         failed.errorCode = ErrorCode::Watchdog;
         failed.error = "fatal: budget exceeded";
+        failed.result.configName = "failed-config";
         EXPECT_TRUE(j.append("bbbb", failed));
     }
 
@@ -188,6 +189,7 @@ TEST(Journal, AppendLoadRoundTrip)
     EXPECT_EQ(failed->status, PointStatus::Failed);
     EXPECT_EQ(failed->errorCode, ErrorCode::Watchdog);
     EXPECT_EQ(failed->error, "fatal: budget exceeded");
+    EXPECT_EQ(failed->result.configName, "failed-config");
 
     EXPECT_EQ(j.find("cccc"), nullptr);
 }
