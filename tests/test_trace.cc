@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <iterator>
 #include <string>
 
 #include "flat_trace.hh"
@@ -21,6 +22,7 @@
 #include "trace/stream.hh"
 #include "trace/v3.hh"
 #include "util/error.hh"
+#include "util/hash.hh"
 #include "util/logging.hh"
 
 namespace gaas::trace
@@ -397,6 +399,84 @@ TEST_F(TraceFileTest, PackImportsV1AndV2Losslessly)
         // Same records in the same blocks: identical payloads.
         EXPECT_EQ(v3FileInfo(v3Path()).digest,
                   v3FileInfo(refPath()).digest);
+    }
+}
+
+/**
+ * Five 256-record blocks, the last one short, holding every token
+ * shape the v3 writer emits: 1-, 2- and 3-byte delta tokens in both
+ * directions, each of the twelve legal meta nibbles (kind 0..2 x
+ * syscall x partialWord), and raw escapes for unaligned addresses
+ * and for word deltas too wide for 60 bits.
+ */
+std::vector<MemRef>
+multiBlockTokenTrace()
+{
+    // zigzag(delta) < 8, < 1024 and < 131072: tokens of 1, 2 and 3
+    // bytes once the meta nibble is shifted in.
+    constexpr std::int64_t kDeltas[] = {1, -2, 3, 200, -300, 511,
+                                        40000, -50000, 65535};
+    std::vector<MemRef> refs;
+    std::uint64_t word = std::uint64_t{1} << 24;
+    for (std::size_t i = 0; i < 4 * 256 + 77; ++i) {
+        const unsigned meta = i % 12;
+        MemRef ref;
+        ref.kind = static_cast<RefKind>(meta % 3);
+        ref.syscall = (meta / 3) % 2 != 0;
+        ref.partialWord = meta / 6 != 0;
+        if (i % 97 == 5) {
+            ref.addr = (word << 2) + 1 + i % 3; // unaligned
+        } else if (i % 211 == 7) {
+            ref.addr = Addr{1} << 62; // word delta past 2^60
+        } else {
+            word += static_cast<std::uint64_t>(
+                kDeltas[(i * 7 + i / 9) % std::size(kDeltas)]);
+            ref.addr = word << 2;
+        }
+        refs.push_back(ref);
+    }
+    return refs;
+}
+
+/** 64-bit FNV-1a of every byte of the file at @p path. */
+std::uint64_t
+fileHash(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    const std::string bytes((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+    util::Fnv1a hash;
+    hash.feedBytes(bytes.data(), bytes.size());
+    return hash.value();
+}
+
+TEST_F(TraceFileTest, V3WriterBytesArePinnedPastOneBlock)
+{
+    // The literals were computed from the writer that staged each
+    // block as MemRefs and encoded it whole; any writer must keep
+    // every byte.
+    constexpr std::uint64_t kDigest = 4367005550249096286ull;
+    constexpr std::uint64_t kFileHash = 4968029644098748887ull;
+    const std::vector<MemRef> refs = multiBlockTokenTrace();
+    {
+        TraceV3Writer writer(refPath(), 256);
+        for (const MemRef &ref : refs)
+            writer.write(ref);
+    }
+    {
+        VectorSource src("tokens", refs);
+        TraceV3Writer writer(v3Path(), 256);
+        EXPECT_EQ(writer.writeAll(src), refs.size());
+    }
+    for (const std::string &file : {refPath(), v3Path()}) {
+        SCOPED_TRACE(file);
+        const V3FileInfo info = v3FileInfo(file);
+        EXPECT_EQ(info.records, refs.size());
+        EXPECT_FALSE(info.packable());
+        EXPECT_EQ(info.digest, kDigest);
+        EXPECT_EQ(fileHash(file), kFileHash);
+        TraceV3Reader reader(file);
+        EXPECT_EQ(collect(reader, refs.size() + 1), refs);
     }
 }
 
