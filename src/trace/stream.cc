@@ -39,8 +39,12 @@ StreamSource::StreamSource(const std::string &path,
                    " or the workload's per-stream share) allows "
                    "only ", budget, " bytes");
     }
-    const std::size_t count = std::clamp<std::size_t>(
-        slotBytes ? (budget - scratchBytes) / slotBytes : 2, 2, 16);
+    // The block being drained, the next one, ready, and the one the
+    // reader decodes: the third slot lets a late-scheduled reader
+    // fall a block behind before the consumer waits.  A ceiling with
+    // room for two only gets two.
+    const std::size_t count =
+        budget - scratchBytes >= 3 * slotBytes ? 3 : 2;
     slots.resize(count);
     ringBytes = count * slotBytes + scratchBytes;
     for (Slot &slot : slots) {

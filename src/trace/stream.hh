@@ -12,14 +12,22 @@
  * decodes each block to MemRef scratch and packs it with
  * packed::canonical().
  *
- * Memory model: the slot ring is sized from a hard byte ceiling --
- * StreamOptions::memoryBudgetBytes, defaulting to the
- * GAAS_TRACE_STREAM_MB environment knob (64 MiB when unset):
- * ring bytes = slots x (one block of words + one compressed
- * payload), clamped to [2, 16] slots, plus any MemRef scratch.  A
- * ceiling too small for two slots is a TraceIO error naming the
- * minimum, never a silent overrun.  Peak RSS is therefore
- * independent of trace length.
+ * Memory model: three slots -- the block the consumer drains, the
+ * next one, ready, and the one the reader decodes.  The consumer
+ * takes one block at a time and the reader decodes faster than the
+ * simulator consumes, so more slots would only hold idle blocks.
+ * With two, the reader could start the block the consumer needs
+ * next only once the consumer frees a slot, so any delay in
+ * scheduling the reader would stall the simulator.  A slot is
+ * one block of words plus one compressed payload, and an unpackable
+ * file adds one block of MemRef scratch: 3 x (256 KiB + the file's
+ * largest payload) for a default-block packable file.  The byte
+ * ceiling -- StreamOptions::memoryBudgetBytes, defaulting to the
+ * GAAS_TRACE_STREAM_MB environment knob (64 MiB when unset) -- is a
+ * cap, never a target: one with room for only two slots gets two,
+ * and one too small for two is a TraceIO error naming the minimum,
+ * never a silent overrun.  Peak RSS is therefore independent of
+ * trace length and, above the cap of three slots, of the ceiling.
  *
  * Ordering/consistency: production runs strictly ahead of
  * consumption in block order; skip()/reset() move the cursor in
@@ -61,9 +69,11 @@ inline constexpr std::uint64_t kStreamBudgetDefaultMb = 64;
 struct StreamOptions
 {
     /**
-     * Hard ceiling on the stream's buffer bytes; 0 means
-     * GAAS_TRACE_STREAM_MB MiB (default 64).  Workloads with
-     * several streams split one ceiling across them
+     * Cap on the stream's buffer bytes; 0 means
+     * GAAS_TRACE_STREAM_MB MiB (default 64).  The stream holds three
+     * slots, or two if the cap has room for no more; a cap too small
+     * for two is an error.
+     * Workloads with several streams split one cap across them
      * (Workload::fromTraceFiles).
      */
     std::size_t memoryBudgetBytes = 0;
@@ -90,11 +100,12 @@ class StreamSource : public TraceSource
 
     std::uint64_t recordCount() const { return file.recordCount(); }
 
-    /** Total buffer bytes the slot ring and the decode scratch may
-     *  hold (<= the ceiling). */
+    /** Total buffer bytes the slots and the decode scratch may hold
+     *  (<= the ceiling). */
     std::size_t bufferBytes() const { return ringBytes; }
 
-    /** Slots in the ring (prefetch depth). */
+    /** Decoded blocks held: 3, or 2 under a ceiling with room for no
+     *  more. */
     std::size_t slotCount() const { return slots.size(); }
 
     /** Blocks the reader thread decoded so far (telemetry). */

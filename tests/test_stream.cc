@@ -409,6 +409,23 @@ TEST_F(StreamTest, MinimalCeilingStillDrainsWithTwoSlots)
     EXPECT_EQ(drainAll(stream), refs);
 }
 
+TEST_F(StreamTest, CeilingIsACapNotASize)
+{
+    // A roomier ceiling buys no deeper prefetch: under the default
+    // 64 MiB and under 1 GiB the stream holds the drained block, the
+    // next one and the one being decoded.
+    const auto refs = packableTrace(1000);
+    const std::string path = writeV3("cap.v3", refs, 64);
+    StreamSource byDefault(path);
+    StreamOptions options;
+    options.memoryBudgetBytes = std::size_t{1} << 30;
+    StreamSource roomy(path, options);
+    EXPECT_EQ(byDefault.slotCount(), 3u);
+    EXPECT_EQ(roomy.slotCount(), 3u);
+    EXPECT_EQ(roomy.bufferBytes(), byDefault.bufferBytes());
+    EXPECT_EQ(drainAll(roomy), refs);
+}
+
 TEST_F(StreamTest, JournalKeysTrackContentNotPathOrMode)
 {
     const auto refs = packableTrace(400);

@@ -8,6 +8,9 @@
 # counts the binary and libc) must stay under 64 MiB -- far below
 # what materializing the trace would need, proving the streaming
 # pipeline's memory is bounded by the ceiling, not the trace length.
+# Then drains it under a 2 MiB and a 256 MiB ceiling: the ceiling is
+# a cap, not a size, so the two peaks must lie within 1 MiB of each
+# other.
 
 set -eu
 
@@ -40,4 +43,26 @@ if [ "$rss" -gt 65536 ]; then
          "(ceiling was 8 MiB; decoded trace is ~100 MB)" >&2
     exit 1
 fi
-echo "ok: peak RSS ${rss} KiB under an 8 MiB streaming ceiling"
+
+# peak_rss_kb of a drain under a $1 MiB ceiling.
+drain_rss() {
+    "$TRACEPACK" drain "$dir/big.v3" --stream-mb "$1" \
+        | sed -n 's/^peak_rss_kb: \([0-9]*\)$/\1/p'
+}
+small=$(drain_rss 2)
+large=$(drain_rss 256)
+if [ -z "$small" ] || [ -z "$large" ]; then
+    echo "FAIL: could not parse tracepack drain output" >&2
+    exit 1
+fi
+diff=$((large - small))
+if [ "$diff" -lt 0 ]; then
+    diff=$((-diff))
+fi
+if [ "$diff" -gt 1024 ]; then
+    echo "FAIL: peak RSS ${small} KiB under a 2 MiB ceiling but" \
+         "${large} KiB under 256 MiB: the ceiling sized the buffers" >&2
+    exit 1
+fi
+echo "ok: peak RSS ${rss} KiB under an 8 MiB streaming ceiling;" \
+     "${small} KiB under 2 MiB and ${large} KiB under 256 MiB"
