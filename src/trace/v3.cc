@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <iterator>
 
 #include "trace/packed.hh"
 #include "util/error.hh"
@@ -147,10 +148,11 @@ namespace v3
 {
 
 std::size_t
-encodeBlock(const MemRef *refs, std::size_t n, unsigned char *out)
+encodeRecords(const MemRef *refs, std::size_t n,
+              std::uint64_t &prev_word, unsigned char *out)
 {
     unsigned char *p = out;
-    std::uint64_t prevWord = 0;
+    std::uint64_t prevWord = prev_word;
     for (std::size_t i = 0; i < n; ++i) {
         const MemRef &ref = refs[i];
         const std::uint64_t word = ref.addr >> 2;
@@ -168,6 +170,7 @@ encodeBlock(const MemRef *refs, std::size_t n, unsigned char *out)
         }
         prevWord = word;
     }
+    prev_word = prevWord;
     return static_cast<std::size_t>(p - out);
 }
 
@@ -292,9 +295,10 @@ TraceV3Writer::TraceV3Writer(const std::string &path_,
     if (!file)
         gaas_error(ErrorCode::TraceIO,
                    "cannot open trace file for writing: ", path);
-    block.reserve(blockRefs);
-    payload.resize(static_cast<std::size_t>(blockRefs) *
-                   kV3MaxRecordBytes);
+    // Not cleared: a page of the worst-case bound becomes resident
+    // only once encoded bytes reach it.
+    payload = std::make_unique_for_overwrite<unsigned char[]>(
+        static_cast<std::size_t>(blockRefs) * kV3MaxRecordBytes);
     // Placeholder header; count, flags and digest are patched on
     // close().
     unsigned char header[kV3HeaderBytes] = {};
@@ -316,32 +320,42 @@ TraceV3Writer::~TraceV3Writer()
 }
 
 void
-TraceV3Writer::write(const MemRef &ref)
+TraceV3Writer::append(const MemRef *refs, std::size_t n)
 {
     if (!file)
         gaas_panic("write on closed TraceV3Writer");
-    block.push_back(ref);
-    ++count;
-    if (block.size() >= blockRefs)
+    unsigned char *const out = payload.get() + payloadBytes;
+    const std::size_t bytes =
+        v3::encodeRecords(refs, n, prevWord, out);
+    blockSum = util::fnv1a32(out, bytes, blockSum);
+    for (std::size_t i = 0; i < n && packableAll; ++i)
+        packableAll = packed::packable(refs[i]);
+    payloadBytes += bytes;
+    blockFill += static_cast<std::uint32_t>(n);
+    count += n;
+    if (blockFill == blockRefs)
         flushBlock();
+}
+
+void
+TraceV3Writer::write(const MemRef &ref)
+{
+    append(&ref, 1);
 }
 
 std::uint64_t
 TraceV3Writer::writeAll(TraceSource &src)
 {
+    // Source batches small enough to stay in L1 while they are
+    // encoded, large enough to amortize the virtual call.
+    MemRef batch[1024];
     std::uint64_t n = 0;
     for (;;) {
-        // Fill the pending block with one batched call per gap, so
-        // conversion runs at generator speed, not virtual-call speed.
-        const std::size_t want = blockRefs - block.size();
-        block.resize(blockRefs);
-        const std::size_t got =
-            src.nextBatch(block.data() + (blockRefs - want), want);
-        block.resize(blockRefs - want + got);
-        count += got;
+        const std::size_t want = std::min<std::size_t>(
+            std::size(batch), blockRefs - blockFill);
+        const std::size_t got = src.nextBatch(batch, want);
+        append(batch, got);
         n += got;
-        if (block.size() >= blockRefs)
-            flushBlock();
         if (got < want)
             return n;
     }
@@ -350,27 +364,24 @@ TraceV3Writer::writeAll(TraceSource &src)
 void
 TraceV3Writer::flushBlock()
 {
-    if (block.empty())
+    if (blockFill == 0)
         return;
-    for (const MemRef &ref : block)
-        packableAll = packableAll && packed::packable(ref);
-    const std::size_t bytes =
-        v3::encodeBlock(block.data(), block.size(), payload.data());
-    const std::uint32_t checksum =
-        util::fnv1a32(payload.data(), bytes);
     unsigned char frame[kV3FrameBytes];
-    putU32(frame, static_cast<std::uint32_t>(bytes));
-    putU32(frame + 4, static_cast<std::uint32_t>(block.size()));
-    putU32(frame + 8, checksum);
+    putU32(frame, static_cast<std::uint32_t>(payloadBytes));
+    putU32(frame + 4, blockFill);
+    putU32(frame + 8, blockSum);
     if (!util::writeBytes(file, frame, kV3FrameBytes) ||
-        !util::writeBytes(file, payload.data(), bytes))
+        !util::writeBytes(file, payload.get(), payloadBytes))
         gaas_error(ErrorCode::TraceIO,
                    "short write on trace file: ", path);
     offsets.push_back(writeOffset);
-    writeOffset += kV3FrameBytes + bytes;
-    digest.feedNumber(block.size());
-    digest.feedNumber(checksum);
-    block.clear();
+    writeOffset += kV3FrameBytes + payloadBytes;
+    digest.feedNumber(blockFill);
+    digest.feedNumber(blockSum);
+    payloadBytes = 0;
+    blockFill = 0;
+    prevWord = 0;
+    blockSum = util::kFnv1a32Basis;
 }
 
 void

@@ -56,6 +56,7 @@
 #define GAAS_TRACE_V3_HH
 
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -135,11 +136,24 @@ struct BlockContext
 };
 
 /**
- * Encode @p n records into @p out (sized >= n * kV3MaxRecordBytes).
- * The delta chain starts at word 0.  @return payload bytes written.
+ * The v3 token encoder.  Encodes @p n records into @p out (room for
+ * n * kV3MaxRecordBytes), continuing the delta chain from
+ * @p prev_word -- the word index of the record before them, 0 at a
+ * block's start -- and leaves it at the last record's.  A block fed
+ * in any number of batches gets the bytes of one call over the
+ * whole.  @return payload bytes written.
  */
-std::size_t encodeBlock(const MemRef *refs, std::size_t n,
-                        unsigned char *out);
+std::size_t encodeRecords(const MemRef *refs, std::size_t n,
+                          std::uint64_t &prev_word,
+                          unsigned char *out);
+
+/** encodeRecords over a whole block: the chain starts at word 0. */
+inline std::size_t
+encodeBlock(const MemRef *refs, std::size_t n, unsigned char *out)
+{
+    std::uint64_t prevWord = 0;
+    return encodeRecords(refs, n, prevWord, out);
+}
 
 /**
  * Decode exactly @p records records from a @p bytes -byte payload
@@ -166,8 +180,16 @@ void decodeBlockPacked(const unsigned char *payload,
 } // namespace v3
 
 /**
- * Streaming v3 writer; buffers one block of records, encodes and
- * frames it when full, and finalises header + seek table on close.
+ * Streaming v3 writer.  Records are encoded as they arrive, in the
+ * batches write() and writeAll() feed: the pending block's delta
+ * chain, payload checksum and the file's packable flag carry from
+ * batch to batch, and a full block is framed and written at once.
+ * close() finalises header + seek table.
+ *
+ * Memory: one block's payload, allocated for the worst case but
+ * never cleared, so only the bytes actually encoded become resident
+ * (a synth block of 64 Ki records takes ~170 KiB of the 640 KiB
+ * bound), plus writeAll's source batch on the stack.
  */
 class TraceV3Writer
 {
@@ -193,13 +215,20 @@ class TraceV3Writer
     std::uint64_t recordsWritten() const { return count; }
 
   private:
+    /** Encode @p n records, no more than the pending block has room
+     *  for, and flush the block if they fill it. */
+    void append(const MemRef *refs, std::size_t n);
+
     void flushBlock();
 
     std::string path;
     std::FILE *file = nullptr;
     std::uint32_t blockRefs;
-    std::vector<MemRef> block;            // pending records
-    std::vector<unsigned char> payload;   // encode scratch
+    std::unique_ptr<unsigned char[]> payload; // pending block's bytes
+    std::size_t payloadBytes = 0;
+    std::uint32_t blockFill = 0;          // pending block's records
+    std::uint64_t prevWord = 0;           // its delta chain
+    std::uint32_t blockSum = util::kFnv1a32Basis; // its checksum
     std::vector<std::uint64_t> offsets;   // seek table
     util::Fnv1a digest;                   // content digest
     std::uint64_t count = 0;

@@ -67,12 +67,16 @@ class Fnv1a
     std::uint64_t hash = 0xcbf29ce484222325ull;
 };
 
-/** One-shot 32-bit FNV-1a over @p size bytes at @p data. */
+/** The 32-bit FNV-1a offset basis: the hash of no bytes. */
+inline constexpr std::uint32_t kFnv1a32Basis = 0x811c9dc5u;
+
+/** 32-bit FNV-1a over @p size bytes at @p data, continuing @p hash:
+ *  feeding a byte string in pieces gives the hash of the whole. */
 inline std::uint32_t
-fnv1a32(const void *data, std::size_t size)
+fnv1a32(const void *data, std::size_t size,
+        std::uint32_t hash = kFnv1a32Basis)
 {
     const auto *bytes = static_cast<const unsigned char *>(data);
-    std::uint32_t hash = 0x811c9dc5u;
     for (std::size_t i = 0; i < size; ++i) {
         hash ^= bytes[i];
         hash *= 0x01000193u;
