@@ -208,7 +208,7 @@ init(int argc, char **argv)
     options.instructions = envU64("GAAS_BENCH_INSTRUCTIONS", 4'000'000);
     options.warmup = envU64("GAAS_BENCH_WARMUP", options.instructions / 2,
                             /*zero_ok=*/true);
-    options.mp = static_cast<unsigned>(envU64("GAAS_BENCH_MP", 8));
+    options.mp = envUnsigned("GAAS_BENCH_MP", 8);
     options.watchdog = envU64("GAAS_BENCH_WATCHDOG", 0, /*zero_ok=*/true);
     options.jobs = core::sweepWorkers();
     const char *csv_dir = std::getenv("GAAS_BENCH_CSV_DIR");

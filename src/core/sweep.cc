@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <limits>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -14,7 +13,6 @@
 #include "trace/arena.hh"
 #include "util/env.hh"
 #include "util/fault.hh"
-#include "util/logging.hh"
 #include "util/thread_pool.hh"
 
 namespace gaas::core
@@ -59,13 +57,8 @@ SweepStats::refsPerSecond() const
 unsigned
 sweepWorkers()
 {
-    const std::uint64_t parsed = envU64("GAAS_BENCH_JOBS", 0);
-    if (parsed > std::numeric_limits<unsigned>::max()) {
-        warn("ignoring GAAS_BENCH_JOBS=", parsed,
-             " (more workers than fit an unsigned)");
-    } else if (parsed > 0) {
-        return static_cast<unsigned>(parsed);
-    }
+    if (const unsigned jobs = envUnsigned("GAAS_BENCH_JOBS", 0))
+        return jobs;
     const unsigned hw = std::thread::hardware_concurrency();
     return hw > 0 ? hw : 1;
 }

@@ -3,6 +3,7 @@
 #include <charconv>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 
 #include "util/logging.hh"
 
@@ -35,6 +36,16 @@ envU64(const char *name, std::uint64_t fallback, bool zero_ok)
     warn("ignoring bad ", name, "=", value,
          zero_ok ? " (want a decimal integer)"
                  : " (want a positive decimal integer)");
+    return fallback;
+}
+
+unsigned
+envUnsigned(const char *name, unsigned fallback)
+{
+    const std::uint64_t value = envU64(name, fallback);
+    if (value <= std::numeric_limits<unsigned>::max())
+        return static_cast<unsigned>(value);
+    warn("ignoring ", name, "=", value, " (does not fit an unsigned)");
     return fallback;
 }
 

@@ -44,6 +44,13 @@ std::uint64_t envU64(const char *name, std::uint64_t fallback,
                      bool zero_ok = false);
 
 /**
+ * envU64 for a knob held in an unsigned: a value past its range is
+ * malformed too, so it warns and returns @p fallback rather than
+ * wrapping.
+ */
+unsigned envUnsigned(const char *name, unsigned fallback);
+
+/**
  * Parse the whole of @p text as a finite decimal double
  * (std::from_chars, fixed or scientific; no leading whitespace or
  * trailing garbage tolerated, same strictness as parseU64).

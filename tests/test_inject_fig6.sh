@@ -12,7 +12,8 @@
 # means something: GAAS_BENCH_WARMUP=0 (no warmup) must be accepted
 # without a warning and change the CSV, and GAAS_BENCH_WATCHDOG=1
 # must fail every point as failed:watchdog.  Finally, each malformed
-# knob warns exactly once, though all 28 points read it.
+# knob warns exactly once, though all 28 points read it, and an MP
+# level too wide for an unsigned falls back to MP 8.
 #
 # Usage: test_inject_fig6.sh <path-to-fig6_l2_orgs>
 set -u
@@ -120,7 +121,19 @@ for knob in GAAS_BENCH_MP GAAS_BENCH_WARMUP GAAS_BENCH_WATCHDOG \
     [ "$n" -eq 1 ] || fail "$knob: $n warnings, expected 1"
 done
 
+# An MP level past unsigned's range is malformed too: it warns once
+# and runs at the default MP 8 instead of wrapping (2^32 + 2 read
+# as MP 2).
+GAAS_BENCH_MP=4294967298 GAAS_BENCH_CSV_DIR="$WORK/widemp" "$FIG6" \
+    > "$WORK/widemp.out" 2>"$WORK/widemp.err" \
+    || fail "GAAS_BENCH_MP=4294967298: run exited nonzero"
+n=$(grep -c "GAAS_BENCH_MP=4294967298" "$WORK/widemp.err")
+[ "$n" -eq 1 ] || fail "GAAS_BENCH_MP=4294967298: $n warnings, expected 1"
+grep -q "MP level 8," "$WORK/widemp.out" \
+    || fail "GAAS_BENCH_MP=4294967298: banner is not MP level 8:" \
+        "$(grep 'MP level' "$WORK/widemp.out")"
+
 echo "ok: injected failure isolated, reported, and exit code is 1;" \
     "zero warmup and a one-cycle watchdog honoured;" \
-    "each malformed knob warned once"
+    "each malformed knob warned once; a wide MP level was not wrapped"
 exit 0
