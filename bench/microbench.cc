@@ -12,7 +12,9 @@
 #include <benchmark/benchmark.h>
 
 #include <array>
+#include <filesystem>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "cache/tag_store.hh"
@@ -280,6 +282,30 @@ BM_V3DecodeBlockPacked(benchmark::State &state)
         benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_V3DecodeBlockPacked)->Arg(1 << 16);
+
+void
+BM_V3WriteAll(benchmark::State &state)
+{
+    // The v3 writer end to end, the in-tree counterpart of
+    // perfbench's trace.encode_ns_per_ref: drain a fixed source into
+    // a file (under the build directory), close and sync it.
+    const auto records = static_cast<std::size_t>(state.range(0));
+    trace::VectorSource src("writeall", v3BenchBlock(records));
+    const std::string path =
+        std::string(GAAS_BUILD_DIR) + "/microbench-writeall.v3";
+    for (auto _ : state) {
+        src.reset();
+        trace::TraceV3Writer writer(path);
+        benchmark::DoNotOptimize(writer.writeAll(src));
+        writer.close();
+    }
+    std::filesystem::remove(path);
+    state.counters["refs/s"] = benchmark::Counter(
+        static_cast<double>(state.iterations()) *
+            static_cast<double>(records),
+        benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_V3WriteAll)->Arg(1 << 20)->Unit(benchmark::kMillisecond);
 
 void
 simulateConfig(benchmark::State &state,
