@@ -70,25 +70,37 @@ void
 StreamSource::readerLoop()
 {
     const std::uint64_t blockCount = file.blockCount();
-    const std::size_t count = slots.size();
     std::vector<MemRef> scratch; // unpackable files only
     std::unique_lock<std::mutex> lock(m);
     for (;;) {
         cv.wait(lock, [&] {
-            return stopping || failed ||
-                   (produceBlock < blockCount &&
-                    !slots[produceBlock % count].full);
+            return stopping || failed || produceBlock < blockCount;
         });
         if (stopping || failed)
             return;
         const std::uint64_t b = produceBlock;
         const std::uint64_t g = generation;
-        Slot &slot = slots[b % count];
-        lock.unlock();
-        // The slot is free (full == false): the producer owns its
-        // buffers until it republishes them under the lock below.
+        Slot &slot = slots[b % slots.size()];
         try {
+            // Only this thread touches payloads, so it reads and
+            // checks the block while the consumer may still drain
+            // the slot's words, and only the decode waits for the
+            // slot: a late reader then owes the consumer one decode,
+            // not a read, a checksum and a decode.
+            lock.unlock();
             file.readBlock(b, slot.payload);
+            lock.lock();
+            cv.wait(lock, [&] {
+                return stopping || failed || generation != g ||
+                       !slot.full;
+            });
+            if (stopping || failed)
+                return;
+            if (generation != g)
+                continue; // a seek re-aimed production
+            // The slot is free (full == false): the producer owns its
+            // words until it republishes them under the lock below.
+            lock.unlock();
             const std::uint32_t records = file.blockRecords(b);
             const v3::BlockContext ctx{&file.path(), b,
                                        file.payloadOffset(b)};
@@ -106,22 +118,24 @@ StreamSource::readerLoop()
                     slot.words[i] = packed::canonical(scratch[i], *this);
             }
             slot.records = records;
-        } catch (const SimError &err) {
             lock.lock();
+        } catch (const SimError &err) {
+            if (!lock.owns_lock())
+                lock.lock();
             failed = true;
             errorCode = err.code();
             errorText = err.what();
             cv.notify_all();
             continue;
         } catch (const FatalError &err) {
-            lock.lock();
+            if (!lock.owns_lock())
+                lock.lock();
             failed = true;
             errorCode = ErrorCode::TraceIO;
             errorText = err.what();
             cv.notify_all();
             continue;
         }
-        lock.lock();
         if (generation == g) {
             slot.block = b;
             slot.full = true;

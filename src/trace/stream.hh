@@ -18,7 +18,9 @@
  * simulator consumes, so more slots would only hold idle blocks.
  * With two, the reader could start the block the consumer needs
  * next only once the consumer frees a slot, so any delay in
- * scheduling the reader would stall the simulator.  A slot is
+ * scheduling the reader would stall the simulator.  The reader
+ * reads and checks a block's payload before its slot frees, so only
+ * the decode waits for the consumer.  A slot is
  * one block of words plus one compressed payload, and an unpackable
  * file adds one block of MemRef scratch: 3 x (256 KiB + the file's
  * largest payload) for a default-block packable file.  The byte
