@@ -20,16 +20,17 @@
  * next only once the consumer frees a slot, so any delay in
  * scheduling the reader would stall the simulator.  The reader
  * reads and checks a block's payload before its slot frees, so only
- * the decode waits for the consumer.  A slot is
- * one block of words plus one compressed payload, and an unpackable
- * file adds one block of MemRef scratch: 3 x (256 KiB + the file's
- * largest payload) for a default-block packable file.  The byte
- * ceiling -- StreamOptions::memoryBudgetBytes, defaulting to the
+ * the decode waits for the consumer.  A slot is one block of words
+ * plus one compressed payload, and an unpackable file adds one block
+ * of MemRef scratch: 3 x (256 KiB + the file's largest payload) for
+ * a default-block packable file.  The byte ceiling --
+ * StreamOptions::memoryBudgetBytes, defaulting to the
  * GAAS_TRACE_STREAM_MB environment knob (64 MiB when unset) -- is a
  * cap, never a target: one with room for only two slots gets two,
  * and one too small for two is a TraceIO error naming the minimum,
  * never a silent overrun.  Peak RSS is therefore independent of
- * trace length and, above the cap of three slots, of the ceiling.
+ * trace length and, once the ceiling has room for three slots, of
+ * the ceiling.
  *
  * Ordering/consistency: production runs strictly ahead of
  * consumption in block order; skip()/reset() move the cursor in
@@ -74,9 +75,8 @@ struct StreamOptions
      * Cap on the stream's buffer bytes; 0 means
      * GAAS_TRACE_STREAM_MB MiB (default 64).  The stream holds three
      * slots, or two if the cap has room for no more; a cap too small
-     * for two is an error.
-     * Workloads with several streams split one cap across them
-     * (Workload::fromTraceFiles).
+     * for two is an error.  Workloads with several streams split one
+     * cap across them (Workload::fromTraceFiles).
      */
     std::size_t memoryBudgetBytes = 0;
 };
