@@ -55,7 +55,7 @@ findKernel(benchmark::State &state, const cache::CacheConfig &cfg)
         addressStream(1 << 16, Addr{4} * cfg.sizeBytes());
     cache::Eviction ev;
     for (const Addr a : addrs)
-        store.allocate(a, ev);
+        store.allocateIdx(a, ev);
 
     std::size_t i = 0;
     std::uint64_t hits = 0;

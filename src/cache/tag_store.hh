@@ -61,56 +61,6 @@ class TagStore
     static constexpr std::uint8_t kWriteOnlyBit = 1u << 2;
     ///@}
 
-    /**
-     * Nullable handle to one line of the store: the replacement for
-     * the pointer-to-struct the array-of-structs layout used to hand
-     * out.  A default-constructed Ref is "no line" (a tag miss); a
-     * non-null Ref can still refer to an *invalid* line (victim() on
-     * an empty set), exactly like the old pointer could.
-     */
-    class Ref
-    {
-      public:
-        Ref() = default;
-
-        explicit operator bool() const { return store != nullptr; }
-
-        bool
-        operator==(const Ref &other) const
-        {
-            return store == other.store && idx == other.idx;
-        }
-
-        bool valid() const { return store->stateAt(idx) & kValidBit; }
-        bool dirty() const { return store->stateAt(idx) & kDirtyBit; }
-
-        bool
-        writeOnly() const
-        {
-            return store->stateAt(idx) & kWriteOnlyBit;
-        }
-
-        std::uint32_t validMask() const { return store->maskAt(idx); }
-        std::uint64_t tag() const { return store->tagAt(idx); }
-
-        void setDirty(bool d) { store->setDirtyAt(idx, d); }
-        void setWriteOnly(bool w) { store->setWriteOnlyAt(idx, w); }
-        void setValidMask(std::uint32_t m) { store->setMaskAt(idx, m); }
-        void orValidMask(std::uint32_t m) { store->orMaskAt(idx, m); }
-
-        /** Drop the line (restores the invalid-tag sentinel). */
-        void invalidate() { store->invalidateAt(idx); }
-
-        LineIndex index() const { return idx; }
-
-      private:
-        friend class TagStore;
-        Ref(TagStore *s, LineIndex i) : store(s), idx(i) {}
-
-        TagStore *store = nullptr;
-        LineIndex idx = 0;
-    };
-
     /** @param config validated geometry
      *  @param what   name used in diagnostics ("L1-I", ...) */
     TagStore(const CacheConfig &config, const char *what);
@@ -150,9 +100,11 @@ class TagStore
     std::uint32_t fullMask() const { return fullValidMask; }
 
     /**
-     * @name Index-level hot kernels
-     * The specialized simulate loops work on raw line indices; the
-     * Ref API below wraps these for everything else.  A hit is any
+     * @name Line-index API
+     * Every caller works on raw line indices: probe with lookup()
+     * (or the geometry-specific lookupDm/lookupAssoc), pick or
+     * replace a line with victimIdx()/allocateIdx(), then read and
+     * change its state through the *At accessors.  A hit is any
      * valid line with a matching tag, regardless of the write-only
      * mark or the subblock mask -- the policy layer decides whether
      * that counts as usable.
@@ -242,8 +194,9 @@ class TagStore
         __builtin_prefetch(&tagArr[base]);
         __builtin_prefetch(&stateArr[base]);
     }
+    ///@}
 
-    /** @name Per-index state accessors (Ref's backing store) */
+    /** @name Per-index state accessors */
     ///@{
     std::uint8_t stateAt(LineIndex idx) const { return stateArr[idx]; }
     std::uint64_t tagAt(LineIndex idx) const { return tagArr[idx]; }
@@ -276,31 +229,6 @@ class TagStore
     {
         stateArr[idx] = 0;
         tagArr[idx] = kInvalidTag;
-    }
-    ///@}
-
-    /** @name Ref-handle API (tests, slow paths, diagnostics) */
-    ///@{
-
-    /** Tag-match probe; @return a null Ref on a tag miss. */
-    Ref
-    find(Addr addr)
-    {
-        const LineIndex idx = lookup(addr);
-        return idx == npos ? Ref{} : Ref{this, idx};
-    }
-
-    /** Mark @p line most recently used. */
-    void touch(const Ref &line) { touchIdx(line.idx); }
-
-    /** victimIdx() as a Ref (never null; may be an invalid line). */
-    Ref victim(Addr addr) { return Ref{this, victimIdx(addr)}; }
-
-    /** allocateIdx() as a Ref (never null). */
-    Ref
-    allocate(Addr addr, Eviction &evicted)
-    {
-        return Ref{this, allocateIdx(addr, evicted)};
     }
     ///@}
 

@@ -114,8 +114,9 @@ BackEnd::l2Access(bool is_inst, Addr paddr, Cycles now,
     res.access = measured<Measure>(side.accessTime +
                                    extraTransferCycles(fetch_words));
 
-    if (cache::TagStore::Ref line = store.find(paddr)) {
-        store.touch(line);
+    if (const auto idx = store.lookup(paddr);
+        idx != cache::TagStore::npos) {
+        store.touchIdx(idx);
         return res;
     }
 
@@ -123,7 +124,7 @@ BackEnd::l2Access(bool is_inst, Addr paddr, Cycles now,
         (is_inst ? st.l2iMisses : st.l2dMisses) += 1;
 
     cache::Eviction evicted;
-    store.allocate(paddr, evicted);
+    store.allocateIdx(paddr, evicted);
     const bool dirty_victim = evicted.valid && evicted.dirty;
     if (dirty_victim)
         tally<Measure>(st.l2DirtyMisses);
@@ -204,15 +205,15 @@ BackEnd::applyWriteToL2(Addr paddr)
     // L2 allocates on writes, so write-through traffic creates the
     // dirty L2-D lines whose replacement causes dirty misses.
     cache::TagStore &store = l2Store(false);
-    if (cache::TagStore::Ref line = store.find(paddr)) {
-        line.setDirty(true);
-        store.touch(line);
+    if (const auto idx = store.lookup(paddr);
+        idx != cache::TagStore::npos) {
+        store.setDirtyAt(idx, true);
+        store.touchIdx(idx);
         return;
     }
     ++st.l2WriteAllocates;
     cache::Eviction evicted;
-    cache::TagStore::Ref line = store.allocate(paddr, evicted);
-    line.setDirty(true);
+    store.setDirtyAt(store.allocateIdx(paddr, evicted), true);
     // A displaced dirty line is written back in the background; the
     // bus cost is folded into the effective drain time (DESIGN.md).
 }
@@ -275,34 +276,38 @@ CacheSystem::ifetchMiss(Cycles now, Cycles stall, Addr paddr)
         now + stall, paddr);
 
     cache::Eviction evicted;
-    l1i.allocate(paddr, evicted);
+    l1i.allocateIdx(paddr, evicted);
     return stall;
 }
 
 bool
 CacheSystem::refillVictimDirty(Addr paddr)
 {
-    cache::TagStore::Ref line = l1d.find(paddr);
-    const cache::TagStore::Ref victim = line ? line : l1d.victim(paddr);
-    return victim.valid() && victim.dirty();
+    cache::TagStore::LineIndex victim = l1d.lookup(paddr);
+    if (victim == cache::TagStore::npos)
+        victim = l1d.victimIdx(paddr);
+    constexpr auto kValidDirty =
+        cache::TagStore::kValidBit | cache::TagStore::kDirtyBit;
+    return (l1d.stateAt(victim) & kValidDirty) == kValidDirty;
 }
 
 template <bool Measure, bool Record>
-cache::TagStore::Ref
+cache::TagStore::LineIndex
 CacheSystem::refillL1D(Addr paddr, Cycles now, Cycles &stall)
 {
     // A read miss on a write-only (or partially valid) line with a
     // matching tag reallocates the same line in place.
-    if (cache::TagStore::Ref line = l1d.find(paddr)) {
-        line.setWriteOnly(false);
-        line.setDirty(false);
-        line.setValidMask(l1d.fullMask());
-        l1d.touch(line);
-        return line;
+    if (const auto idx = l1d.lookup(paddr);
+        idx != cache::TagStore::npos) {
+        l1d.setWriteOnlyAt(idx, false);
+        l1d.setDirtyAt(idx, false);
+        l1d.setMaskAt(idx, l1d.fullMask());
+        l1d.touchIdx(idx);
+        return idx;
     }
 
     cache::Eviction evicted;
-    cache::TagStore::Ref line = l1d.allocate(paddr, evicted);
+    const auto idx = l1d.allocateIdx(paddr, evicted);
 
     // Write-back: a displaced dirty line drains through the write
     // buffer as one full-line entry.
@@ -311,7 +316,7 @@ CacheSystem::refillL1D(Addr paddr, Cycles now, Cycles &stall)
         stall += toBackEnd<Measure, Record, BackEndOp::Write>(
             now + stall, evicted.lineAddr);
     }
-    return line;
+    return idx;
 }
 
 template <bool Measure, bool Record>
@@ -341,9 +346,7 @@ CacheSystem::storeMissWriteBack(Cycles now, Cycles stall, Addr paddr)
     tally<Measure>(st.l1dWriteMisses);
     stall += toBackEnd<Measure, Record, BackEndOp::DataMiss>(
         now + stall, paddr, refillVictimDirty(paddr));
-    cache::TagStore::Ref nl =
-        refillL1D<Measure, Record>(paddr, now, stall);
-    nl.setDirty(true);
+    l1d.setDirtyAt(refillL1D<Measure, Record>(paddr, now, stall), true);
     return stall;
 }
 
@@ -358,7 +361,7 @@ CacheSystem::storeMissInvalidate(Cycles stall, Addr paddr)
     // study's L1-D is always direct mapped.)
     charge<Measure>(stall, comp.l1Writes, 1);
     if (cfg.l1d.assoc == 1)
-        l1d.victim(paddr).invalidate();
+        l1d.invalidateAt(l1d.victimIdx(paddr));
     return stall;
 }
 
@@ -371,10 +374,10 @@ CacheSystem::storeMissWriteOnly(Cycles stall, Addr paddr)
     // write-only; subsequent writes to it hit (Section 6).
     charge<Measure>(stall, comp.l1Writes, 1);
     cache::Eviction evicted;
-    cache::TagStore::Ref nl = l1d.allocate(paddr, evicted);
-    nl.setWriteOnly(true);
-    nl.setDirty(true);
-    nl.setValidMask(0);
+    const auto idx = l1d.allocateIdx(paddr, evicted);
+    l1d.setWriteOnlyAt(idx, true);
+    l1d.setDirtyAt(idx, true);
+    l1d.setMaskAt(idx, 0);
     return stall;
 }
 
@@ -388,9 +391,9 @@ CacheSystem::storeMissSubblock(Cycles stall, Addr paddr,
     // full-word write) becomes valid.
     charge<Measure>(stall, comp.l1Writes, 1);
     cache::Eviction evicted;
-    cache::TagStore::Ref nl = l1d.allocate(paddr, evicted);
-    nl.setDirty(true);
-    nl.setValidMask(partial_word ? 0 : l1d.wordBit(paddr));
+    const auto idx = l1d.allocateIdx(paddr, evicted);
+    l1d.setDirtyAt(idx, true);
+    l1d.setMaskAt(idx, partial_word ? 0 : l1d.wordBit(paddr));
     return stall;
 }
 

@@ -500,8 +500,8 @@ class CacheSystem
      *  the bit the dirty-bit load bypass reads. */
     bool refillVictimDirty(Addr paddr);
     template <bool Measure, bool Record>
-    cache::TagStore::Ref refillL1D(Addr paddr, Cycles now,
-                                   Cycles &stall);
+    cache::TagStore::LineIndex refillL1D(Addr paddr, Cycles now,
+                                         Cycles &stall);
 
     FrontEndConfig cfg;
     mmu::Mmu mmuUnit;

@@ -117,14 +117,6 @@ SimResult::references() const
 }
 
 double
-SimResult::refsPerSecond() const
-{
-    return hostSeconds > 0.0
-               ? static_cast<double>(references()) / hostSeconds
-               : 0.0;
-}
-
-double
 SimResult::cpi() const
 {
     return ratio(cycles, instructions);

@@ -168,10 +168,6 @@ struct SimResult
     /** Total simulated references (ifetches + loads + stores). */
     Count references() const;
 
-    /** Simulator throughput: references() / hostSeconds.  The paper
-     *  quotes its own simulator at ~240,000 refs/s (Section 3). */
-    double refsPerSecond() const;
-
     /** Total cycles per instruction. */
     double cpi() const;
 

@@ -6,12 +6,8 @@
 #include <sstream>
 #include <utility>
 
-#if defined(_WIN32)
-#include <io.h>
-#else
 #include <sys/file.h>
 #include <unistd.h>
-#endif
 
 #include "core/config_io.hh"
 #include "core/result_io.hh"
@@ -29,17 +25,6 @@ namespace
 {
 
 using util::Fnv1a;
-
-bool
-truncateTo(std::FILE *file, std::int64_t size)
-{
-#if defined(_WIN32)
-    return ::_chsize_s(::_fileno(file), size) == 0;
-#else
-    return ::ftruncate(::fileno(file), static_cast<off_t>(size)) ==
-           0;
-#endif
-}
 
 } // namespace
 
@@ -141,7 +126,6 @@ RunJournal::open(const std::string &path, std::string *error)
         return false;
     }
 
-#if !defined(_WIN32)
     // Exclusive advisory lock for the life of the journal: two
     // concurrent `--resume DIR` runs would interleave appends (and
     // race the record map), so the second opener must fail hard --
@@ -164,7 +148,6 @@ RunJournal::open(const std::string &path, std::string *error)
             *error = "cannot lock journal " + path;
         return false;
     }
-#endif
     return true;
 }
 
@@ -187,15 +170,16 @@ RunJournal::append(const std::string &key, const SweepOutcome &outcome)
     record.members.emplace(record.members.begin(), "key",
                            obs::JsonValue::string(key));
     const std::string line = obs::writeJsonCompact(record) + "\n";
-    // File size, not tellPos: in append mode the position before the
-    // first write is implementation-defined, but writes always land
-    // at end-of-file.
+    // File size, not the stream position: in append mode the
+    // position before the first write is implementation-defined, but
+    // writes always land at end-of-file.
     const std::int64_t before = util::fileSizeBytes(file);
     if (!util::writeBytes(file, line.data(), line.size()) ||
         !util::flushAndSync(file)) {
         // Roll the file back to the last good record so a partial
         // line cannot poison the records that follow it.
-        if (before < 0 || !truncateTo(file, before))
+        if (before < 0 ||
+            ::ftruncate(::fileno(file), static_cast<off_t>(before)) != 0)
             close();
         return false;
     }

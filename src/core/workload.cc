@@ -8,7 +8,6 @@
 #include "trace/compose.hh"
 #include "trace/stream.hh"
 #include "trace/v3.hh"
-#include "util/env.hh"
 #include "util/error.hh"
 #include "util/logging.hh"
 
@@ -94,13 +93,9 @@ Workload::fromTraceFiles(const std::vector<std::string> &paths,
     if (streaming) {
         // One ceiling for the whole workload: each stream gets an
         // even share, so naming more traces never buys more memory.
-        const std::size_t total =
-            static_cast<std::size_t>(envU64(
-                trace::kStreamBudgetEnv,
-                trace::kStreamBudgetDefaultMb)) *
-            (std::size_t{1} << 20);
         trace::StreamOptions options;
-        options.memoryBudgetBytes = total / paths.size();
+        options.memoryBudgetBytes =
+            trace::streamBudgetBytes() / paths.size();
         for (const std::string &path : paths) {
             auto src = std::make_unique<trace::StreamSource>(
                 path, options);

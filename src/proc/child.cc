@@ -4,18 +4,16 @@
 #include <cstdio>
 #include <cstring>
 
-#if !defined(_WIN32)
 #include <fcntl.h>
 #include <poll.h>
 #include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
-#endif
+
+#include "util/bitops.hh"
 
 namespace gaas::proc
 {
-
-#if !defined(_WIN32)
 
 namespace
 {
@@ -111,10 +109,7 @@ bool
 writeFrameBlocking(int fd, std::string_view payload)
 {
     char prefix[4];
-    const std::uint32_t len =
-        static_cast<std::uint32_t>(payload.size());
-    for (int i = 0; i < 4; ++i)
-        prefix[i] = static_cast<char>((len >> (8 * i)) & 0xff);
+    storeLE<std::uint32_t>(prefix, payload.size());
     // One combined buffer per frame: frames from the heartbeat
     // thread and the job loop interleave at frame granularity (the
     // caller serializes with a mutex), and a single write() of a
@@ -132,11 +127,7 @@ readFrameBlocking(int fd, std::string &payload)
     char prefix[4];
     if (!readAll(fd, prefix, 4))
         return false;
-    std::uint32_t len = 0;
-    for (int i = 0; i < 4; ++i)
-        len |= static_cast<std::uint32_t>(
-                   static_cast<unsigned char>(prefix[i]))
-               << (8 * i);
+    const auto len = loadLE<std::uint32_t>(prefix);
     payload.resize(len);
     return len == 0 || readAll(fd, payload.data(), len);
 }
@@ -232,68 +223,5 @@ closeChildPipes(ChildProc &child)
         child.fromChild = -1;
     }
 }
-
-bool
-mprocSupported()
-{
-    return true;
-}
-
-#else // _WIN32: no fork; the executor falls back in-process.
-
-ChildProc
-spawnChild(const std::function<void(int, int)> &)
-{
-    return ChildProc{};
-}
-
-bool
-writeFrameBlocking(int, std::string_view)
-{
-    return false;
-}
-
-bool
-readFrameBlocking(int, std::string &)
-{
-    return false;
-}
-
-int
-pollChildren(const std::vector<int> &, std::vector<PollEvent> &,
-             int)
-{
-    return 0;
-}
-
-bool
-drainPipe(int, std::string &)
-{
-    return false;
-}
-
-bool
-reapChild(std::int64_t, bool, std::string &)
-{
-    return false;
-}
-
-void
-killChild(std::int64_t)
-{
-}
-
-void
-closeChildPipes(ChildProc &)
-{
-}
-
-bool
-mprocSupported()
-{
-    return false;
-}
-
-#endif
 
 } // namespace gaas::proc

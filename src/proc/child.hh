@@ -14,8 +14,7 @@
  *
  * Everything here is supervisor-side plumbing except
  * writeFrameBlocking/readFrameBlocking, which the child loop uses
- * too.  Windows has no fork; proc/executor.hh documents the
- * fallback.
+ * too.
  */
 
 #ifndef GAAS_PROC_CHILD_HH
@@ -108,13 +107,6 @@ void killChild(std::int64_t pid);
 
 /** Close both pipe ends of @p child (idempotent). */
 void closeChildPipes(ChildProc &child);
-
-/**
- * True when this platform can run the multi-process executor
- * (POSIX fork + pipes); false on Windows, where runSweepMproc
- * falls back to the in-process pool.
- */
-bool mprocSupported();
 
 } // namespace gaas::proc
 

@@ -23,8 +23,6 @@
 namespace gaas::proc
 {
 
-#if !defined(_WIN32)
-
 namespace
 {
 
@@ -499,26 +497,12 @@ runSweepMproc(const std::vector<core::SweepJob> &jobs,
     o.heartbeatMs = std::max(1u, o.heartbeatMs);
     o.heartbeatMiss = std::max(1u, o.heartbeatMiss);
 
-    if (!mprocSupported() || jobs.empty())
+    if (jobs.empty())
         return core::runSweepOutcomes(jobs, o.workers, stats,
                                       progress, journal);
     Supervisor supervisor(o, journal);
     return core::driveSweep(jobs, supervisor, stats, progress,
                             journal);
 }
-
-#else // _WIN32
-
-std::vector<core::SweepOutcome>
-runSweepMproc(const std::vector<core::SweepJob> &jobs,
-              const MprocOptions &opts, core::SweepStats *stats,
-              const core::SweepProgress &progress,
-              core::RunJournal *journal)
-{
-    return core::runSweepOutcomes(jobs, opts.workers, stats,
-                                  progress, journal);
-}
-
-#endif
 
 } // namespace gaas::proc

@@ -88,9 +88,6 @@ struct MprocOptions
  * adds the cross-process fault model described in the file comment.  SweepStats gains mproc=true,
  * workerRespawns and requeuedJobs; per-job telemetry carries the
  * worker slot and requeue count.
- *
- * On platforms without fork (Windows), falls back to the
- * in-process pool.
  */
 std::vector<core::SweepOutcome>
 runSweepMproc(const std::vector<core::SweepJob> &jobs,

@@ -2,6 +2,7 @@
 
 #include "core/result_io.hh"
 #include "obs/json.hh"
+#include "util/bitops.hh"
 #include "util/error.hh"
 
 namespace gaas::proc
@@ -13,42 +14,6 @@ namespace
 /** Sanity cap on one frame: a result JSON is a few KiB; anything
  *  past this is a corrupt length prefix, not a real frame. */
 constexpr std::size_t kMaxFramePayload = 16u * 1024 * 1024;
-
-void
-putU32(std::string &out, std::uint32_t v)
-{
-    for (int i = 0; i < 4; ++i)
-        out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-void
-putU64(std::string &out, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-std::uint32_t
-getU32(std::string_view in, std::size_t at)
-{
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-        v |= static_cast<std::uint32_t>(
-                 static_cast<unsigned char>(in[at + i]))
-             << (8 * i);
-    return v;
-}
-
-std::uint64_t
-getU64(std::string_view in, std::size_t at)
-{
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= static_cast<std::uint64_t>(
-                 static_cast<unsigned char>(in[at + i]))
-             << (8 * i);
-    return v;
-}
 
 [[noreturn]] void
 badFrame(const char *what)
@@ -62,11 +27,10 @@ badFrame(const char *what)
 std::string
 encodeJobRequest(std::uint64_t job, std::uint32_t flags)
 {
-    std::string out;
-    out.reserve(1 + 4 + 8);
-    out.push_back(static_cast<char>(FrameType::Job));
-    putU32(out, flags);
-    putU64(out, job);
+    std::string out(1 + 4 + 8, '\0');
+    out[0] = static_cast<char>(FrameType::Job);
+    storeLE<std::uint32_t>(out.data() + 1, flags);
+    storeLE<std::uint64_t>(out.data() + 5, job);
     return out;
 }
 
@@ -85,9 +49,9 @@ encodeHeartbeat()
 std::string
 encodeResult(std::uint64_t job, const core::SweepOutcome &outcome)
 {
-    std::string out;
-    out.push_back(static_cast<char>(FrameType::Result));
-    putU64(out, job);
+    std::string out(1 + 8, '\0');
+    out[0] = static_cast<char>(FrameType::Result);
+    storeLE<std::uint64_t>(out.data() + 1, job);
     out += obs::writeJsonCompact(core::outcomeToJson(outcome, true));
     return out;
 }
@@ -107,8 +71,8 @@ decodeRequest(std::string_view payload)
         if (payload.size() != 1 + 4 + 8)
             badFrame("short job request");
         req.type = FrameType::Job;
-        req.flags = getU32(payload, 1);
-        req.job = getU64(payload, 5);
+        req.flags = loadLE<std::uint32_t>(payload.data() + 1);
+        req.job = loadLE<std::uint64_t>(payload.data() + 5);
         return req;
       default:
         badFrame("unknown request type");
@@ -129,7 +93,7 @@ decodeResponse(std::string_view payload, std::uint64_t &job,
         badFrame("unknown response type");
     if (payload.size() < 1 + 8)
         badFrame("short result frame");
-    job = getU64(payload, 1);
+    job = loadLE<std::uint64_t>(payload.data() + 1);
     outcome = core::outcomeFromJson(obs::parseJson(payload.substr(1 + 8)),
                                     true);
     return type;
@@ -152,7 +116,7 @@ FrameSplitter::next(std::string &payload)
 {
     if (buffer.size() - used < 4)
         return false;
-    const std::size_t len = getU32(buffer, used);
+    const std::size_t len = loadLE<std::uint32_t>(buffer.data() + used);
     if (len > kMaxFramePayload)
         badFrame("oversized length prefix");
     if (buffer.size() - used < 4 + len)

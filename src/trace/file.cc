@@ -1,6 +1,7 @@
 #include "file.hh"
 
 #include "trace/v3.hh"
+#include "util/bitops.hh"
 #include "util/error.hh"
 #include "util/fault.hh"
 #include "util/file_io.hh"
@@ -14,36 +15,16 @@ namespace
 constexpr std::size_t kHeaderBytes = 4 + 4 + 8;
 constexpr std::size_t kBufferRecords = 64 * 1024;
 
-std::uint32_t
-getU32(const unsigned char *src)
-{
-    return static_cast<std::uint32_t>(src[0]) |
-           static_cast<std::uint32_t>(src[1]) << 8 |
-           static_cast<std::uint32_t>(src[2]) << 16 |
-           static_cast<std::uint32_t>(src[3]) << 24;
-}
-
-std::uint64_t
-getU64(const unsigned char *src)
-{
-    std::uint64_t v = 0;
-    for (int i = 7; i >= 0; --i)
-        v = (v << 8) | src[i];
-    return v;
-}
-
 MemRef
 unpackRecord(const unsigned char *bytes)
 {
     MemRef ref;
-    ref.addr = getU64(bytes);
-    const unsigned char meta = bytes[8];
+    ref.addr = loadLE<std::uint64_t>(bytes);
+    const unsigned meta = bytes[8];
     const unsigned kind = meta & 0x03;
     if (kind > 2)
         gaas_error(ErrorCode::TraceIO, "trace record has invalid kind ", kind);
-    ref.kind = static_cast<RefKind>(kind);
-    ref.syscall = (meta & 0x04) != 0;
-    ref.partialWord = (meta & 0x08) != 0;
+    v3::setMeta(ref, meta);
     return ref;
 }
 
@@ -83,9 +64,9 @@ TraceFileReader::readHeader()
     unsigned char header[kHeaderBytes];
     if (std::fread(header, 1, kHeaderBytes, file) != kHeaderBytes)
         gaas_error(ErrorCode::TraceIO, "trace file too short: ", path);
-    if (getU32(header) != kTraceMagic)
+    if (loadLE<std::uint32_t>(header) != kTraceMagic)
         gaas_error(ErrorCode::TraceIO, "bad magic in trace file: ", path);
-    version = getU32(header + 4);
+    version = loadLE<std::uint32_t>(header + 4);
     if (version < kTraceMinVersion || version > kTraceVersion) {
         // Version 3 is the block-compressed format (trace/v3.hh)
         // every other reader takes as it is.
@@ -98,7 +79,7 @@ TraceFileReader::readHeader()
                    " (this build reads versions ", kTraceMinVersion,
                    "..", kTraceVersion, ")");
     }
-    total = getU64(header + 8);
+    total = loadLE<std::uint64_t>(header + 8);
 }
 
 void

@@ -15,8 +15,8 @@
  * that at open time for both versions (the v1 writer also wrote
  * exact sizes, so any mismatch is truncation or trailing garbage)
  * and reports the discrepancy byte-accurately.  All file positioning
- * is 64-bit (util/file_io.hh), so traces past 2 GiB work on LP32 and
- * Windows hosts.
+ * is 64-bit (util/file_io.hh), so traces past 2 GiB work on LP32
+ * hosts too.
  */
 
 #ifndef GAAS_TRACE_FILE_HH

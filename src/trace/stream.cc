@@ -1,23 +1,34 @@
 #include "stream.hh"
 
 #include <algorithm>
+#include <limits>
 
 #include "trace/packed.hh"
 #include "util/env.hh"
+#include "util/logging.hh"
 
 namespace gaas::trace
 {
+
+std::size_t
+streamBudgetBytes()
+{
+    const std::uint64_t mb =
+        envU64(kStreamBudgetEnv, kStreamBudgetDefaultMb);
+    if (mb <= std::numeric_limits<std::size_t>::max() >> 20)
+        return static_cast<std::size_t>(mb) << 20;
+    warn("ignoring ", kStreamBudgetEnv, "=", mb,
+         " (its byte count does not fit a size_t)");
+    return static_cast<std::size_t>(kStreamBudgetDefaultMb) << 20;
+}
 
 StreamSource::StreamSource(const std::string &path,
                            StreamOptions options)
     : file(path)
 {
-    std::size_t budget = options.memoryBudgetBytes;
-    if (budget == 0) {
-        budget = static_cast<std::size_t>(envU64(
-                     kStreamBudgetEnv, kStreamBudgetDefaultMb)) *
-                 (1u << 20);
-    }
+    const std::size_t budget = options.memoryBudgetBytes
+                                   ? options.memoryBudgetBytes
+                                   : streamBudgetBytes();
 
     // One slot holds one compressed payload plus one block of words.
     // The payload capacity comes from the seek table (largest block

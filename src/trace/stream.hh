@@ -69,11 +69,18 @@ inline constexpr const char *kStreamBudgetEnv =
 /** Default streaming memory ceiling when the env is unset (MiB). */
 inline constexpr std::uint64_t kStreamBudgetDefaultMb = 64;
 
+/**
+ * The ceiling GAAS_TRACE_STREAM_MB sets, in bytes: the default when
+ * unset.  A malformed value, or one whose byte count does not fit a
+ * size_t, warns once, naming the knob, and gives the default too.
+ */
+std::size_t streamBudgetBytes();
+
 struct StreamOptions
 {
     /**
-     * Cap on the stream's buffer bytes; 0 means
-     * GAAS_TRACE_STREAM_MB MiB (default 64).  The stream holds three
+     * Cap on the stream's buffer bytes; 0 means streamBudgetBytes()
+     * (GAAS_TRACE_STREAM_MB MiB, default 64).  The stream holds three
      * slots, or two if the cap has room for no more; a cap too small
      * for two is an error.  Workloads with several streams split one
      * cap across them (Workload::fromTraceFiles).

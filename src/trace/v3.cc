@@ -5,6 +5,7 @@
 #include <iterator>
 
 #include "trace/packed.hh"
+#include "util/bitops.hh"
 #include "util/error.hh"
 #include "util/fault.hh"
 #include "util/file_io.hh"
@@ -15,40 +16,6 @@ namespace gaas::trace
 
 namespace
 {
-
-void
-putU32(unsigned char *dst, std::uint32_t v)
-{
-    dst[0] = static_cast<unsigned char>(v);
-    dst[1] = static_cast<unsigned char>(v >> 8);
-    dst[2] = static_cast<unsigned char>(v >> 16);
-    dst[3] = static_cast<unsigned char>(v >> 24);
-}
-
-void
-putU64(unsigned char *dst, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        dst[i] = static_cast<unsigned char>(v >> (8 * i));
-}
-
-std::uint32_t
-getU32(const unsigned char *src)
-{
-    return static_cast<std::uint32_t>(src[0]) |
-           static_cast<std::uint32_t>(src[1]) << 8 |
-           static_cast<std::uint32_t>(src[2]) << 16 |
-           static_cast<std::uint32_t>(src[3]) << 24;
-}
-
-std::uint64_t
-getU64(const unsigned char *src)
-{
-    std::uint64_t v = 0;
-    for (int i = 7; i >= 0; --i)
-        v = (v << 8) | src[i];
-    return v;
-}
 
 /** Zig-zag map a signed delta into the non-negative varint domain. */
 inline std::uint64_t
@@ -76,18 +43,6 @@ putVarint(unsigned char *dst, std::uint64_t v)
     }
     dst[n++] = static_cast<unsigned char>(v);
     return n;
-}
-
-/** The raw meta byte shared with the v1/v2 record format. */
-inline unsigned
-metaOf(const MemRef &ref)
-{
-    unsigned meta = static_cast<unsigned>(ref.kind);
-    if (ref.syscall)
-        meta |= 0x04;
-    if (ref.partialWord)
-        meta |= 0x08;
-    return meta;
 }
 
 [[noreturn]] void
@@ -162,7 +117,7 @@ encodeRecords(const MemRef *refs, std::size_t n,
             // Raw escape: unaligned address, or a delta too wide to
             // share a 64-bit varint with the meta nibble.
             *p++ = 0x0f;
-            putU64(p, ref.addr);
+            storeLE<std::uint64_t>(p, ref.addr);
             p += 8;
             *p++ = static_cast<unsigned char>(metaOf(ref));
         } else {
@@ -201,10 +156,8 @@ decodeBlock(const unsigned char *payload, std::size_t bytes,
                 decodeFail(ctx, i,
                            static_cast<std::size_t>(p - payload) + 8,
                            "invalid record kind");
-            ref.addr = getU64(p);
-            ref.kind = static_cast<RefKind>(raw & 0x03);
-            ref.syscall = (raw & 0x04) != 0;
-            ref.partialWord = (raw & 0x08) != 0;
+            ref.addr = loadLE<std::uint64_t>(p);
+            setMeta(ref, raw);
             word = ref.addr >> 2;
             p += 9;
         } else {
@@ -214,9 +167,7 @@ decodeBlock(const unsigned char *payload, std::size_t bytes,
                            "invalid record kind");
             word += static_cast<std::uint64_t>(unzigzag(v >> 4));
             ref.addr = word << 2;
-            ref.kind = static_cast<RefKind>(meta & 0x03);
-            ref.syscall = (meta & 0x04) != 0;
-            ref.partialWord = (meta & 0x08) != 0;
+            setMeta(ref, meta);
         }
     }
     if (p != end)
@@ -302,9 +253,9 @@ TraceV3Writer::TraceV3Writer(const std::string &path_,
     // Placeholder header; count, flags and digest are patched on
     // close().
     unsigned char header[kV3HeaderBytes] = {};
-    putU32(header, kTraceMagic);
-    putU32(header + 4, kV3Version);
-    putU32(header + 16, blockRefs);
+    storeLE<std::uint32_t>(header, kTraceMagic);
+    storeLE<std::uint32_t>(header + 4, kV3Version);
+    storeLE<std::uint32_t>(header + 16, blockRefs);
     if (!util::writeBytes(file, header, kV3HeaderBytes))
         gaas_error(ErrorCode::TraceIO,
                    "short write on trace header: ", path);
@@ -367,9 +318,9 @@ TraceV3Writer::flushBlock()
     if (blockFill == 0)
         return;
     unsigned char frame[kV3FrameBytes];
-    putU32(frame, static_cast<std::uint32_t>(payloadBytes));
-    putU32(frame + 4, blockFill);
-    putU32(frame + 8, blockSum);
+    storeLE<std::uint32_t>(frame, payloadBytes);
+    storeLE<std::uint32_t>(frame + 4, blockFill);
+    storeLE<std::uint32_t>(frame + 8, blockSum);
     if (!util::writeBytes(file, frame, kV3FrameBytes) ||
         !util::writeBytes(file, payload.get(), payloadBytes))
         gaas_error(ErrorCode::TraceIO,
@@ -393,21 +344,23 @@ TraceV3Writer::close()
     // Seek table + tail.
     std::vector<unsigned char> table(offsets.size() * 8);
     for (std::size_t i = 0; i < offsets.size(); ++i)
-        putU64(table.data() + i * 8, offsets[i]);
+        storeLE<std::uint64_t>(table.data() + i * 8, offsets[i]);
     unsigned char tail[kV3TailBytes];
-    putU64(tail, offsets.size());
-    putU32(tail + 8, util::fnv1a32(table.data(), table.size()));
-    putU32(tail + 12, kV3FooterMagic);
+    storeLE<std::uint64_t>(tail, offsets.size());
+    storeLE<std::uint32_t>(tail + 8,
+                           util::fnv1a32(table.data(), table.size()));
+    storeLE<std::uint32_t>(tail + 12, kV3FooterMagic);
     bool ok = util::writeBytes(file, table.data(), table.size()) &&
               util::writeBytes(file, tail, kV3TailBytes);
     // Patch the finalised header.
     unsigned char header[kV3HeaderBytes];
-    putU32(header, kTraceMagic);
-    putU32(header + 4, kV3Version);
-    putU64(header + 8, count);
-    putU32(header + 16, blockRefs);
-    putU32(header + 20, packableAll ? kV3FlagPackable : 0);
-    putU64(header + 24, digest.value());
+    storeLE<std::uint32_t>(header, kTraceMagic);
+    storeLE<std::uint32_t>(header + 4, kV3Version);
+    storeLE<std::uint64_t>(header + 8, count);
+    storeLE<std::uint32_t>(header + 16, blockRefs);
+    storeLE<std::uint32_t>(header + 20,
+                           packableAll ? kV3FlagPackable : 0);
+    storeLE<std::uint64_t>(header + 24, digest.value());
     ok = ok && util::seekTo(file, 0) &&
          util::writeBytes(file, header, kV3HeaderBytes) &&
          util::flushAndSync(file);
@@ -461,10 +414,10 @@ V3File::openAndValidate()
     if (got < 8)
         gaas_error(ErrorCode::TraceIO, "trace file too short: ",
                    path_);
-    if (getU32(header) != kTraceMagic)
+    if (loadLE<std::uint32_t>(header) != kTraceMagic)
         gaas_error(ErrorCode::TraceIO, "bad magic in trace file: ",
                    path_);
-    const std::uint32_t version = getU32(header + 4);
+    const auto version = loadLE<std::uint32_t>(header + 4);
     if (version != kV3Version)
         gaas_error(ErrorCode::TraceIO, "trace file ", path_,
                    " is format v", version,
@@ -475,10 +428,10 @@ V3File::openAndValidate()
                    path_, " (", size, " bytes; a v3 file is at "
                    "least ", kV3HeaderBytes + kV3TailBytes,
                    " bytes)");
-    records_ = getU64(header + 8);
-    blockRefs_ = getU32(header + 16);
-    flags_ = getU32(header + 20);
-    digest_ = getU64(header + 24);
+    records_ = loadLE<std::uint64_t>(header + 8);
+    blockRefs_ = loadLE<std::uint32_t>(header + 16);
+    flags_ = loadLE<std::uint32_t>(header + 20);
+    digest_ = loadLE<std::uint64_t>(header + 24);
     if (blockRefs_ == 0 || blockRefs_ > kV3MaxBlockRefs)
         gaas_error(ErrorCode::TraceIO, "trace file ", path_,
                    " declares ", blockRefs_,
@@ -491,12 +444,12 @@ V3File::openAndValidate()
         std::fread(tail, 1, kV3TailBytes, file) != kV3TailBytes)
         gaas_error(ErrorCode::TraceIO,
                    "cannot read trace footer of ", path_);
-    if (getU32(tail + 12) != kV3FooterMagic)
+    if (loadLE<std::uint32_t>(tail + 12) != kV3FooterMagic)
         gaas_error(ErrorCode::TraceIO, "trace file ", path_,
                    " has a bad footer magic at byte offset ",
                    size - 4,
                    " -- truncated or not finalised");
-    const std::uint64_t blocks = getU64(tail);
+    const auto blocks = loadLE<std::uint64_t>(tail);
     const std::uint64_t expectBlocks =
         (records_ + blockRefs_ - 1) / blockRefs_;
     if (blocks != expectBlocks)
@@ -523,15 +476,16 @@ V3File::openAndValidate()
                    "cannot read seek table of ", path_);
     const std::uint32_t tableSum =
         util::fnv1a32(table.data(), table.size());
-    if (tableSum != getU32(tail + 8))
+    if (tableSum != loadLE<std::uint32_t>(tail + 8))
         gaas_error(ErrorCode::TraceIO, "trace file ", path_,
                    " seek table checksum mismatch at byte offset ",
-                   tableStart, " (stored ", getU32(tail + 8),
-                   ", computed ", tableSum, ")");
+                   tableStart, " (stored ",
+                   loadLE<std::uint32_t>(tail + 8), ", computed ",
+                   tableSum, ")");
     offsets.resize(blocks);
     std::uint64_t prevEnd = kV3HeaderBytes;
     for (std::uint64_t i = 0; i < blocks; ++i) {
-        const std::uint64_t off = getU64(table.data() + i * 8);
+        const auto off = loadLE<std::uint64_t>(table.data() + i * 8);
         if (off != prevEnd && i == 0)
             gaas_error(ErrorCode::TraceIO, "trace file ", path_,
                        " seek table entry 0 is ", off,
@@ -591,9 +545,9 @@ V3File::readBlock(std::uint64_t b,
         std::fread(frame, 1, kV3FrameBytes, file) != kV3FrameBytes)
         gaas_error(ErrorCode::TraceIO, "cannot read block ", b,
                    " frame of ", path_, " at byte offset ", off);
-    const std::uint32_t payloadBytes = getU32(frame);
-    const std::uint32_t frameRecords = getU32(frame + 4);
-    const std::uint32_t storedSum = getU32(frame + 8);
+    const auto payloadBytes = loadLE<std::uint32_t>(frame);
+    const auto frameRecords = loadLE<std::uint32_t>(frame + 4);
+    const auto storedSum = loadLE<std::uint32_t>(frame + 8);
     if (payloadBytes != expectBytes)
         gaas_error(ErrorCode::TraceIO, "trace file ", path_,
                    " block ", b, " frame at byte offset ", off,

@@ -122,6 +122,35 @@ V3FileInfo v3FileInfo(const std::string &path);
 namespace v3
 {
 
+/**
+ * The meta bits of @p ref: kind | syscall << 2 | partialWord << 3.
+ * They are a v3 token's low nibble, the byte after a raw escape's
+ * address and the v1/v2 record's meta byte.
+ */
+inline unsigned
+metaOf(const MemRef &ref)
+{
+    unsigned meta = static_cast<unsigned>(ref.kind);
+    if (ref.syscall)
+        meta |= 0x04;
+    if (ref.partialWord)
+        meta |= 0x08;
+    return meta;
+}
+
+/**
+ * Inverse of metaOf: set @p ref's kind, syscall and partialWord from
+ * @p meta.  The caller has checked that the kind bits (meta & 0x03)
+ * name a RefKind, that is, are at most 2.
+ */
+inline void
+setMeta(MemRef &ref, unsigned meta)
+{
+    ref.kind = static_cast<RefKind>(meta & 0x03);
+    ref.syscall = (meta & 0x04) != 0;
+    ref.partialWord = (meta & 0x08) != 0;
+}
+
 /** Error context for byte-accurate decode diagnostics. */
 struct BlockContext
 {
@@ -211,8 +240,6 @@ class TraceV3Writer
 
     /** Flush, write footer, patch header; implied by destructor. */
     void close();
-
-    std::uint64_t recordsWritten() const { return count; }
 
   private:
     /** Encode @p n records, no more than the pending block has room

@@ -1,14 +1,18 @@
 /**
  * @file
  * Bit-manipulation helpers used by the cache index/tag logic, the
- * page-colouring allocator, and the TLB.
+ * page-colouring allocator, and the TLB, plus the little-endian
+ * load/store pair every on-disk and on-pipe integer goes through.
  */
 
 #ifndef GAAS_UTIL_BITOPS_HH
 #define GAAS_UTIL_BITOPS_HH
 
 #include <bit>
+#include <concepts>
+#include <cstddef>
 #include <cstdint>
+#include <type_traits>
 
 namespace gaas
 {
@@ -61,6 +65,32 @@ constexpr std::uint64_t
 divCeil(std::uint64_t a, std::uint64_t b)
 {
     return (a + b - 1) / b;
+}
+
+/**
+ * Store @p v at @p dst as sizeof(T) little-endian bytes, whatever
+ * the host's byte order.  T is never deduced, so every call site
+ * names the width it writes.
+ */
+template <std::unsigned_integral T>
+inline void
+storeLE(void *dst, std::type_identity_t<T> v)
+{
+    auto *p = static_cast<unsigned char *>(dst);
+    for (std::size_t i = 0; i < sizeof(T); ++i)
+        p[i] = static_cast<unsigned char>(v >> (8 * i));
+}
+
+/** @return the sizeof(T) little-endian bytes at @p src. */
+template <std::unsigned_integral T>
+inline T
+loadLE(const void *src)
+{
+    const auto *p = static_cast<const unsigned char *>(src);
+    T v = 0;
+    for (std::size_t i = 0; i < sizeof(T); ++i)
+        v |= static_cast<T>(p[i]) << (8 * i);
+    return v;
 }
 
 } // namespace gaas

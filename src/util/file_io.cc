@@ -5,73 +5,37 @@
 #include <cstring>
 #include <thread>
 
-#if defined(_WIN32)
-#include <io.h>
-#else
 #include <unistd.h>
-#endif
 
 #include "util/fault.hh"
 
 namespace gaas::util
 {
 
-namespace
-{
-
-int
-seek64(std::FILE *file, std::int64_t offset, int whence)
-{
-#if defined(_WIN32)
-    return ::_fseeki64(file, offset, whence);
-#else
-    // off_t is 64-bit on every modern POSIX libc (glibc/musl/BSD
-    // default to 64-bit file offsets on LP64, and LP32 builds get it
-    // via _FILE_OFFSET_BITS=64).
-    static_assert(sizeof(off_t) >= 8,
-                  "off_t must be 64-bit; compile with "
-                  "_FILE_OFFSET_BITS=64");
-    return ::fseeko(file, static_cast<off_t>(offset), whence);
-#endif
-}
-
-std::int64_t
-tell64(std::FILE *file)
-{
-#if defined(_WIN32)
-    return ::_ftelli64(file);
-#else
-    return static_cast<std::int64_t>(::ftello(file));
-#endif
-}
-
-} // namespace
+// off_t is 64-bit on every modern POSIX libc (glibc/musl/BSD default
+// to 64-bit file offsets on LP64, and LP32 builds get it via
+// _FILE_OFFSET_BITS=64).
+static_assert(sizeof(off_t) >= 8,
+              "off_t must be 64-bit; compile with _FILE_OFFSET_BITS=64");
 
 bool
 seekTo(std::FILE *file, std::uint64_t offset)
 {
-    return seek64(file, static_cast<std::int64_t>(offset),
-                  SEEK_SET) == 0;
-}
-
-std::int64_t
-tellPos(std::FILE *file)
-{
-    return tell64(file);
+    return ::fseeko(file, static_cast<off_t>(offset), SEEK_SET) == 0;
 }
 
 std::int64_t
 fileSizeBytes(std::FILE *file)
 {
-    const std::int64_t here = tell64(file);
+    const off_t here = ::ftello(file);
     if (here < 0)
         return -1;
-    if (seek64(file, 0, SEEK_END) != 0)
+    if (::fseeko(file, 0, SEEK_END) != 0)
         return -1;
-    const std::int64_t size = tell64(file);
+    const off_t size = ::ftello(file);
     // Restore the caller's position even if the end-seek told us
     // nothing useful.
-    if (seek64(file, here, SEEK_SET) != 0)
+    if (::fseeko(file, here, SEEK_SET) != 0)
         return -1;
     return size;
 }
@@ -91,11 +55,7 @@ flushAndSync(std::FILE *file)
         return false;
     if (std::fflush(file) != 0)
         return false;
-#if defined(_WIN32)
-    return ::_commit(::_fileno(file)) == 0;
-#else
     return ::fsync(::fileno(file)) == 0;
-#endif
 }
 
 bool

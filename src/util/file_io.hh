@@ -1,13 +1,11 @@
 /**
  * @file
- * Portable 64-bit file positioning and hardened file writes over
- * std::FILE.
+ * 64-bit file positioning and hardened file writes over std::FILE.
  *
  * std::fseek/std::ftell take a `long` offset, which is 32 bits on
- * LP32 targets and on Windows (LLP64), so any stdio seek breaks past
- * 2 GiB there -- exactly the regime long trace files live in.  These
- * wrappers route to fseeko/ftello (POSIX, with 64-bit off_t) or
- * _fseeki64/_ftelli64 (Windows) so callers never touch `long`.
+ * LP32 targets, so any stdio seek breaks past 2 GiB there -- exactly
+ * the regime long trace files live in.  These wrappers route to
+ * fseeko/ftello with a 64-bit off_t so callers never touch `long`.
  *
  * The write-side helpers carry the robustness contract of the result
  * files: writeBytes/flushAndSync are the fallible primitives (with
@@ -31,9 +29,6 @@ namespace gaas::util
 
 /** Seek to absolute byte @p offset; @return true on success. */
 bool seekTo(std::FILE *file, std::uint64_t offset);
-
-/** @return current byte position, or -1 on error. */
-std::int64_t tellPos(std::FILE *file);
 
 /**
  * @return total file size in bytes (by seeking to the end), or -1 on

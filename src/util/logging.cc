@@ -53,13 +53,6 @@ warnImpl(const std::string &msg)
         std::cerr << "warn: " << msg << std::endl;
 }
 
-void
-informImpl(const std::string &msg)
-{
-    if (!logQuiet())
-        std::cerr << "info: " << msg << std::endl;
-}
-
 } // namespace detail
 
 } // namespace gaas

@@ -7,7 +7,6 @@
  * fatal()  -- the simulation cannot continue because of a user error
  *             (bad configuration, invalid arguments); exits cleanly.
  * warn()   -- something is suspicious but the run can continue.
- * inform() -- status messages with no connotation of a problem.
  */
 
 #ifndef GAAS_UTIL_LOGGING_HH
@@ -38,14 +37,13 @@ formatParts(Args &&...args)
 [[noreturn]] void fatalImpl(const char *file, int line,
                             const std::string &msg);
 void warnImpl(const std::string &msg);
-void informImpl(const std::string &msg);
 
 } // namespace detail
 
-/** Quiet all warn()/inform() output (used by tests and benches). */
+/** Quiet all warn() output (used by tests and benches). */
 void setLogQuiet(bool quiet);
 
-/** @return true if warn()/inform() output is suppressed. */
+/** @return true if warn() output is suppressed. */
 bool logQuiet();
 
 #define gaas_panic(...)                                                  \
@@ -62,14 +60,6 @@ void
 warn(Args &&...args)
 {
     detail::warnImpl(detail::formatParts(std::forward<Args>(args)...));
-}
-
-/** Report simulation status to stderr (suppressed when quiet). */
-template <typename... Args>
-void
-inform(Args &&...args)
-{
-    detail::informImpl(detail::formatParts(std::forward<Args>(args)...));
 }
 
 /**

@@ -56,13 +56,6 @@ class ThreadPool
     ThreadPool(const ThreadPool &) = delete;
     ThreadPool &operator=(const ThreadPool &) = delete;
 
-    /** Number of worker threads. */
-    unsigned
-    workerCount() const
-    {
-        return static_cast<unsigned>(threads.size());
-    }
-
     /**
      * Queue @p fn for execution on a worker.
      *

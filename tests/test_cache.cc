@@ -84,29 +84,27 @@ TEST(TagStore, AddressDissection)
 TEST(TagStore, MissThenHit)
 {
     TagStore store(directMapped(4 * 1024), "test");
-    EXPECT_FALSE(store.find(0x1000));
+    EXPECT_EQ(store.lookup(0x1000), TagStore::npos);
     Eviction ev;
-    TagStore::Ref line = store.allocate(0x1000, ev);
+    const TagStore::LineIndex line = store.allocateIdx(0x1000, ev);
     EXPECT_FALSE(ev.valid);
-    EXPECT_TRUE(line.valid());
-    EXPECT_FALSE(line.dirty());
-    EXPECT_FALSE(line.writeOnly());
-    EXPECT_EQ(line.validMask(), store.fullMask());
+    EXPECT_EQ(store.stateAt(line), TagStore::kValidBit);
+    EXPECT_EQ(store.maskAt(line), store.fullMask());
     // Any word of the line hits.
-    EXPECT_EQ(store.find(0x1000), line);
-    EXPECT_EQ(store.find(0x100c), line);
+    EXPECT_EQ(store.lookup(0x1000), line);
+    EXPECT_EQ(store.lookup(0x100c), line);
     // The next line does not.
-    EXPECT_FALSE(store.find(0x1010));
+    EXPECT_EQ(store.lookup(0x1010), TagStore::npos);
 }
 
 TEST(TagStore, EvictionReportsAddressAndDirty)
 {
     TagStore store(directMapped(4 * 1024), "test");
     Eviction ev;
-    store.allocate(0x1000, ev).setDirty(true);
+    store.setDirtyAt(store.allocateIdx(0x1000, ev), true);
 
     // Same set, different tag: 16KB away.
-    store.allocate(0x1000 + 16 * 1024, ev);
+    store.allocateIdx(0x1000 + 16 * 1024, ev);
     EXPECT_TRUE(ev.valid);
     EXPECT_TRUE(ev.dirty);
     EXPECT_EQ(ev.lineAddr, 0x1000u);
@@ -118,47 +116,50 @@ TEST(TagStore, LruVictimSelection)
     // 4 sets x 2 ways; set 0 repeats every 64 bytes.
     Eviction ev;
     const Addr a = 0x000, b = 0x040, c = 0x080;
-    store.allocate(a, ev);
-    store.allocate(b, ev);
+    store.allocateIdx(a, ev);
+    store.allocateIdx(b, ev);
     // Touch A so B is LRU.
-    store.touch(store.find(a));
-    store.allocate(c, ev);
+    store.touchIdx(store.lookup(a));
+    store.allocateIdx(c, ev);
     EXPECT_TRUE(ev.valid);
     EXPECT_EQ(ev.lineAddr, b);
-    EXPECT_TRUE(store.find(a));
-    EXPECT_FALSE(store.find(b));
-    EXPECT_TRUE(store.find(c));
+    EXPECT_NE(store.lookup(a), TagStore::npos);
+    EXPECT_EQ(store.lookup(b), TagStore::npos);
+    EXPECT_NE(store.lookup(c), TagStore::npos);
 }
 
 TEST(TagStore, VictimPrefersInvalidWay)
 {
     TagStore store(setAssoc(32, 2, 4), "test");
     Eviction ev;
-    store.allocate(0x000, ev);
-    // Second way of set 0 is still invalid; victim must be it.
-    TagStore::Ref victim = store.victim(0x040);
-    ASSERT_TRUE(victim);
-    EXPECT_FALSE(victim.valid());
+    store.allocateIdx(0x000, ev);
+    const TagStore::LineIndex second = store.allocateIdx(0x040, ev);
+    // Set 0's newer way is invalid again, the older (LRU) one still
+    // valid: the victim must be the invalid way, not the LRU one.
+    store.invalidateAt(second);
+    const TagStore::LineIndex victim = store.victimIdx(0x080);
+    EXPECT_EQ(victim, second);
+    EXPECT_FALSE(store.stateAt(victim) & TagStore::kValidBit);
 }
 
 TEST(TagStore, InvalidateAll)
 {
     TagStore store(directMapped(1024), "test");
     Eviction ev;
-    store.allocate(0x0, ev);
-    store.allocate(0x100, ev);
+    store.allocateIdx(0x0, ev);
+    store.allocateIdx(0x100, ev);
     EXPECT_EQ(store.validCount(), 2u);
     store.invalidateAll();
     EXPECT_EQ(store.validCount(), 0u);
-    EXPECT_FALSE(store.find(0x0));
+    EXPECT_EQ(store.lookup(0x0), TagStore::npos);
 }
 
 TEST(TagStore, DirtyCount)
 {
     TagStore store(directMapped(1024), "test");
     Eviction ev;
-    store.allocate(0x0, ev).setDirty(true);
-    store.allocate(0x100, ev);
+    store.setDirtyAt(store.allocateIdx(0x0, ev), true);
+    store.allocateIdx(0x100, ev);
     EXPECT_EQ(store.dirtyCount(), 1u);
 }
 
@@ -166,14 +167,14 @@ TEST(TagStore, WriteOnlyAndSubblockStateSurvivesFind)
 {
     TagStore store(directMapped(4 * 1024), "test");
     Eviction ev;
-    TagStore::Ref line = store.allocate(0x2000, ev);
-    line.setWriteOnly(true);
-    line.setValidMask(0x2);
-    // find() is a pure tag probe: state is unchanged.
-    TagStore::Ref found = store.find(0x2004);
-    ASSERT_TRUE(found);
-    EXPECT_TRUE(found.writeOnly());
-    EXPECT_EQ(found.validMask(), 0x2u);
+    const TagStore::LineIndex line = store.allocateIdx(0x2000, ev);
+    store.setWriteOnlyAt(line, true);
+    store.setMaskAt(line, 0x2);
+    // lookup() is a pure tag probe: state is unchanged.
+    const TagStore::LineIndex found = store.lookup(0x2004);
+    ASSERT_EQ(found, line);
+    EXPECT_TRUE(store.stateAt(found) & TagStore::kWriteOnlyBit);
+    EXPECT_EQ(store.maskAt(found), 0x2u);
 }
 
 TEST(TagStore, DmAndAssocProbesAgree)
@@ -185,7 +186,7 @@ TEST(TagStore, DmAndAssocProbesAgree)
     Eviction ev;
     for (Addr addr = 0; addr < 128 * 1024; addr += 977 * 4) {
         EXPECT_EQ(store.lookupDm(addr), store.lookupAssoc(addr));
-        store.allocate(addr, ev);
+        store.allocateIdx(addr, ev);
         EXPECT_EQ(store.lookupDm(addr), store.lookupAssoc(addr));
         EXPECT_NE(store.lookupDm(addr), TagStore::npos);
     }
@@ -195,9 +196,9 @@ TEST(TagStore, InvalidateRestoresSentinel)
 {
     TagStore store(directMapped(1024), "test");
     Eviction ev;
-    store.allocate(0x40, ev).setDirty(true);
-    store.find(0x40).invalidate();
-    EXPECT_FALSE(store.find(0x40));
+    store.setDirtyAt(store.allocateIdx(0x40, ev), true);
+    store.invalidateAt(store.lookup(0x40));
+    EXPECT_EQ(store.lookup(0x40), TagStore::npos);
     EXPECT_EQ(store.validCount(), 0u);
     EXPECT_EQ(store.dirtyCount(), 0u);
 }
@@ -218,10 +219,9 @@ TEST_P(TagStoreGeometry, AllocateFindRoundTrip)
     // allocation, and the store never exceeds its capacity.
     Eviction ev;
     for (Addr addr = 0; addr < 64 * 1024; addr += 1003 * 4) {
-        if (!store.find(addr))
-            store.allocate(addr, ev);
-        TagStore::Ref line = store.find(addr);
-        ASSERT_TRUE(line);
+        if (store.lookup(addr) == TagStore::npos)
+            store.allocateIdx(addr, ev);
+        ASSERT_NE(store.lookup(addr), TagStore::npos);
         EXPECT_EQ(store.lineAddr(addr) % (line_words * 4), 0u);
     }
     EXPECT_LE(store.validCount(), store.config().lines());
@@ -233,7 +233,7 @@ TEST_P(TagStoreGeometry, EvictionAddressMapsBackToSameSet)
     TagStore store(setAssoc(size, assoc, line_words), "sweep");
     Eviction ev;
     for (Addr addr = 0; addr < 256 * 1024; addr += 4093 * 4) {
-        store.allocate(addr, ev);
+        store.allocateIdx(addr, ev);
         if (ev.valid) {
             // A victim's reconstructed address must index the same
             // set it was evicted from.

@@ -10,10 +10,14 @@
 # `tracepack pack`, cachesim must count the fixture's exact records.
 # `pack` of a v3 input and the removed `unpack` must exit nonzero.
 # A synthesized v3 trace runs through `gaassim --trace` and cachesim.
-# Malformed or zero numeric flags, --mp given with --trace, an
-# unknown cachesim --kind, and a bad calibrate budget or mode must
-# exit nonzero, naming the bad value, before any simulation; a zero
-# tracepack count or size must exit 2, naming the option.
+# Malformed or zero numeric flags, --mp given with --trace, a second
+# --preset or --config, an unknown cachesim --kind, and a bad
+# calibrate budget or mode must exit nonzero, naming the bad value,
+# before any simulation; a zero tracepack count or size must exit 2,
+# naming the option.  gaassim's --slice holds wherever it stands, and
+# an unwritable --stats or --stats-json file fails the run.  A
+# GAAS_TRACE_STREAM_MB whose byte count overflows warns once and
+# falls back to the default ceiling.
 
 set -u
 
@@ -115,6 +119,43 @@ for args in "--instructions abc" "--instructions 0" "--mp 4x" \
         || fail "gaassim $args did not name $flag"
 done
 
+# One configuration per run: a second --preset or --config is refused
+# (the usage line lists them as alternatives).
+: >"$dir/empty.cfg"
+for args in "--preset base --preset optimized|--preset" \
+            "--preset base --config $dir/empty.cfg|--config" \
+            "--config $dir/empty.cfg --preset base|--preset"; do
+    flags=${args%|*}
+    second=${args#*|}
+    # shellcheck disable=SC2086
+    if "$GAASSIM" $flags --instructions 1000 >/dev/null 2>"$dir/err"; then
+        fail "gaassim $flags exited 0"
+    fi
+    grep -q -- "$second after" "$dir/err" \
+        || fail "gaassim $flags did not name the second $second"
+done
+
+# --slice overrides the configuration's time slice on either side of
+# --preset: both orders switch contexts equally often.
+switches() {
+    "$GAASSIM" "$@" --instructions 200000 |
+        sed -n 's/^sim\.context_switches  *\([0-9]*\) .*/\1/p'
+}
+before=$(switches --slice 1000 --preset base)
+after=$(switches --preset base --slice 1000)
+[ -n "$after" ] && [ "$before" = "$after" ] \
+    || fail "--slice 1000 gave $before context switches before" \
+        "--preset and $after after it"
+
+# A stats file that cannot be written fails the run.
+for args in "--stats $dir/missing/s.txt" \
+            "--stats-json /dev/null/s.json"; do
+    # shellcheck disable=SC2086
+    if "$GAASSIM" --instructions 1000 $args >/dev/null 2>&1; then
+        fail "gaassim $args exited 0"
+    fi
+done
+
 for args in "--size 4x" "--size 0" "--assoc 0" "--assoc two" \
             "--line x" "--kind bogus"; do
     # shellcheck disable=SC2086
@@ -145,6 +186,15 @@ done
 [ -e "$dir/z.v3" ] && fail "a rejected tracepack synth wrote $dir/z.v3"
 "$TRACEPACK" synth "$dir/b0.v3" --bench 0 --instructions 1000 \
     >/dev/null || fail "tracepack synth --bench 0 exited nonzero"
+
+# 2^44 MiB is 2^64 bytes: the ceiling does not fit a size_t, so the
+# drain warns once, naming the knob, and streams under the default.
+GAAS_TRACE_STREAM_MB=17592186044416 "$TRACEPACK" drain "$dir/t.v3" \
+    >/dev/null 2>"$dir/err" \
+    || fail "tracepack drain with a 2^44 MiB ceiling exited nonzero"
+[ "$(grep -c '^warn:' "$dir/err")" -eq 1 ] \
+    && grep -q 'GAAS_TRACE_STREAM_MB' "$dir/err" \
+    || fail "a 2^44 MiB ceiling did not warn once naming the knob"
 
 # calibrate takes a budget and a mode as positional arguments.  Each
 # bad case is "arguments|the argument the error must name".

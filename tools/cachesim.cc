@@ -124,12 +124,13 @@ main(int argc, char **argv)
                 break;
             }
             ++accesses;
-            if (cache::TagStore::Ref line = store.find(ref.addr)) {
-                store.touch(line);
+            if (const auto idx = store.lookup(ref.addr);
+                idx != cache::TagStore::npos) {
+                store.touchIdx(idx);
             } else {
                 ++misses;
                 cache::Eviction ev;
-                store.allocate(ref.addr, ev);
+                store.allocateIdx(ref.addr, ev);
             }
         }
 

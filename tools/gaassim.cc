@@ -10,7 +10,10 @@
  * strictly: a malformed value, or a zero --instructions/--mp/--slice,
  * exits 1 naming the flag before any simulation (--warmup 0 is
  * legal).  --mp sizes the synthetic workload only, so --mp with
- * --trace exits 1 as well.
+ * --trace exits 1 as well, and so does a second --preset or
+ * --config.  --slice overrides the configuration's time slice
+ * wherever it stands on the line.  A --stats or --stats-json file
+ * that cannot be written makes the run exit 1.
  *
  * Usage:
  *   gaassim [--preset NAME | --config FILE]
@@ -111,6 +114,8 @@ main(int argc, char **argv)
     Count instructions = 4'000'000;
     std::optional<Count> warmup; // default: half the budget
     std::optional<unsigned> mp; // default: 8
+    std::optional<Cycles> slice; // default: the configuration's
+    std::string config_flag;     // the --preset or --config given
     std::string stats_path;
     std::string stats_json_path;
 
@@ -122,10 +127,17 @@ main(int argc, char **argv)
                     usage();
                 return argv[i];
             };
-            if (arg == "--preset") {
-                cfg = presetByName(next());
-            } else if (arg == "--config") {
-                cfg = core::loadConfigFile(next());
+            if (arg == "--preset" || arg == "--config") {
+                if (!config_flag.empty()) {
+                    std::cerr << "gaassim: " << arg << " after "
+                              << config_flag << ": give one --preset "
+                                 "or one --config\n";
+                    return 1;
+                }
+                config_flag = arg;
+                const std::string value = next();
+                cfg = arg == "--preset" ? presetByName(value)
+                                        : core::loadConfigFile(value);
             } else if (arg == "--trace") {
                 traces.push_back(next());
             } else if (arg == "--instructions") {
@@ -137,7 +149,7 @@ main(int argc, char **argv)
                     arg, next(), false,
                     std::numeric_limits<unsigned>::max()));
             } else if (arg == "--slice") {
-                cfg.timeSliceCycles = flagValue(arg, next());
+                slice = flagValue(arg, next());
             } else if (arg == "--stats") {
                 stats_path = next();
             } else if (arg == "--stats-json") {
@@ -154,6 +166,8 @@ main(int argc, char **argv)
                          "file is one process\n";
             return 1;
         }
+        if (slice)
+            cfg.timeSliceCycles = *slice;
         core::Workload wl =
             traces.empty()
                 ? core::Workload::standard(mp.value_or(8))
@@ -166,21 +180,28 @@ main(int argc, char **argv)
             sim.run(instructions, warmup.value_or(instructions / 2));
         std::cout << res.formatBreakdown();
 
+        // Each dump warns on its own failure; either one fails the
+        // run.
+        bool written = true;
         if (!stats_json_path.empty()) {
             if (core::dumpStatsJsonFile(res, stats_json_path))
                 std::cout << "[stats-json: " << stats_json_path
                           << "]\n";
+            else
+                written = false;
         }
         if (!stats_path.empty()) {
             if (core::dumpStatsFile(res, stats_path))
                 std::cout << "[stats: " << stats_path << "]\n";
+            else
+                written = false;
         } else if (stats_json_path.empty()) {
             std::cout << '\n';
             core::dumpStats(res, std::cout);
         }
+        return written ? 0 : 1;
     } catch (const FatalError &err) {
         std::cerr << err.what() << '\n';
         return 1;
     }
-    return 0;
 }
