@@ -91,17 +91,14 @@ Workload::fromTraceFiles(const std::vector<std::string> &paths,
 
     Workload wl;
     if (streaming) {
-        // One ceiling for the whole workload: each stream gets an
-        // even share, so naming more traces never buys more memory.
-        trace::StreamOptions options;
-        options.memoryBudgetBytes =
-            trace::streamBudgetBytes() / paths.size();
-        for (const std::string &path : paths) {
-            auto src = std::make_unique<trace::StreamSource>(
-                path, options);
+        // One store for the whole workload: its streams share the
+        // decoded blocks and the decoders under one ceiling.
+        auto store = std::make_shared<trace::BlockStore>(paths);
+        for (std::size_t i = 0; i < paths.size(); ++i) {
+            auto src = std::make_unique<trace::StreamSource>(store, i);
             wl.add(std::make_unique<trace::LoopSource>(
                        std::move(src)),
-                   base_cpi, shortName(path));
+                   base_cpi, shortName(paths[i]));
         }
         return wl;
     }

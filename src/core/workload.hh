@@ -81,11 +81,12 @@ class Workload
      *    into the shared TraceArena (keyed by its content digest)
      *    and replayed zero-copy, like the synthetic streams.
      *  - @p streaming true: each process replays through a
-     *    bounded-memory StreamSource; the GAAS_TRACE_STREAM_MB
-     *    ceiling is split evenly across the files, so total
-     *    buffering stays under one ceiling regardless of how many
-     *    traces the workload names.  `gaassim --trace` uses this
-     *    mode.
+     *    StreamSource over one trace::BlockStore that all of the
+     *    workload's files share: one set of decoded blocks, sized
+     *    by the streams' need, and one decoder pool, under one
+     *    GAAS_TRACE_STREAM_MB ceiling for the whole store however
+     *    many traces the workload names.  `gaassim --trace` uses
+     *    this mode.
      *
      * Both modes produce bit-identical reference streams (wrapped
      * in LoopSource, like every other workload source), passing

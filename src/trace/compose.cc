@@ -24,13 +24,19 @@ refKindName(RefKind kind)
 }
 
 void
-packed::rejectAddress(const MemRef &ref, const TraceSource &source)
+packed::rejectAddress(const MemRef &ref, const std::string &name)
 {
-    gaas_error(ErrorCode::TraceIO, "trace ", source.name(), ": ",
+    gaas_error(ErrorCode::TraceIO, "trace ", name, ": ",
                refKindName(ref.kind), " at address 0x", std::hex,
                ref.addr,
                " is at or above 2^31; the simulator replays "
                "user-mode addresses below 2^31 only");
+}
+
+void
+packed::rejectAddress(const MemRef &ref, const TraceSource &source)
+{
+    rejectAddress(ref, source.name());
 }
 
 std::vector<MemRef>

@@ -30,6 +30,7 @@
 #define GAAS_TRACE_PACKED_HH
 
 #include <cstdint>
+#include <string>
 
 #include "trace/memref.hh"
 
@@ -61,16 +62,23 @@ pack(const MemRef &ref)
 }
 
 /** Throw SimError(TraceIO) for @p ref, whose address is at or above
- *  2^31, naming @p source and the address. */
+ *  2^31, naming the trace @p name and the address. */
+[[noreturn]] void rejectAddress(const MemRef &ref,
+                                const std::string &name);
+
+/** rejectAddress naming @p source by its name(). */
 [[noreturn]] void rejectAddress(const MemRef &ref,
                                 const TraceSource &source);
 
 /**
  * The ingest packer: @p ref as the simulator sees it (see file
- * comment).  @p source only names the trace in the error.
+ * comment).  @p source only names the trace in the error: a
+ * TraceSource, or the name itself where no source object is at
+ * hand (the streaming block store's decoders).
  */
+template <class Source>
 inline std::uint32_t
-canonical(const MemRef &ref, const TraceSource &source)
+canonical(const MemRef &ref, const Source &source)
 {
     if ((ref.addr >> 31) != 0) [[unlikely]]
         rejectAddress(ref, source);

@@ -1,6 +1,7 @@
 #include "stream.hh"
 
 #include <algorithm>
+#include <exception>
 #include <limits>
 
 #include "trace/packed.hh"
@@ -9,6 +10,36 @@
 
 namespace gaas::trace
 {
+
+namespace
+{
+
+/**
+ * Blocks each idle stream keeps from its cursor on: the block it
+ * stopped in and the next, so a stream switched back in near the
+ * end of its block does not wait for the next one.  With one block,
+ * perfbench trace-stream's simulator spent about 4% of its run
+ * waiting for such blocks on a 4-vCPU VM.
+ */
+constexpr std::uint64_t kIdleWindow = 2;
+
+/**
+ * Blocks past the active stream's cursor the decoders fill: its
+ * next block, ready, and one being decoded.  Its window thus has a
+ * standalone stream's three blocks.
+ */
+constexpr std::uint64_t kLookahead = 2;
+
+/** Reclaim classes, cheapest first (BlockStore::claimOf). */
+enum Claim : int
+{
+    kEmpty,
+    kUnwanted,
+    kIdle,
+    kActive,
+};
+
+} // namespace
 
 std::size_t
 streamBudgetBytes()
@@ -22,202 +53,454 @@ streamBudgetBytes()
     return static_cast<std::size_t>(kStreamBudgetDefaultMb) << 20;
 }
 
-StreamSource::StreamSource(const std::string &path,
-                           StreamOptions options)
-    : file(path)
+BlockStore::BlockStore(const std::vector<std::string> &paths,
+                       std::size_t cap_bytes)
 {
-    const std::size_t budget = options.memoryBudgetBytes
-                                   ? options.memoryBudgetBytes
-                                   : streamBudgetBytes();
+    if (paths.empty())
+        gaas_fatal("a block store needs at least one trace file");
+    const std::size_t cap =
+        cap_bytes ? cap_bytes : streamBudgetBytes();
 
-    // One slot holds one compressed payload plus one block of words.
-    // The payload capacity comes from the seek table (largest block
-    // in this file), the word side from the fixed per-block record
-    // population; an unpackable file adds one block of MemRef
-    // scratch for the reader.
-    const auto blockRefs = static_cast<std::size_t>(file.blockRefs());
-    const std::size_t slotBytes =
-        file.maxPayloadBytes() + blockRefs * sizeof(std::uint32_t);
-    const std::size_t scratchBytes =
-        file.packable() ? 0 : blockRefs * sizeof(MemRef);
-    const std::size_t minBytes = 2 * slotBytes + scratchBytes;
-    if (budget < minBytes) {
-        gaas_error(ErrorCode::TraceIO, "streaming ", path,
-                   " needs at least ", (minBytes >> 20) + 1,
-                   " MiB (2 slots of ", slotBytes, " bytes",
-                   scratchBytes ? " plus a decode buffer" : "",
-                   ") but the ceiling (", kStreamBudgetEnv,
-                   " or the workload's per-stream share) allows "
-                   "only ", budget, " bytes");
+    // A slot holds the largest block of any file; a decode buffer
+    // the largest payload, plus a block of MemRef scratch if any
+    // file must be decoded through the ingest packer.
+    std::size_t blockRecords = 0;
+    std::size_t payloadBytes = 0;
+    bool unpackable = false;
+    std::uint64_t blocks = 0;
+    streams.reserve(paths.size());
+    for (const std::string &path : paths) {
+        Stream &st = streams.emplace_back();
+        st.file = std::make_unique<V3File>(path);
+        st.name = path + "[stream]";
+        const V3File &file = *st.file;
+        if (file.blockCount() > 0)
+            blockRecords = std::max<std::size_t>(blockRecords,
+                                                 file.blockRecords(0));
+        payloadBytes = std::max(payloadBytes, file.maxPayloadBytes());
+        unpackable = unpackable || !file.packable();
+        blocks += file.blockCount();
     }
-    // The block being drained, the next one, ready, and the one the
-    // reader decodes: the third slot lets a late-scheduled reader
-    // fall a block behind before the consumer waits.  A ceiling with
-    // room for two only gets two.
-    const std::size_t count =
-        budget - scratchBytes >= 3 * slotBytes ? 3 : 2;
-    slots.resize(count);
-    ringBytes = count * slotBytes + scratchBytes;
-    for (Slot &slot : slots) {
-        slot.payload.reserve(file.maxPayloadBytes());
-        slot.words.reserve(blockRefs);
+    const std::size_t slotBytes = blockRecords * sizeof(std::uint32_t);
+    const std::size_t bufferBytes =
+        payloadBytes + (unpackable ? blockRecords * sizeof(MemRef) : 0);
+    const std::size_t minBytes = 2 * slotBytes + bufferBytes;
+    if (cap < minBytes) {
+        const std::string what =
+            paths.size() == 1
+                ? paths.front()
+                : std::to_string(paths.size()) + " trace files";
+        gaas_error(ErrorCode::TraceIO, "streaming ", what,
+                   " needs at least ", minBytes, " bytes (",
+                   (minBytes + (1u << 20) - 1) >> 20,
+                   " MiB: 2 decoded blocks of ", slotBytes,
+                   " bytes and a decode buffer of ", bufferBytes,
+                   " bytes) but the ceiling (", kStreamBudgetEnv,
+                   " or the caller's cap) allows only ", cap,
+                   " bytes");
     }
 
-    reader = std::thread([this] { readerLoop(); });
+    // Decoders as the host has spare threads, no more than streams,
+    // and no more than leave room for two slots.
+    const unsigned hw = std::thread::hardware_concurrency();
+    std::size_t decoderCount =
+        std::min<std::size_t>(paths.size(), hw > 2 ? hw - 1 : 1);
+    if (bufferBytes > 0)
+        decoderCount = std::min(decoderCount,
+                                (cap - 2 * slotBytes) / bufferBytes);
+
+    // Slots: the idle streams' windows and the active stream's
+    // cursor block and lookahead, but never more than the files
+    // have blocks, nor more than fit beside the decode buffers.
+    std::uint64_t want =
+        (paths.size() - 1) * kIdleWindow + 1 + kLookahead;
+    want = std::min(want, std::max<std::uint64_t>(2, blocks));
+    if (slotBytes > 0)
+        want = std::min<std::uint64_t>(
+            want, (cap - decoderCount * bufferBytes) / slotBytes);
+    const auto slotCount = static_cast<std::size_t>(want);
+    lookahead = std::min<std::uint64_t>(kLookahead, slotCount - 1);
+
+    slots.resize(slotCount);
+    for (Slot &slot : slots)
+        slot.words =
+            std::make_unique_for_overwrite<std::uint32_t[]>(blockRecords);
+    buffers.resize(decoderCount);
+    for (Buffer &buffer : buffers) {
+        buffer.payload.reserve(payloadBytes);
+        if (unpackable)
+            buffer.scratch.reserve(blockRecords);
+    }
+    bytes = slotCount * slotBytes + decoderCount * bufferBytes;
+
+    try {
+        for (std::size_t i = 0; i < decoderCount; ++i)
+            decoders.emplace_back([this] { decoderLoop(); });
+    } catch (...) {
+        stop();
+        throw;
+    }
 }
 
-StreamSource::~StreamSource()
+BlockStore::~BlockStore()
+{
+    stop();
+}
+
+void
+BlockStore::stop()
 {
     {
         std::lock_guard<std::mutex> lock(m);
         stopping = true;
     }
-    cv.notify_all();
-    if (reader.joinable())
-        reader.join();
+    work.notify_all();
+    for (std::thread &decoder : decoders)
+        decoder.join();
+    decoders.clear();
 }
 
-void
-StreamSource::readerLoop()
+std::uint64_t
+BlockStore::blocksDecoded() const
 {
-    const std::uint64_t blockCount = file.blockCount();
-    std::vector<MemRef> scratch; // unpackable files only
-    std::unique_lock<std::mutex> lock(m);
+    std::lock_guard<std::mutex> lock(m);
+    return decoded;
+}
+
+std::size_t
+BlockStore::find(std::size_t stream, std::uint64_t block) const
+{
+    for (std::size_t i = 0; i < slots.size(); ++i) {
+        const Slot &slot = slots[i];
+        if (slot.state != SlotState::Empty && slot.stream == stream &&
+            slot.block == block)
+            return i;
+    }
+    return slots.size();
+}
+
+BlockStore::Buffer *
+BlockStore::idleBuffer(std::size_t stream, std::uint64_t block)
+{
+    Buffer *best = nullptr;
+    for (Buffer &buffer : buffers) {
+        if (buffer.busy)
+            continue;
+        if (buffer.read && buffer.readStream == stream &&
+            buffer.readBlock == block)
+            return &buffer;
+        if (!best || (best->read && !buffer.read))
+            best = &buffer;
+    }
+    return best;
+}
+
+bool
+BlockStore::readAhead(std::unique_lock<std::mutex> &lock)
+{
+    const std::size_t stream = active;
+    const Stream &st = streams[stream];
+    const std::uint64_t block = st.cursor + lookahead + 1;
+    if (block >= st.file->blockCount() ||
+        find(stream, block) < slots.size())
+        return false;
+    for (const Buffer &buffer : buffers) {
+        if (buffer.readStream == stream && buffer.readBlock == block)
+            return false; // read already, or tried and failed
+    }
+    Buffer *buffer = idleBuffer(stream, block);
+    if (!buffer)
+        return false;
+    buffer->busy = true;
+    buffer->read = false;
+    lock.unlock();
+    bool read = true;
+    try {
+        st.file->readBlock(block, buffer->payload);
+    } catch (const std::exception &) {
+        read = false; // its decode reads it again and reports it
+    }
+    lock.lock();
+    buffer->busy = false;
+    buffer->read = read;
+    buffer->readStream = stream;
+    buffer->readBlock = block;
+    ready.notify_all(); // a consumer may wait for a free buffer
+    return true;
+}
+
+int
+BlockStore::claimOf(const Slot &slot) const
+{
+    if (slot.state == SlotState::Empty)
+        return kEmpty;
+    const Stream &st = streams[slot.stream];
+    const bool isActive = slot.stream == active;
+    const std::uint64_t window = isActive ? 1 + lookahead : kIdleWindow;
+    if (slot.block < st.cursor || slot.block - st.cursor >= window)
+        return kUnwanted;
+    return isActive ? kActive : kIdle;
+}
+
+bool
+BlockStore::settling() const
+{
+    for (const Slot &slot : slots) {
+        if (slot.state == SlotState::Decoding &&
+            claimOf(slot) == kUnwanted)
+            return true;
+    }
+    return false;
+}
+
+std::size_t
+BlockStore::victim(int worst)
+{
+    auto settled = [](const Slot &slot) {
+        return slot.pins == 0 && slot.state != SlotState::Decoding;
+    };
+    int best = worst + 1;
+    for (const Slot &slot : slots) {
+        if (settled(slot))
+            best = std::min(best, claimOf(slot));
+    }
+    if (best > worst)
+        return slots.size();
+    // Clock over that class: a referenced slot loses its bit and is
+    // passed over once, so the second sweep at the latest finds one.
     for (;;) {
-        cv.wait(lock, [&] {
-            return stopping || failed || produceBlock < blockCount;
-        });
-        if (stopping || failed)
-            return;
-        const std::uint64_t b = produceBlock;
-        const std::uint64_t g = generation;
-        Slot &slot = slots[b % slots.size()];
-        try {
-            // Only this thread touches payloads, so it reads and
-            // checks the block while the consumer may still drain
-            // the slot's words, and only the decode waits for the
-            // slot: a late reader then owes the consumer one decode,
-            // not a read, a checksum and a decode.
-            lock.unlock();
-            file.readBlock(b, slot.payload);
-            lock.lock();
-            cv.wait(lock, [&] {
-                return stopping || failed || generation != g ||
-                       !slot.full;
-            });
-            if (stopping || failed)
-                return;
-            if (generation != g)
-                continue; // a seek re-aimed production
-            // The slot is free (full == false): the producer owns its
-            // words until it republishes them under the lock below.
-            lock.unlock();
-            const std::uint32_t records = file.blockRecords(b);
-            const v3::BlockContext ctx{&file.path(), b,
-                                       file.payloadOffset(b)};
-            slot.words.resize(records);
-            if (file.packable()) {
-                v3::decodeBlockPacked(slot.payload.data(),
-                                      slot.payload.size(), records,
-                                      slot.words.data(), ctx);
-            } else {
-                scratch.resize(records);
-                v3::decodeBlock(slot.payload.data(),
-                                slot.payload.size(), records,
-                                scratch.data(), ctx);
-                for (std::uint32_t i = 0; i < records; ++i)
-                    slot.words[i] = packed::canonical(scratch[i], *this);
-            }
-            slot.records = records;
-            lock.lock();
-        } catch (const SimError &err) {
-            if (!lock.owns_lock())
-                lock.lock();
-            failed = true;
-            errorCode = err.code();
-            errorText = err.what();
-            cv.notify_all();
+        const std::size_t i = hand;
+        hand = (hand + 1) % slots.size();
+        Slot &slot = slots[i];
+        if (!settled(slot) || claimOf(slot) != best)
             continue;
-        } catch (const FatalError &err) {
-            if (!lock.owns_lock())
-                lock.lock();
-            failed = true;
-            errorCode = ErrorCode::TraceIO;
-            errorText = err.what();
-            cv.notify_all();
+        if (slot.referenced) {
+            slot.referenced = false;
             continue;
         }
-        if (generation == g) {
-            slot.block = b;
-            slot.full = true;
-            produceBlock = b + 1;
-            ++decoded;
-            cv.notify_all();
-        }
-        // On a generation change the decode raced a seek: drop it
-        // and let the loop re-read the new production cursor.
+        return i;
     }
 }
 
 void
-StreamSource::reseek(std::uint64_t block)
+BlockStore::decode(std::unique_lock<std::mutex> &lock, Buffer &buffer,
+                   std::size_t i, std::size_t stream,
+                   std::uint64_t block)
 {
-    {
-        std::lock_guard<std::mutex> lock(m);
-        ++generation;
-        for (Slot &slot : slots)
-            slot.full = false;
-        produceBlock = block;
+    // Claim the slot and the buffer under the lock, then work
+    // without it: no one reads a Decoding slot's words or a busy
+    // buffer, and the files and names never change.
+    Slot &slot = slots[i];
+    slot.stream = stream;
+    slot.block = block;
+    slot.state = SlotState::Decoding;
+    slot.referenced = true;
+    const bool haveRead = buffer.read && buffer.readStream == stream &&
+                          buffer.readBlock == block;
+    buffer.busy = true;
+    buffer.read = false;
+    buffer.readBlock = ~std::uint64_t{0};
+    lock.unlock();
+
+    const Stream &st = streams[stream];
+    const V3File &file = *st.file;
+    const std::uint32_t records = file.blockRecords(block);
+    bool failed = false;
+    ErrorCode code = ErrorCode::TraceIO;
+    std::string error;
+    try {
+        if (!haveRead)
+            file.readBlock(block, buffer.payload);
+        const v3::BlockContext ctx{&file.path(), block,
+                                   file.payloadOffset(block)};
+        if (file.packable()) {
+            v3::decodeBlockPacked(buffer.payload.data(),
+                                  buffer.payload.size(), records,
+                                  slot.words.get(), ctx);
+        } else {
+            buffer.scratch.resize(records);
+            v3::decodeBlock(buffer.payload.data(),
+                            buffer.payload.size(), records,
+                            buffer.scratch.data(), ctx);
+            for (std::uint32_t r = 0; r < records; ++r)
+                slot.words[r] =
+                    packed::canonical(buffer.scratch[r], st.name);
+        }
+    } catch (const SimError &err) {
+        failed = true;
+        code = err.code();
+        error = err.what();
+    } catch (const std::exception &err) {
+        // FatalError and the like: a decoder thread must not die of
+        // it, so the stream's consumer rethrows it as TraceIO.
+        failed = true;
+        error = err.what();
     }
-    cv.notify_all();
-    nextSeq = block;
-    holding = false;
-    held = nullptr;
+
+    lock.lock();
+    buffer.busy = false;
+    slot.records = records;
+    slot.state = failed ? SlotState::Failed : SlotState::Ready;
+    slot.errorCode = code;
+    slot.error = std::move(error);
+    ++decoded;
+    ready.notify_all();
+    work.notify_one(); // a buffer is free, a reclaim may be due
 }
 
-StreamSource::Slot &
-StreamSource::acquire(std::uint64_t block)
+std::size_t
+BlockStore::nextJob(std::size_t &stream, std::uint64_t &block,
+                    bool &stalled)
 {
-    const std::size_t count = slots.size();
+    stalled = false;
+    // The active stream's window first: its cursor block and its
+    // lookahead, into a slot no one wants, else an idle stream's --
+    // but a block decoded for a stream that has moved on will free
+    // its slot soon, so wait for that decode instead.
+    const Stream &st = streams[active];
+    std::uint64_t end =
+        std::min(st.cursor + lookahead + 1, st.file->blockCount());
+    for (block = st.cursor; block < end; ++block) {
+        if (find(active, block) < slots.size())
+            continue;
+        stream = active;
+        std::size_t i = victim(kUnwanted);
+        if (i == slots.size() && !settling()) {
+            i = victim(kIdle);
+            stalled = i == slots.size();
+        }
+        return i;
+    }
+    // Then the idle streams' windows, only into slots no one wants:
+    // this fills every stream's first blocks before the simulator
+    // reaches them and refills a window a miss took.
+    for (stream = 0; stream < streams.size(); ++stream) {
+        const Stream &idle = streams[stream];
+        end = std::min(idle.cursor + kIdleWindow,
+                       idle.file->blockCount());
+        for (block = idle.cursor; block < end; ++block) {
+            if (stream != active &&
+                find(stream, block) == slots.size())
+                return victim(kUnwanted);
+        }
+    }
+    return slots.size();
+}
+
+void
+BlockStore::decoderLoop()
+{
     std::unique_lock<std::mutex> lock(m);
-    cv.wait(lock, [&] {
-        return failed || (slots[block % count].full &&
-                          slots[block % count].block == block);
-    });
-    if (failed)
-        throw SimError(errorCode, errorText);
-    return slots[block % count];
+    while (!stopping) {
+        std::size_t stream = 0;
+        std::uint64_t block = 0;
+        bool stalled = false;
+        const std::size_t i = idleBuffer(0, 0)
+                                  ? nextJob(stream, block, stalled)
+                                  : slots.size();
+        if (i < slots.size()) {
+            decode(lock, *idleBuffer(stream, block), i, stream, block);
+            continue;
+        }
+        if (readAhead(lock))
+            continue;
+        // Only a job waiting for pinned slots needs unpin() to wake
+        // it; everything else changes with a pin or a decode.
+        waiting += stalled;
+        work.wait(lock);
+        waiting -= stalled;
+    }
+}
+
+BlockStore::Pin
+BlockStore::pin(std::size_t stream, std::uint64_t block)
+{
+    std::unique_lock<std::mutex> lock(m);
+    Stream &st = streams[stream];
+    if (active != stream || st.cursor != block) {
+        // The lookahead moved: wake a decoder, outside the lock so
+        // it does not block on it at once.  One is enough: a decoder
+        // that finishes a block looks for the next job itself.
+        active = stream;
+        st.cursor = block;
+        lock.unlock();
+        work.notify_one();
+        lock.lock();
+    }
+    for (;;) {
+        std::size_t i = st.lastSlot;
+        const Slot &guess = slots[i];
+        if (guess.state == SlotState::Empty || guess.stream != stream ||
+            guess.block != block)
+            i = find(stream, block);
+        if (i < slots.size()) {
+            Slot &slot = slots[i];
+            if (slot.state == SlotState::Ready) {
+                ++slot.pins;
+                slot.referenced = true;
+                st.lastSlot = i;
+                return Pin(*this, i);
+            }
+            if (slot.state == SlotState::Failed)
+                throw SimError(slot.errorCode, slot.error);
+            ready.wait(lock); // a decoder has started it
+            continue;
+        }
+        // No one has started it: decode it here rather than sleep.
+        // Without a free buffer, wait for a decode to end; without a
+        // slot to reclaim, for one to unpin.
+        Buffer *buffer = idleBuffer(stream, block);
+        if (!buffer) {
+            ready.wait(lock);
+            continue;
+        }
+        i = victim(kActive);
+        if (i == slots.size()) {
+            ++waiting;
+            ready.wait(lock);
+            --waiting;
+            continue;
+        }
+        decode(lock, *buffer, i, stream, block);
+    }
 }
 
 void
-StreamSource::release()
+BlockStore::unpin(std::size_t i)
 {
-    if (!holding)
-        return;
-    {
-        std::lock_guard<std::mutex> lock(m);
-        held->full = false;
+    std::lock_guard<std::mutex> lock(m);
+    if (--slots[i].pins == 0 && waiting != 0) {
+        ready.notify_all();
+        work.notify_all();
     }
-    cv.notify_all();
-    holding = false;
-    held = nullptr;
-    nextSeq = heldBlock + 1;
 }
 
-void
-StreamSource::ensureHeld()
+BlockStore::Pin::Pin(BlockStore &store_, std::size_t slot_)
+    : store(store_), slot(slot_),
+      words_(store_.slots[slot_].words.get()),
+      records_(store_.slots[slot_].records)
 {
-    const std::uint64_t b = pos / file.blockRefs();
-    if (holding) {
-        if (heldBlock == b)
-            return;
-        release();
-    }
-    if (b != nextSeq)
-        reseek(b);
-    held = &acquire(b);
-    heldBlock = b;
-    holding = true;
+}
+
+BlockStore::Pin::~Pin()
+{
+    store.unpin(slot);
+}
+
+StreamSource::StreamSource(const std::string &path,
+                           StreamOptions options)
+    : StreamSource(std::make_shared<BlockStore>(
+                       std::vector<std::string>{path},
+                       options.memoryBudgetBytes),
+                   0)
+{
+}
+
+StreamSource::StreamSource(std::shared_ptr<BlockStore> store_,
+                           std::size_t stream_)
+    : store(std::move(store_)), stream(stream_),
+      file(store->file(stream_))
+{
 }
 
 bool
@@ -236,18 +519,15 @@ StreamSource::nextBatchPacked(std::uint32_t *out, std::size_t n)
     std::size_t produced = 0;
     const std::uint64_t total = file.recordCount();
     while (produced < n && pos < total) {
-        ensureHeld();
-        const auto offset = static_cast<std::size_t>(
-            pos - file.firstRecordOf(heldBlock));
+        const std::uint64_t b = pos / file.blockRefs();
+        const BlockStore::Pin block = store->pin(stream, b);
+        const auto offset =
+            static_cast<std::size_t>(pos - file.firstRecordOf(b));
         const std::size_t take =
-            std::min(n - produced, held->records - offset);
-        std::copy_n(held->words.begin() +
-                        static_cast<std::ptrdiff_t>(offset),
-                    take, out + produced);
+            std::min(n - produced, block.records() - offset);
+        std::copy_n(block.words() + offset, take, out + produced);
         pos += take;
         produced += take;
-        if (offset + take == held->records)
-            release();
     }
     return produced;
 }
@@ -255,13 +535,9 @@ StreamSource::nextBatchPacked(std::uint32_t *out, std::size_t n)
 std::size_t
 StreamSource::skip(std::size_t n)
 {
-    const std::uint64_t total = file.recordCount();
     const auto take = static_cast<std::size_t>(
-        std::min<std::uint64_t>(n, total - pos));
+        std::min<std::uint64_t>(n, file.recordCount() - pos));
     pos += take;
-    if (holding &&
-        pos / file.blockRefs() != heldBlock)
-        release();
     return take;
 }
 
@@ -269,21 +545,12 @@ void
 StreamSource::reset()
 {
     pos = 0;
-    if (holding && heldBlock != 0)
-        release();
 }
 
 std::string
 StreamSource::name() const
 {
-    return file.path() + "[stream]";
-}
-
-std::uint64_t
-StreamSource::blocksDecoded() const
-{
-    std::lock_guard<std::mutex> lock(m);
-    return decoded;
+    return store->name(stream);
 }
 
 } // namespace gaas::trace

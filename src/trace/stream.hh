@@ -1,47 +1,42 @@
 /**
  * @file
- * StreamSource: bounded-memory streaming replay of a v3 trace file.
+ * Bounded-memory streaming replay of v3 trace files: one BlockStore
+ * of decoded blocks shared by all of a workload's streams, and one
+ * StreamSource per stream, a cursor over it (DESIGN.md §12).
  *
- * A dedicated reader thread prefetches and decodes the *next* blocks
- * of the file into a small ring of slots while the simulator's hot
- * loop consumes the current one, so multi-billion-reference traces
- * -- the paper's 2.5 G-ref pixie regime -- replay without ever
- * materializing in RAM.  Slots hold blocks of packed words
- * (trace/packed.hh), handed over through nextBatchPacked as the
- * arena's are.  A packable file decodes straight to words; any other
- * decodes each block to MemRef scratch and packs it with
- * packed::canonical().
+ * The paper multiplexes one pixie trace per benchmark round robin
+ * into one simulator (Section 3), so one stream is read at a time.
+ * The store keeps fixed slots, each one decoded block of packed
+ * words (trace/packed.hh) keyed by (stream, block).  A consumer pins
+ * a slot while it copies out of it; unpinned slots are reclaimed by
+ * clock (second chance), cheapest class first: empty, outside its
+ * stream's window, an idle stream's window, the active window.  The
+ * stream pinned last is the active one, and its window is its cursor
+ * block and the two after; every other stream's is its cursor block
+ * and the next, so a process switched back in finds its next block
+ * decoded.  A seek or a wrap just asks for another key.
  *
- * Memory model: three slots -- the block the consumer drains, the
- * next one, ready, and the one the reader decodes.  The consumer
- * takes one block at a time and the reader decodes faster than the
- * simulator consumes, so more slots would only hold idle blocks.
- * With two, the reader could start the block the consumer needs
- * next only once the consumer frees a slot, so any delay in
- * scheduling the reader would stall the simulator.  The reader
- * reads and checks a block's payload before its slot frees, so only
- * the decode waits for the consumer.  A slot is one block of words
- * plus one compressed payload, and an unpackable file adds one block
- * of MemRef scratch: 3 x (256 KiB + the file's largest payload) for
- * a default-block packable file.  The byte ceiling --
- * StreamOptions::memoryBudgetBytes, defaulting to the
- * GAAS_TRACE_STREAM_MB environment knob (64 MiB when unset) -- is a
- * cap, never a target: one with room for only two slots gets two,
- * and one too small for two is a TraceIO error naming the minimum,
- * never a silent overrun.  Peak RSS is therefore independent of
- * trace length and, once the ceiling has room for three slots, of
- * the ceiling.
+ * A pool of min(streams, max(1, hardware threads - 1)) decoder
+ * threads fills the windows, each decode holding one of as many
+ * decode buffers (a block's payload, plus MemRef scratch for an
+ * unpackable file).  An idle decoder reads and checks the payload of
+ * the block past the active window ahead of time, so that once a
+ * slot frees only the decode remains.  A consumer whose block no
+ * decoder has started decodes it on its own thread instead of
+ * sleeping.
  *
- * Ordering/consistency: production runs strictly ahead of
- * consumption in block order; skip()/reset() move the cursor in
- * O(1) (seek table) and re-aim the producer, discarding any
- * prefetched blocks the jump invalidated.  All slot handoffs are
- * mutex+condvar protected (TSan-clean); the consumer copies out of
- * a slot only while it is marked full, and the producer writes one
- * only while it is free.
+ * Sizing is by need, not by ceiling: the windows' slots (two per
+ * stream and one more, never more than the files have blocks) and
+ * one buffer per decoder.  The ceiling -- the cap given, else
+ * GAAS_TRACE_STREAM_MB (64 MiB when unset), for the whole store --
+ * only caps that: a store that does not fit gets fewer decoders and
+ * slots, whose idle streams' blocks are then reclaimed and decoded
+ * again, and a ceiling below two slots and one buffer is a TraceIO
+ * error naming that minimum.  A standalone StreamSource owns a
+ * one-stream store: three slots and one decoder.
  *
- * The stream's words are bit-identical to the packed reads of a
- * TraceV3Reader over the same file, and -- for a file written from
+ * The words a stream yields are bit-identical to the packed reads of
+ * a TraceV3Reader over the same file, and -- for a file written from
  * a synth generator -- to the arena replay of that generator, which
  * the stream-vs-arena golden tests pin.
  */
@@ -51,6 +46,7 @@
 
 #include <condition_variable>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -80,24 +76,207 @@ struct StreamOptions
 {
     /**
      * Cap on the stream's buffer bytes; 0 means streamBudgetBytes()
-     * (GAAS_TRACE_STREAM_MB MiB, default 64).  The stream holds three
-     * slots, or two if the cap has room for no more; a cap too small
-     * for two is an error.  Workloads with several streams split one
-     * cap across them (Workload::fromTraceFiles).
+     * (GAAS_TRACE_STREAM_MB MiB, default 64).  A standalone stream
+     * holds three decoded blocks, or two if the cap has room for no
+     * more; a cap too small for two is an error.
      */
     std::size_t memoryBudgetBytes = 0;
 };
 
+/**
+ * The decoded blocks and decoders of a set of v3 trace files, one
+ * stream per file (see the file comment).  Thread-safe; streams are
+ * read through StreamSource.
+ */
+class BlockStore
+{
+  public:
+    /**
+     * Open one stream per file of @p paths and size the store for
+     * them under @p cap_bytes (0: streamBudgetBytes()).  Throws
+     * SimError(TraceIO) for a file V3File rejects, and for a cap
+     * below the store's minimum, naming the minimum.
+     */
+    explicit BlockStore(const std::vector<std::string> &paths,
+                        std::size_t cap_bytes = 0);
+
+    BlockStore(const BlockStore &) = delete;
+    BlockStore &operator=(const BlockStore &) = delete;
+
+    /** Stops and joins every decoder. */
+    ~BlockStore();
+
+    const V3File &
+    file(std::size_t stream) const
+    {
+        return *streams[stream].file;
+    }
+
+    /** The stream's name in messages: its path + "[stream]". */
+    const std::string &
+    name(std::size_t stream) const
+    {
+        return streams[stream].name;
+    }
+
+    /** Decoded blocks the store holds at most. */
+    std::size_t slotCount() const { return slots.size(); }
+
+    /** Bytes the slots and decode buffers may hold (<= the
+     *  ceiling). */
+    std::size_t bufferBytes() const { return bytes; }
+
+    /** Blocks decoded so far, by decoders and consumers (telemetry). */
+    std::uint64_t blocksDecoded() const;
+
+    /** A pinned block: its slot is not reclaimed while this lives. */
+    class Pin
+    {
+      public:
+        Pin(const Pin &) = delete;
+        Pin &operator=(const Pin &) = delete;
+        ~Pin();
+
+        const std::uint32_t *words() const { return words_; }
+        std::uint32_t records() const { return records_; }
+
+      private:
+        friend class BlockStore;
+        Pin(BlockStore &store, std::size_t slot);
+
+        BlockStore &store;
+        std::size_t slot;
+        const std::uint32_t *words_;
+        std::uint32_t records_;
+    };
+
+    /**
+     * Pin block @p block of stream @p stream, which becomes that
+     * stream's cursor and the active stream.  Waits while a decoder
+     * decodes the block, and decodes it on this thread if no one has
+     * started it.  Throws the block's SimError if it fails to read or
+     * decode; other blocks and streams are unaffected.
+     */
+    Pin pin(std::size_t stream, std::uint64_t block);
+
+  private:
+    enum class SlotState : unsigned char
+    {
+        Empty,
+        Decoding,
+        Ready,
+        Failed,
+    };
+
+    struct Slot
+    {
+        std::unique_ptr<std::uint32_t[]> words;
+        std::size_t stream = 0; //!< key, with block (not Empty)
+        std::uint64_t block = 0;
+        std::uint32_t records = 0;
+        SlotState state = SlotState::Empty;
+        unsigned pins = 0;
+        bool referenced = false; //!< the clock's second-chance bit
+        ErrorCode errorCode = ErrorCode::TraceIO; //!< Failed only
+        std::string error;
+    };
+
+    struct Stream
+    {
+        std::unique_ptr<V3File> file;
+        std::string name;
+        std::uint64_t cursor = 0;  //!< block pinned last
+        std::size_t lastSlot = 0;  //!< where it was: pin's first guess
+    };
+
+    /** One decode's working memory. */
+    struct Buffer
+    {
+        std::vector<unsigned char> payload;
+        std::vector<MemRef> scratch; //!< unpackable files only
+        bool busy = false;
+        bool read = false; //!< payload holds the block below, checked
+        std::size_t readStream = 0; //!< the block last read ahead
+        std::uint64_t readBlock = ~std::uint64_t{0};
+    };
+
+    void decoderLoop();
+
+    /**
+     * The decoders' next job: set @p stream and @p block and return
+     * the slot to decode it into, or slots.size() if there is none
+     * now; @p stalled says that only pinned slots stand in the way.
+     */
+    std::size_t nextJob(std::size_t &stream, std::uint64_t &block,
+                        bool &stalled);
+
+    /** The slot holding (or decoding) @p block of @p stream, or
+     *  slots.size(). */
+    std::size_t find(std::size_t stream, std::uint64_t block) const;
+
+    /** A free buffer, best one that already read @p block of
+     *  @p stream, else one that read nothing. */
+    Buffer *idleBuffer(std::size_t stream, std::uint64_t block);
+
+    /** Read the block past the active window into a free buffer, so
+     *  that its decode, once a slot frees, waits for no read; false
+     *  if there is nothing to read.  Called and returns with @p lock
+     *  held, drops it meanwhile. */
+    bool readAhead(std::unique_lock<std::mutex> &lock);
+
+    /** Reclaim class of an unpinned, settled slot; lower goes first. */
+    int claimOf(const Slot &slot) const;
+
+    /** A slot to reclaim, no dearer than class @p worst, picked by
+     *  the clock; slots.size() if there is none. */
+    std::size_t victim(int worst);
+
+    /** Whether a slot being decoded holds a block no stream wants
+     *  any more (so it will be cheap to reclaim once settled). */
+    bool settling() const;
+
+    /** Decode @p block of @p stream into slot @p i with @p buffer;
+     *  called and returns with @p lock held, drops it meanwhile. */
+    void decode(std::unique_lock<std::mutex> &lock, Buffer &buffer,
+                std::size_t i, std::size_t stream,
+                std::uint64_t block);
+
+    void unpin(std::size_t slot);
+
+    void stop();
+
+    std::vector<Stream> streams;
+    std::vector<Slot> slots;
+    std::vector<Buffer> buffers;
+    std::size_t bytes = 0;
+    std::uint64_t lookahead = 0; //!< blocks past the active cursor
+
+    // Guarded by m (Slot::words contents: by the slot's state).
+    mutable std::mutex m;
+    std::condition_variable work;  //!< decoders wait here
+    std::condition_variable ready; //!< consumers wait here
+    std::size_t active = 0;
+    std::size_t hand = 0;
+    std::uint64_t decoded = 0;
+    unsigned waiting = 0; //!< threads waiting for a slot to unpin
+    bool stopping = false;
+
+    std::vector<std::thread> decoders;
+};
+
+/** One stream of a BlockStore as a TraceSource. */
 class StreamSource : public TraceSource
 {
   public:
+    /** Stream @p path through a store of its own (tools, tests). */
     explicit StreamSource(const std::string &path,
                           StreamOptions options = {});
 
+    /** Stream @p stream of a shared @p store. */
+    StreamSource(std::shared_ptr<BlockStore> store, std::size_t stream);
+
     StreamSource(const StreamSource &) = delete;
     StreamSource &operator=(const StreamSource &) = delete;
-
-    ~StreamSource() override;
 
     /** Unpacks one word: MemRef reads are for tests and tools. */
     bool next(MemRef &ref) override;
@@ -109,64 +288,24 @@ class StreamSource : public TraceSource
 
     std::uint64_t recordCount() const { return file.recordCount(); }
 
-    /** Total buffer bytes the slots and the decode scratch may hold
-     *  (<= the ceiling). */
-    std::size_t bufferBytes() const { return ringBytes; }
+    /** The store's buffer bytes (<= the ceiling). */
+    std::size_t bufferBytes() const { return store->bufferBytes(); }
 
-    /** Decoded blocks held: 3, or 2 under a ceiling with room for no
-     *  more. */
-    std::size_t slotCount() const { return slots.size(); }
+    /** The store's decoded-block slots: 3 for a standalone stream, or
+     *  2 under a ceiling with room for no more. */
+    std::size_t slotCount() const { return store->slotCount(); }
 
-    /** Blocks the reader thread decoded so far (telemetry). */
-    std::uint64_t blocksDecoded() const;
+    /** Blocks the store decoded so far (telemetry). */
+    std::uint64_t blocksDecoded() const
+    {
+        return store->blocksDecoded();
+    }
 
   private:
-    struct Slot
-    {
-        std::vector<unsigned char> payload;
-        std::vector<std::uint32_t> words;
-        std::uint64_t block = 0;
-        std::uint32_t records = 0;
-        bool full = false;
-    };
-
-    void readerLoop();
-
-    /** Re-aim the producer at @p block, discarding prefetches. */
-    void reseek(std::uint64_t block);
-
-    /** Block until slot for @p block is full (or the reader died). */
-    Slot &acquire(std::uint64_t block);
-
-    /** Hand the held slot back to the producer. */
-    void release();
-
-    /** Make the slot holding pos's block held; false at EOF. */
-    void ensureHeld();
-
-    V3File file;
-    std::size_t ringBytes = 0;
-
-    // Consumer-thread-only state.
-    std::uint64_t pos = 0;       //!< global record cursor
-    bool holding = false;        //!< a slot is held for heldBlock
-    std::uint64_t heldBlock = 0;
-    std::uint64_t nextSeq = 0;   //!< next block in production order
-    Slot *held = nullptr;
-
-    // Shared state, guarded by m.
-    mutable std::mutex m;
-    std::condition_variable cv;
-    std::vector<Slot> slots;
-    std::uint64_t produceBlock = 0;
-    std::uint64_t generation = 0;
-    std::uint64_t decoded = 0;
-    bool stopping = false;
-    bool failed = false;
-    ErrorCode errorCode = ErrorCode::TraceIO;
-    std::string errorText;
-
-    std::thread reader;
+    std::shared_ptr<BlockStore> store;
+    std::size_t stream;
+    const V3File &file;
+    std::uint64_t pos = 0; //!< global record cursor
 };
 
 } // namespace gaas::trace

@@ -533,7 +533,7 @@ V3File::blockRecords(std::uint64_t b) const
 
 void
 V3File::readBlock(std::uint64_t b,
-                  std::vector<unsigned char> &out)
+                  std::vector<unsigned char> &out) const
 {
     const std::uint64_t off = offsets[b];
     const std::uint64_t next =
@@ -541,8 +541,7 @@ V3File::readBlock(std::uint64_t b,
     const auto expectBytes = static_cast<std::uint32_t>(
         next - off - kV3FrameBytes);
     unsigned char frame[kV3FrameBytes];
-    if (!util::seekTo(file, off) ||
-        std::fread(frame, 1, kV3FrameBytes, file) != kV3FrameBytes)
+    if (!util::readAt(file, off, frame, kV3FrameBytes))
         gaas_error(ErrorCode::TraceIO, "cannot read block ", b,
                    " frame of ", path_, " at byte offset ", off);
     const auto payloadBytes = loadLE<std::uint32_t>(frame);
@@ -560,8 +559,8 @@ V3File::readBlock(std::uint64_t b,
                    " declares ", frameRecords, " records, expected ",
                    blockRecords(b));
     out.resize(payloadBytes);
-    if (std::fread(out.data(), 1, payloadBytes, file) !=
-        payloadBytes)
+    if (!util::readAt(file, off + kV3FrameBytes, out.data(),
+                      payloadBytes))
         gaas_error(ErrorCode::TraceIO, "cannot read block ", b,
                    " payload of ", path_, " at byte offset ",
                    off + kV3FrameBytes);

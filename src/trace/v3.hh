@@ -36,9 +36,9 @@
  * byte) for unaligned addresses or deltas too large for 60 bits.
  * Sequential instruction fetches (delta +1, meta 0) cost one byte.
  * Every block restarts the delta chain at word 0, so blocks decode
- * independently -- which is what lets the streaming reader
- * (trace/stream.hh) prefetch ahead and lets skip() land on any
- * block in O(1) via the seek table.
+ * independently -- which is what lets the streaming block store
+ * (trace/stream.hh) decode several ahead in parallel and lets
+ * skip() land on any block in O(1) via the seek table.
  *
  * The content digest folds each block's (record count, payload
  * checksum) pair into a 64-bit FNV-1a, so two files with the same
@@ -266,13 +266,16 @@ class TraceV3Writer
 /**
  * An open, fully validated v3 file with random block access: the
  * shared substrate of the sequential reader (TraceV3Reader) and the
- * prefetching streamer (StreamSource).  Open-time validation covers
- * header (magic, then version: v1/v2 are rejected naming `tracepack
- * pack`), tail, seek-table checksum, offset monotonicity/bounds and
- * block-count/record-count consistency; per-block validation
- * (frame/table agreement, payload checksum) happens in readBlock.
+ * streaming block store (BlockStore, trace/stream.hh).  Open-time
+ * validation covers header (magic, then version: v1/v2 are rejected
+ * naming `tracepack pack`), tail, seek-table checksum, offset
+ * monotonicity/bounds and block-count/record-count consistency;
+ * per-block validation (frame/table agreement, payload checksum)
+ * happens in readBlock.
  *
- * Not thread-safe: each instance is owned by exactly one thread.
+ * Once constructed the object is immutable, and readBlock reads at
+ * absolute offsets (util::readAt), so any number of threads may read
+ * blocks of one V3File at once.
  */
 class V3File
 {
@@ -323,7 +326,7 @@ class V3File
      * against the bytes.  Throws SimError(TraceIO) on any mismatch.
      */
     void readBlock(std::uint64_t b,
-                   std::vector<unsigned char> &payload);
+                   std::vector<unsigned char> &payload) const;
 
   private:
     void openAndValidate();

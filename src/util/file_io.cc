@@ -41,6 +41,27 @@ fileSizeBytes(std::FILE *file)
 }
 
 bool
+readAt(std::FILE *file, std::uint64_t offset, void *data,
+       std::size_t size)
+{
+    const int fd = ::fileno(file);
+    auto *out = static_cast<unsigned char *>(data);
+    while (size > 0) {
+        const ssize_t got =
+            ::pread(fd, out, size, static_cast<off_t>(offset));
+        if (got < 0 && errno == EINTR)
+            continue;
+        if (got <= 0)
+            return false;
+        const auto n = static_cast<std::size_t>(got);
+        out += n;
+        size -= n;
+        offset += n;
+    }
+    return true;
+}
+
+bool
 writeBytes(std::FILE *file, const void *data, std::size_t size)
 {
     if (fault::shouldFail("file-write"))

@@ -1,6 +1,7 @@
 /**
  * @file
- * 64-bit file positioning and hardened file writes over std::FILE.
+ * 64-bit file positioning, positional reads and hardened file
+ * writes over std::FILE.
  *
  * std::fseek/std::ftell take a `long` offset, which is 32 bits on
  * LP32 targets, so any stdio seek breaks past 2 GiB there -- exactly
@@ -35,6 +36,15 @@ bool seekTo(std::FILE *file, std::uint64_t offset);
  * error.  The current position is restored before returning.
  */
 std::int64_t fileSizeBytes(std::FILE *file);
+
+/**
+ * Read exactly @p size bytes at absolute byte @p offset of @p file's
+ * descriptor (pread), leaving the stream's position and buffer
+ * alone, so several threads may read one open file at once.
+ * @return true on a complete read.
+ */
+bool readAt(std::FILE *file, std::uint64_t offset, void *data,
+            std::size_t size);
 
 /**
  * Write @p size bytes from @p data to @p file.

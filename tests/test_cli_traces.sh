@@ -13,7 +13,8 @@
 # Malformed or zero numeric flags, --mp given with --trace, a second
 # --preset or --config, an unknown cachesim --kind, and a bad
 # calibrate budget or mode must exit nonzero, naming the bad value,
-# before any simulation; a zero tracepack count or size must exit 2,
+# before any simulation; a zero tracepack count or size, and a
+# --stream-mb whose byte count does not fit a size_t, must exit 2,
 # naming the option.  gaassim's --slice holds wherever it stands, and
 # an unwritable --stats or --stats-json file fails the run.  A
 # GAAS_TRACE_STREAM_MB whose byte count overflows warns once and
@@ -169,17 +170,21 @@ done
 
 # tracepack's counts and sizes are positive: 0 must exit 2 naming the
 # option instead of silently meaning the default.  --bench is an
-# index, so 0 stays valid.
+# index, so 0 stays valid.  2^44 MiB and more do not fit a size_t in
+# bytes: 2^44 used to wrap to 0 (the default ceiling) and 2^44 + 1 to
+# 1 MiB.
 for args in "synth $dir/z.v3 --instructions 0" \
             "synth $dir/z.v3 --seed 0" \
             "synth $dir/z.v3 --block-refs 0" \
-            "drain $dir/t.v3 --stream-mb 0"; do
+            "drain $dir/t.v3 --stream-mb 0" \
+            "drain $dir/t.v3 --stream-mb 17592186044416" \
+            "drain $dir/t.v3 --stream-mb 17592186044417"; do
     # shellcheck disable=SC2086
     "$TRACEPACK" $args >/dev/null 2>"$dir/err"
     status=$?
     [ "$status" -eq 2 ] \
         || fail "tracepack $args exited $status, not 2"
-    flag=$(echo "$args" | sed 's/.* \(--[a-z-]*\) 0$/\1/')
+    flag=$(echo "$args" | sed 's/.* \(--[a-z-]*\) [0-9]*$/\1/')
     grep -q -- "$flag" "$dir/err" \
         || fail "tracepack $args did not name $flag"
 done

@@ -1,12 +1,14 @@
 /**
  * @file
  * Tests for the v3 block-compressed trace format (trace/v3.hh) and
- * the bounded-memory streaming reader (trace/stream.hh): encode /
+ * the bounded-memory streaming store (trace/stream.hh): encode /
  * decode round trips across every token shape, O(1) skip semantics
  * mirroring the ArenaSource/LoopSource contracts, the memory-ceiling
- * error path, journal keying by content digest, and -- the one that
- * matters -- bit-identical simulation results between in-memory
- * arena replay and streaming replay on pinned design points.
+ * error path, one store shared by many streams (interleaved reads,
+ * reclaim, pins, per-stream failures), journal keying by content
+ * digest, and -- the one that matters -- bit-identical simulation
+ * results between in-memory arena replay and streaming replay on
+ * pinned design points.
  */
 
 #include <gtest/gtest.h>
@@ -14,14 +16,20 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
+#include <ctime>
 #include <filesystem>
+#include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/journal.hh"
 #include "core/stats_dump.hh"
 #include "core/sweep.hh"
+#include "core/workload.hh"
 #include "synth/benchmark.hh"
 #include "synth/suite.hh"
 #include "trace/compose.hh"
@@ -109,6 +117,18 @@ noisyCopy(std::vector<MemRef> refs)
         if (!ref.isStore() && (x & 8u) != 0)
             ref.partialWord = true;
     }
+    return refs;
+}
+
+/** packableTrace(@p n), distinct per @p salt: every address XORed
+ *  with a salt-derived mask that keeps it aligned and below 2^31. */
+std::vector<MemRef>
+saltedTrace(std::size_t n, unsigned salt)
+{
+    std::vector<MemRef> refs = packableTrace(n);
+    const Addr mask = (static_cast<Addr>(salt) * 0x1040u) & 0x3fff'fffcu;
+    for (MemRef &ref : refs)
+        ref.addr ^= mask;
     return refs;
 }
 
@@ -317,8 +337,8 @@ TEST_F(StreamTest, UnalignedStreamReplaysCanonicalWords)
 TEST_F(StreamTest, StreamSkipMatchesDiscardedReads)
 {
     // The StreamSource mirror of the reader test above: skips that
-    // stay in the held block, land on block boundaries, and jump
-    // past the prefetch window (forcing a producer reseek).
+    // stay in the current block, land on block boundaries, and jump
+    // past the decoded window (to blocks no slot holds).
     const auto refs = packableTrace(300);
     const std::string path = writeV3("sskip.v3", refs, 16);
 
@@ -350,8 +370,8 @@ TEST_F(StreamTest, StreamSkipClampsAndResetReplays)
     MemRef ref;
     EXPECT_FALSE(stream.next(ref));
 
-    // reset() re-aims the producer backwards (generation bump) and
-    // the replay is bit-identical, repeatedly.
+    // reset() moves the cursor back to block 0 and the replay is
+    // bit-identical, repeatedly.
     for (int lap = 0; lap < 3; ++lap) {
         stream.reset();
         EXPECT_EQ(drainAll(stream), refs) << "lap " << lap;
@@ -394,19 +414,34 @@ TEST_F(StreamTest, MinimalCeilingStillDrainsWithTwoSlots)
     const auto refs = packableTrace(1000);
     const std::string path = writeV3("min.v3", refs, 64);
 
-    // Derive one slot's byte size from a default-budget stream,
-    // then rebuild with exactly two slots' worth of ceiling.
-    std::size_t slotBytes = 0;
+    // The minimum is two decoded blocks and one decode buffer: a
+    // default-budget stream's bytes less its third block of 64
+    // words.  Exactly that ceiling drains with two slots.
+    std::size_t minBytes = 0;
     {
         StreamSource probe(path);
-        slotBytes = probe.bufferBytes() / probe.slotCount();
+        ASSERT_EQ(probe.slotCount(), 3u);
+        minBytes = probe.bufferBytes() - 64 * sizeof(std::uint32_t);
     }
     StreamOptions options;
-    options.memoryBudgetBytes = 2 * slotBytes;
+    options.memoryBudgetBytes = minBytes;
     StreamSource stream(path, options);
     EXPECT_EQ(stream.slotCount(), 2u);
     EXPECT_LE(stream.bufferBytes(), options.memoryBudgetBytes);
     EXPECT_EQ(drainAll(stream), refs);
+
+    // One byte less is a TraceIO error naming that minimum.
+    options.memoryBudgetBytes = minBytes - 1;
+    try {
+        StreamSource tooSmall(path, options);
+        FAIL() << "a ceiling below the minimum was accepted";
+    } catch (const SimError &e) {
+        EXPECT_EQ(e.code(), ErrorCode::TraceIO);
+        EXPECT_NE(std::string(e.what()).find(
+                      "at least " + std::to_string(minBytes) + " bytes"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST_F(StreamTest, CeilingIsACapNotASize)
@@ -424,6 +459,260 @@ TEST_F(StreamTest, CeilingIsACapNotASize)
     EXPECT_EQ(roomy.slotCount(), 3u);
     EXPECT_EQ(roomy.bufferBytes(), byDefault.bufferBytes());
     EXPECT_EQ(drainAll(roomy), refs);
+}
+
+/** "<stem><i>.v3", built by appending (GCC 12's -Wrestrict misfires
+ *  on "literal" + std::to_string(i) in some inlining contexts). */
+std::string
+fileName(const char *stem, unsigned i)
+{
+    std::string name = stem;
+    name += std::to_string(i);
+    name += ".v3";
+    return name;
+}
+
+/** The largest payload among @p paths: with two blocks of words it
+ *  is a store's minimum. */
+std::size_t
+maxPayload(const std::vector<std::string> &paths)
+{
+    std::size_t most = 0;
+    for (const std::string &path : paths)
+        most = std::max(most, V3File(path).maxPayloadBytes());
+    return most;
+}
+
+TEST_F(StreamTest, SharedStoreInterleavesTwelveStreams)
+{
+    // Twelve files of 3 to 9 blocks read through one store in a
+    // fixed pseudo-random interleaving of batches, skips and resets,
+    // wrapping through LoopSource, each beside a looped TraceV3Reader
+    // doing the same.  Under the default ceiling every window fits;
+    // under four blocks' worth the streams reclaim each other's.
+    std::vector<std::string> paths;
+    for (unsigned i = 0; i < 12; ++i) {
+        paths.push_back(
+            writeV3(fileName("s", i), saltedTrace(150 + 37 * i, i), 64));
+    }
+    const std::size_t tight =
+        4 * 64 * sizeof(std::uint32_t) + maxPayload(paths);
+    for (const std::size_t cap : {std::size_t{0}, tight}) {
+        SCOPED_TRACE("cap " + std::to_string(cap));
+        auto store = std::make_shared<BlockStore>(paths, cap);
+        EXPECT_LE(store->bufferBytes(), cap ? cap : streamBudgetBytes());
+        if (cap) {
+            EXPECT_LT(store->slotCount(), paths.size());
+        }
+        std::vector<std::unique_ptr<LoopSource>> streams;
+        std::vector<std::unique_ptr<LoopSource>> readers;
+        for (std::size_t i = 0; i < paths.size(); ++i) {
+            streams.push_back(std::make_unique<LoopSource>(
+                std::make_unique<StreamSource>(store, i)));
+            readers.push_back(std::make_unique<LoopSource>(
+                std::make_unique<TraceV3Reader>(paths[i])));
+        }
+        std::uint64_t x = 0x243f6a8885a308d3ull;
+        for (int step = 0; step < 2000; ++step) {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            const std::size_t i = (x >> 32) % paths.size();
+            const auto n = static_cast<std::size_t>((x >> 8) % 700);
+            switch (x % 8) {
+              case 0:
+                ASSERT_EQ(streams[i]->skip(n), n);
+                readers[i]->skip(n);
+                break;
+              case 1:
+                streams[i]->reset();
+                readers[i]->reset();
+                break;
+              default:
+                ASSERT_EQ(collect(*streams[i], 1 + n / 2),
+                          collect(*readers[i], 1 + n / 2))
+                    << "step " << step << ", stream " << i;
+            }
+        }
+        EXPECT_LE(store->bufferBytes(), cap ? cap : streamBudgetBytes());
+    }
+}
+
+TEST_F(StreamTest, MoreStreamsThanSlotsReplayByteIdentically)
+{
+    // Six streams of eight blocks share three slots, read round
+    // robin 40 records a turn.  A block spans two turns and five
+    // other streams' blocks pass through the store between them, so
+    // it is reclaimed and decoded again: more decodes than blocks,
+    // the same words.
+    std::vector<std::string> paths;
+    for (unsigned i = 0; i < 6; ++i) {
+        paths.push_back(
+            writeV3(fileName("r", i), saltedTrace(512, i), 64));
+    }
+    const std::size_t cap =
+        3 * 64 * sizeof(std::uint32_t) + maxPayload(paths);
+    auto store = std::make_shared<BlockStore>(paths, cap);
+    ASSERT_LE(store->slotCount(), 3u);
+    std::vector<std::unique_ptr<StreamSource>> streams;
+    for (std::size_t i = 0; i < paths.size(); ++i)
+        streams.push_back(std::make_unique<StreamSource>(store, i));
+    std::vector<std::vector<MemRef>> got(paths.size());
+    for (bool more = true; more;) {
+        more = false;
+        for (std::size_t i = 0; i < paths.size(); ++i) {
+            const std::vector<MemRef> part = collect(*streams[i], 40);
+            got[i].insert(got[i].end(), part.begin(), part.end());
+            more = more || part.size() == 40;
+        }
+    }
+    for (unsigned i = 0; i < paths.size(); ++i)
+        EXPECT_EQ(got[i], saltedTrace(512, i)) << "stream " << i;
+    EXPECT_GT(store->blocksDecoded(), 6u * 8u);
+}
+
+TEST_F(StreamTest, PinnedBlockSurvivesOtherStreamsChurn)
+{
+    // Stream 0's block 2 stays pinned while four other streams drain
+    // through the remaining slots of a three-slot store: its words
+    // never change, and stream 0 still reads them.
+    std::vector<std::string> paths;
+    for (unsigned i = 0; i < 5; ++i) {
+        paths.push_back(
+            writeV3(fileName("p", i), saltedTrace(512, i), 64));
+    }
+    const std::size_t cap =
+        3 * 64 * sizeof(std::uint32_t) + maxPayload(paths);
+    auto store = std::make_shared<BlockStore>(paths, cap);
+    ASSERT_LE(store->slotCount(), 3u);
+
+    const std::vector<MemRef> first = saltedTrace(512, 0);
+    const BlockStore::Pin held = store->pin(0, 2);
+    ASSERT_EQ(held.records(), 64u);
+    const std::vector<std::uint32_t> words(held.words(),
+                                           held.words() + 64);
+    for (std::size_t k = 0; k < 64; ++k)
+        ASSERT_EQ(packed::unpack(words[k]), first[128 + k]) << k;
+
+    for (unsigned i = 1; i < paths.size(); ++i) {
+        StreamSource other(store, i);
+        EXPECT_EQ(drainAll(other), saltedTrace(512, i)) << "stream " << i;
+    }
+    EXPECT_EQ(std::vector<std::uint32_t>(held.words(), held.words() + 64),
+              words);
+    StreamSource again(store, 0);
+    again.skip(128);
+    EXPECT_EQ(collect(again, 64),
+              std::vector<MemRef>(first.begin() + 128,
+                                  first.begin() + 192));
+}
+
+TEST_F(StreamTest, CorruptBlockFailsOnlyItsOwnStream)
+{
+    // One flipped payload byte in block 3 of one file: its stream
+    // reads blocks 0-2, then fails with the byte-accurate TraceIO
+    // message TraceV3Reader gives, and reads on past the block after
+    // a skip; the other stream in the store reads every record.
+    const std::vector<MemRef> good = saltedTrace(400, 1);
+    const std::vector<MemRef> bad = saltedTrace(400, 2);
+    const std::string goodPath = writeV3("good.v3", good, 64);
+    const std::string badPath = writeV3("bad.v3", bad, 64);
+    {
+        const auto offset = static_cast<std::streamoff>(
+            V3File(badPath).payloadOffset(3) + 5);
+        std::fstream f(badPath,
+                       std::ios::in | std::ios::out | std::ios::binary);
+        f.seekg(offset);
+        const int byte = f.get();
+        f.seekp(offset);
+        f.put(static_cast<char>(byte ^ 0x5a));
+    }
+    std::string expected;
+    try {
+        TraceV3Reader reader(badPath);
+        (void)drainAll(reader);
+    } catch (const SimError &e) {
+        expected = e.what();
+    }
+    ASSERT_NE(expected.find("block 3 payload checksum mismatch"),
+              std::string::npos)
+        << expected;
+
+    auto store = std::make_shared<BlockStore>(
+        std::vector<std::string>{badPath, goodPath});
+    StreamSource badStream(store, 0);
+    StreamSource goodStream(store, 1);
+    EXPECT_EQ(collect(badStream, 192),
+              std::vector<MemRef>(bad.begin(), bad.begin() + 192));
+    EXPECT_EQ(collect(goodStream, 100),
+              std::vector<MemRef>(good.begin(), good.begin() + 100));
+    try {
+        MemRef ref;
+        (void)badStream.next(ref);
+        FAIL() << "the corrupt block was read";
+    } catch (const SimError &e) {
+        EXPECT_EQ(e.code(), ErrorCode::TraceIO);
+        EXPECT_EQ(std::string(e.what()), expected);
+    }
+    EXPECT_EQ(drainAll(goodStream),
+              std::vector<MemRef>(good.begin() + 100, good.end()));
+    EXPECT_EQ(badStream.skip(64), 64u);
+    EXPECT_EQ(drainAll(badStream),
+              std::vector<MemRef>(bad.begin() + 256, bad.end()));
+}
+
+TEST_F(StreamTest, FailedReadAheadIsNotRetried)
+{
+    // Reading block 0 of a standalone stream decodes blocks 0-2 and
+    // reads block 3's payload ahead; that read fails its checksum.
+    // The decoder must then go idle rather than read block 3 again
+    // and again: half a second later the process has used next to
+    // no CPU.  Reading on still reports the block's error.
+    const std::string path = writeV3("ahead.v3", saltedTrace(512, 3), 64);
+    {
+        const auto offset = static_cast<std::streamoff>(
+            V3File(path).payloadOffset(3) + 5);
+        std::fstream f(path,
+                       std::ios::in | std::ios::out | std::ios::binary);
+        f.seekg(offset);
+        const int byte = f.get();
+        f.seekp(offset);
+        f.put(static_cast<char>(byte ^ 0x5a));
+    }
+    StreamSource stream(path);
+    ASSERT_EQ(collect(stream, 10).size(), 10u);
+    const std::clock_t before = std::clock();
+    std::this_thread::sleep_for(std::chrono::milliseconds(500));
+    const double cpuSeconds =
+        static_cast<double>(std::clock() - before) / CLOCKS_PER_SEC;
+    EXPECT_LT(cpuSeconds, 0.1);
+    EXPECT_THROW((void)collect(stream, 512), SimError);
+}
+
+TEST_F(StreamTest, TwoHundredOneBlockFilesStreamUnderTheDefaultCeiling)
+{
+    // 200 files of one block each (8 Ki records under the default
+    // 64 Ki-record block size), streamed as one workload under the
+    // default 64 MiB ceiling.  An even split of the ceiling, 335 KB a
+    // file, could not hold two slots sized for the format's 64 Ki
+    // records (256 KiB each); the store keeps one 32 KiB block per
+    // file.
+    constexpr unsigned kFiles = 200;
+    constexpr std::size_t kRecords = 8192;
+    std::vector<std::string> paths;
+    for (unsigned i = 0; i < kFiles; ++i) {
+        paths.push_back(
+            writeV3(fileName("one", i), saltedTrace(kRecords, i)));
+    }
+    core::Workload workload =
+        core::Workload::fromTraceFiles(paths, /*streaming=*/true);
+    std::vector<core::Process> processes = workload.take();
+    ASSERT_EQ(processes.size(), kFiles);
+    for (unsigned i = 0; i < kFiles; ++i) {
+        ASSERT_EQ(collect(*processes[i].source, kRecords),
+                  saltedTrace(kRecords, i))
+            << "file " << i;
+    }
 }
 
 TEST_F(StreamTest, JournalKeysTrackContentNotPathOrMode)

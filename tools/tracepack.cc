@@ -33,6 +33,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -193,6 +194,12 @@ cmdInfo(const std::string &path)
 int
 cmdDrain(const std::string &path, std::uint64_t stream_mb)
 {
+    if (stream_mb > std::numeric_limits<std::size_t>::max() >> 20) {
+        std::cerr << "tracepack: bad value '" << stream_mb
+                  << "' for --stream-mb (its byte count does not fit "
+                     "a size_t)\n";
+        return 2;
+    }
     trace::StreamOptions options;
     if (stream_mb)
         options.memoryBudgetBytes =
