@@ -368,10 +368,10 @@ namespace
 
 /**
  * Write `<--stats-json DIR>/sweep-NNN.json`: the sweep-level telemetry
- * (wall clock, dispositions, arena activity) next to the per-point
- * dumps.  Timings and arena hit counts are host-dependent, so resume
- * comparisons must exclude these files (tests diff with
- * `-x 'sweep-*.json'`).  A failed write only warns -- the sweep's
+ * (wall clock, dispositions, arena activity, grouped units' front-end
+ * and replay split) next to the per-point dumps.  Timings and arena
+ * hit counts are host-dependent, so resume comparisons must exclude
+ * these files (tests diff with `-x 'sweep-*.json'`).  A failed write only warns -- the sweep's
  * simulation results are untouched.
  */
 void
@@ -429,6 +429,16 @@ dumpSweepStats(const core::SweepStats &stats)
     arena.members.emplace_back(
         "bytes", num(static_cast<double>(stats.arenaBytes)));
     doc.members.emplace_back("arena", std::move(arena));
+
+    obs::JsonValue grouped = obs::JsonValue::object();
+    grouped.members.emplace_back("front_end_seconds",
+                                 num(stats.grouped.frontEndSeconds));
+    grouped.members.emplace_back("replay_seconds",
+                                 num(stats.grouped.replaySeconds));
+    grouped.members.emplace_back(
+        "recorded_calls",
+        num(static_cast<double>(stats.grouped.recordedCalls)));
+    doc.members.emplace_back("grouped", std::move(grouped));
 
     std::ostringstream name;
     name << "sweep-" << std::setw(3) << std::setfill('0') << sweep
@@ -516,6 +526,12 @@ Sweep::run()
                          (1024.0 * 1024.0)
                   << " MB, " << std::setprecision(2)
                   << stats.arenaGenSeconds << " s gen";
+    }
+    if (stats.grouped.recordedCalls > 0) {
+        std::cout << "; grouped " << std::setprecision(3)
+                  << stats.grouped.frontEndSeconds << " s front end, "
+                  << stats.grouped.replaySeconds << " s replay, "
+                  << stats.grouped.recordedCalls << " calls recorded";
     }
     std::cout << "]\n" << std::defaultfloat << '\n';
     dumpSweepStats(stats);

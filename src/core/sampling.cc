@@ -3,7 +3,12 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <condition_variable>
+#include <deque>
+#include <exception>
+#include <functional>
 #include <memory>
+#include <mutex>
 #include <utility>
 #include <vector>
 
@@ -241,28 +246,47 @@ makeSchedule(const SamplingConfig &plan, Count total_instructions,
 
 /**
  * What the controller drives: a machine simulating one or more
- * configurations that share a front end.  Member m takes part in a
- * window while open[m] is set.  The controller clears it once m's
- * estimate is final; a machine clears it when it drops m.
+ * configurations that share a front end.  The controller walks the
+ * episode schedule on it; the machine hands each member's episodes
+ * to account(), in episode order per member, and account() says how
+ * far that member's schedule now runs.
  */
 class EpisodeMachine
 {
   public:
-    explicit EpisodeMachine(std::size_t members) : open(members, 1) {}
+    /** Member @p m's head and body counters of episode @p j, whose
+     *  stratum is process @p index.  @return the last episode @p m
+     *  takes part in: @p j once its estimate is final. */
+    using Account =
+        std::function<Count(std::size_t m, Count j, std::size_t index,
+                            SimResult &head, SimResult &body)>;
+
+    explicit EpisodeMachine(std::size_t members) : members(members) {}
     virtual ~EpisodeMachine() = default;
+
+    /** Every member takes part in episodes 0..@p last, and hands
+     *  them to @p account. */
+    virtual void begin(Count last, Account account) = 0;
 
     virtual void
     fastForward(const std::vector<Count> &per_process_refs) = 0;
     virtual void selectProcess(std::size_t index) = 0;
     virtual void runWarm(Count instructions) = 0;
 
-    /** A detailed window: pin process @p index onto a fresh
-     *  occupancy, start a measurement and run @p instructions;
-     *  out[m] receives open member m's counters. */
-    virtual void measure(std::size_t index, Count instructions,
-                         std::vector<SimResult> &out) = 0;
+    /** Episode @p j's detailed windows: pin process @p index onto a
+     *  fresh occupancy and run @p head instructions, then the same
+     *  for @p body. */
+    virtual void measure(Count j, std::size_t index, Count head,
+                         Count body) = 0;
 
-    std::vector<char> open;
+    /** Whether a member takes part in episode @p j; false once every
+     *  member's estimate is final or the member left. */
+    virtual bool wants(Count j) = 0;
+
+    /** Once this returns, no thread calls account() any more. */
+    virtual void stop() {}
+
+    const std::size_t members;
 };
 
 /** One configuration's estimate as the controller builds it. */
@@ -276,10 +300,10 @@ struct MemberEstimate
 };
 
 /**
- * End of @p e's sizing round: estimate, then either stop (@return
- * true) or grow n for another round.
+ * End of @p e's sizing round: estimate, then grow n for another
+ * round unless the estimate is final (n unchanged).
  */
-bool
+void
 closeRound(MemberEstimate &e, const Schedule &s,
            const SamplingConfig &plan, Cycles slice_cycles)
 {
@@ -288,7 +312,7 @@ closeRound(MemberEstimate &e, const Schedule &s,
     const bool met = e.est.cpi > 0.0 &&
                      e.est.halfWidth <= plan.targetRelHalfWidth * e.est.cpi;
     if (met || e.n >= s.cap || e.passes >= kMaxRounds)
-        return true;
+        return;
 
     // Online sizing: the half-width shrinks as 1/sqrt(n), so
     // n_req = n * (half / target)^2, rounded up to keep the strata
@@ -303,11 +327,10 @@ closeRound(MemberEstimate &e, const Schedule &s,
     }
     const Count next =
         std::min(s.cap, std::max(req, e.n + s.procCount));
-    if (next <= e.n)
-        return true;
-    e.n = next;
-    ++e.passes;
-    return false;
+    if (next > e.n) {
+        e.n = next;
+        ++e.passes;
+    }
 }
 
 /**
@@ -323,77 +346,78 @@ runEpisodes(EpisodeMachine &machine, const Schedule &s,
             const SamplingConfig &plan, Cycles slice_cycles,
             Count warmup_instructions)
 {
-    const std::size_t members = machine.open.size();
-    std::vector<MemberEstimate> ests(members);
+    std::vector<MemberEstimate> ests(machine.members);
     for (MemberEstimate &e : ests) {
         e.strata.resize(static_cast<std::size_t>(s.procCount));
         e.n = s.floor;
     }
-
-    // The full-detail warmup span is just skipped: every episode
-    // brings its own functional warming, and detailed warmup cycles
-    // would cost a third of the budget for state the first
-    // fast-forward throws away.
-    if (warmup_instructions > 0)
-        machine.fastForward(s.warmupRefs);
-    // One warm round at start so the first episodes do not measure
-    // a near-empty hierarchy: every process lays down a footprint,
-    // twice as deep as a recovery burst.
-    for (Count k = 0; k < s.procCount; ++k) {
-        machine.selectProcess(static_cast<std::size_t>(k));
-        machine.runWarm(2 * s.warm);
-    }
-
-    // Recover/measure pipeline: episode j fast-forwards every
-    // trace EXCEPT the one recovered last episode (so its rebuilt
-    // reuse state never goes stale), functionally recovers the
-    // next stratum's process, then measures the held-back one --
-    // whose L1/TLB lines the recovery bursts in between evicted,
-    // the way a real inter-occupancy round does.  Episode 0 only
-    // primes the pipeline.
-    std::vector<SimResult> heads(members), bodies(members);
-    std::vector<Count> skipRefs;
-    const auto anyOpen = [&machine] {
-        return std::find(machine.open.begin(), machine.open.end(),
-                         1) != machine.open.end();
+    // A member's episode joins its stratum and its summed counters,
+    // and the episode that ends its round sizes it again.  Each
+    // member's episodes come in order, from whichever thread replays
+    // that member.
+    const auto account = [&](std::size_t m, Count j, std::size_t meas,
+                             SimResult &head, SimResult &body) {
+        MemberEstimate &e = ests[m];
+        e.strata[meas].headCpi.add(head.cpi());
+        e.strata[meas].bodyCpi.add(body.cpi());
+        if (j == 1)
+            e.agg = std::move(head);
+        else
+            accumulateResult(e.agg, head);
+        accumulateResult(e.agg, body);
+        if (e.n == j)
+            closeRound(e, s, plan, slice_cycles);
+        return e.n;
     };
-    for (Count j = 0; anyOpen(); ++j) {
-        const std::size_t rec =
-            static_cast<std::size_t>(j % s.procCount);
-        const std::size_t meas = static_cast<std::size_t>(
-            (j + s.procCount - 1) % s.procCount);
-        skipRefs = s.gapRefs;
-        if (j > 0)
-            skipRefs[meas] = 0;
-        machine.fastForward(skipRefs);
-        machine.selectProcess(rec);
-        machine.runWarm(s.warm);
-        if (j > 0) {
+
+    try {
+        machine.begin(s.floor, account);
+        // The full-detail warmup span is just skipped: every episode
+        // brings its own functional warming, and detailed warmup
+        // cycles would cost a third of the budget for state the first
+        // fast-forward throws away.
+        if (warmup_instructions > 0)
+            machine.fastForward(s.warmupRefs);
+        // One warm round at start so the first episodes do not
+        // measure a near-empty hierarchy: every process lays down a
+        // footprint, twice as deep as a recovery burst.
+        for (Count k = 0; k < s.procCount; ++k) {
+            machine.selectProcess(static_cast<std::size_t>(k));
+            machine.runWarm(2 * s.warm);
+        }
+
+        // Recover/measure pipeline: episode j fast-forwards every
+        // trace EXCEPT the one recovered last episode (so its rebuilt
+        // reuse state never goes stale), functionally recovers the
+        // next stratum's process, then measures the held-back one --
+        // whose L1/TLB lines the recovery bursts in between evicted,
+        // the way a real inter-occupancy round does.  Episode 0 only
+        // primes the pipeline.
+        std::vector<Count> skipRefs;
+        for (Count j = 0; machine.wants(j); ++j) {
+            const std::size_t rec =
+                static_cast<std::size_t>(j % s.procCount);
+            const std::size_t meas = static_cast<std::size_t>(
+                (j + s.procCount - 1) % s.procCount);
+            skipRefs = s.gapRefs;
+            if (j > 0)
+                skipRefs[meas] = 0;
+            machine.fastForward(skipRefs);
+            machine.selectProcess(rec);
+            machine.runWarm(s.warm);
             // Head window: the recovered process on a fresh
             // occupancy, measuring its switch-in transient.  Body
             // window: re-pinned (a syscall can rotate the process
             // out mid-head), measuring the flat regime.
-            machine.measure(meas, s.head, heads);
-            machine.measure(meas, s.body, bodies);
-            for (std::size_t m = 0; m < members; ++m) {
-                if (!machine.open[m])
-                    continue;
-                MemberEstimate &e = ests[m];
-                e.strata[meas].headCpi.add(heads[m].cpi());
-                e.strata[meas].bodyCpi.add(bodies[m].cpi());
-                if (j == 1)
-                    e.agg = std::move(heads[m]);
-                else
-                    accumulateResult(e.agg, heads[m]);
-                accumulateResult(e.agg, bodies[m]);
-            }
+            if (j > 0)
+                machine.measure(j, meas, s.head, s.body);
         }
-        for (std::size_t m = 0; m < members; ++m) {
-            if (machine.open[m] && ests[m].n == j &&
-                closeRound(ests[m], s, plan, slice_cycles))
-                machine.open[m] = 0;
-        }
+    } catch (...) {
+        // Replays still running write into ests.
+        machine.stop();
+        throw;
     }
+    machine.stop();
     return ests;
 }
 
@@ -441,6 +465,13 @@ class SoloMachine final : public EpisodeMachine
     }
 
     void
+    begin(Count last_, Account account_) override
+    {
+        last = last_;
+        account = std::move(account_);
+    }
+
+    void
     fastForward(const std::vector<Count> &per_process_refs) override
     {
         sim.fastForward(per_process_refs);
@@ -457,27 +488,46 @@ class SoloMachine final : public EpisodeMachine
     }
 
     void
-    measure(std::size_t index, Count instructions,
-            std::vector<SimResult> &out) override
+    measure(Count j, std::size_t index, Count head,
+            Count body) override
+    {
+        SimResult h = window(index, head);
+        SimResult b = window(index, body);
+        last = account(0, j, index, h, b);
+    }
+
+    bool wants(Count j) override { return j <= last; }
+
+  private:
+    SimResult
+    window(std::size_t index, Count instructions)
     {
         sim.selectProcess(index);
         sim.resetMeasurement();
-        out.front() = sim.run(instructions, 0);
+        return sim.run(instructions, 0);
     }
 
-  private:
     Simulator sim;
+    Account account;
+    Count last = 0;
 };
 
 /**
- * Several configurations over one recording front end: each window
- * runs once on the front end, then every open member's back end
- * replays its calls.  Back-end call k of a member happens at its
- * front-end time plus the stalls that member's back end returned
- * before it -- exactly the `now + stall` the coupled simulator
- * passes, across instructions, within one instruction and within
- * one miss.  Warm windows replay with accounting off and, their
- * stalls being 0, leave those totals alone.
+ * Several configurations over one recording front end.  The front
+ * end records each window once -- its back-end calls, its counters
+ * and the clock around it -- and keeps it until every open member
+ * has replayed it.  Members replay in window order, each on one
+ * thread at a time: the helper tasks and, where it must wait, the
+ * front end's own thread.  Back-end call k of a member happens at
+ * its front-end time plus the stalls that member's back end
+ * returned before it -- exactly the `now + stall` the coupled
+ * simulator passes, across instructions, within one instruction and
+ * within one miss.  Warm windows replay with accounting off and,
+ * their stalls being 0, leave those totals alone.
+ *
+ * The front end records ahead up to the last episode an open member
+ * takes part in, so it waits for replays only where a member's round
+ * closes; until a helper has started it replays each window itself.
  */
 class GroupMachine final : public EpisodeMachine
 {
@@ -486,20 +536,44 @@ class GroupMachine final : public EpisodeMachine
      *  from the first member's configuration. */
     GroupMachine(const std::vector<SampledMember *> &members,
                  std::vector<std::unique_ptr<BackEnd>> backs,
-                 Workload workload)
+                 Workload workload, const ReplayHelpers &helpers)
         : EpisodeMachine(members.size()),
           front(members.front()->config, std::move(workload)),
-          slice(members.front()->config.timeSliceCycles)
+          slice(members.front()->config.timeSliceCycles),
+          helpers(helpers), team(std::make_shared<Team>())
     {
+        replays.resize(members.size());
         for (std::size_t i = 0; i < members.size(); ++i) {
             SampledMember *m = members[i];
-            replays.push_back({m, std::move(backs[i]), 0});
+            replays[i].member = m;
+            replays[i].index = i;
+            replays[i].back = std::move(backs[i]);
             if (m->watchdogCycles != 0 &&
                 (log.watchdogFloor == 0 ||
                  m->watchdogCycles < log.watchdogFloor))
                 log.watchdogFloor = m->watchdogCycles;
         }
         front.recordBackEnd(&log);
+        team->machine = this;
+    }
+
+    ~GroupMachine() override { stop(); }
+
+    /** Helper tasks hold its address. */
+    GroupMachine(const GroupMachine &) = delete;
+    GroupMachine &operator=(const GroupMachine &) = delete;
+
+    void
+    begin(Count last, Account account_) override
+    {
+        account = std::move(account_);
+        for (Replay &r : replays)
+            r.last = last;
+        // A helper beyond one per member would never claim one.
+        const std::size_t count =
+            std::min<std::size_t>(helpers.count, replays.size());
+        for (std::size_t k = 0; k < count; ++k)
+            helpers.spawn([team = team] { help(*team); });
     }
 
     void
@@ -516,60 +590,294 @@ class GroupMachine final : public EpisodeMachine
     void
     runWarm(Count instructions) override
     {
-        log.calls.clear();
         front.runWarm(instructions);
-        eachOpen([this](std::size_t, Replay &r) {
-            for (const BackEndCall &c : log.calls)
-                r.back->replay<false>(c, r.stalled);
-        });
+        publish(Window{});
     }
 
     void
-    measure(std::size_t index, Count instructions,
-            std::vector<SimResult> &out) override
+    measure(Count j, std::size_t index, Count head,
+            Count body) override
     {
-        front.selectProcess(index);
-        front.resetMeasurement();
-        log.calls.clear();
-        const Cycles start = front.clock();
-        const SimResult window = front.run(instructions, 0);
-        eachOpen([&](std::size_t m, Replay &r) {
-            if (!replayWindow(r, window, start, out[m]))
-                open[m] = 0;
-        });
+        record(Window::Head, j, index, head);
+        record(Window::Body, j, index, body);
+    }
+
+    bool
+    wants(Count j) override
+    {
+        std::unique_lock<std::mutex> lock(team->mutex);
+        const obs::Stopwatch clock;
+        for (;;) {
+            if (team->failure)
+                std::rethrow_exception(team->failure);
+            bool open = false;
+            Count last = 0;
+            for (const Replay &r : replays) {
+                if (!r.closed) {
+                    open = true;
+                    last = std::max(last, r.last);
+                }
+            }
+            if (!open || j <= last) {
+                synced += clock.seconds();
+                return open;
+            }
+            // Every open member's round ends before j: help them
+            // close it, or wait while helpers do.
+            if (!replayOne(lock))
+                team->progress.wait(lock);
+        }
+    }
+
+    void
+    stop() override
+    {
+        std::unique_lock<std::mutex> lock(team->mutex);
+        const obs::Stopwatch clock;
+        team->done = true;
+        team->work.notify_all();
+        team->progress.wait(lock, [this] { return team->active == 0; });
+        synced += clock.seconds();
+    }
+
+    /** Seconds the calling thread spent replaying or waiting for
+     *  replays; the rest of its time is the front-end pass. */
+    double syncSeconds() const { return synced; }
+
+    /** Replay seconds over all threads, and the recorded calls;
+     *  each member's replay seconds are added to its own. */
+    GroupStats
+    stats()
+    {
+        GroupStats st;
+        for (Replay &r : replays) {
+            r.member->seconds += r.seconds;
+            st.replaySeconds += r.seconds;
+        }
+        st.recordedCalls = recorded;
+        return st;
     }
 
   private:
+    /** One recorded window. */
+    struct Window
+    {
+        enum Kind : std::uint8_t { Warm, Head, Body };
+
+        std::vector<BackEndCall> calls;
+        Kind kind = Warm;
+        /** @name Detailed windows only */
+        ///@{
+        Count episode = 0;
+        std::size_t process = 0; //!< the stratum
+        Cycles start = 0;        //!< front-end clock before and
+        Cycles end = 0;          //!< after the window
+        SimResult counters;      //!< the front end's counters
+        ///@}
+    };
+
+    /** One member's back end and where its replay stands.  Guarded
+     *  by the team mutex, except while busy: then only the thread
+     *  that set busy touches the rest. */
     struct Replay
     {
-        SampledMember *member;
+        SampledMember *member = nullptr;
+        std::size_t index = 0;
         std::unique_ptr<BackEnd> back;
         /** Stalls this back end has returned so far: the member's
          *  clock is the front end's plus this. */
-        Cycles stalled;
+        Cycles stalled = 0;
+        /** Next window to replay (an index since the first). */
+        Count next = 0;
+        /** Last episode the member takes part in (account()). */
+        Count last = 0;
+        bool busy = false;
+        /** Final, failed or gone solo: replays nothing more. */
+        bool closed = false;
+        SimResult head, body;
+        double seconds = 0.0;
     };
 
+    /** What helper tasks share with the front end; it outlives the
+     *  machine for helper tasks that start after the group ends. */
+    struct Team
+    {
+        std::mutex mutex;
+        std::condition_variable work;     //!< a window was published
+        std::condition_variable progress; //!< a replay batch ended
+        GroupMachine *machine = nullptr;  //!< valid until done
+        bool done = false;
+        unsigned active = 0; //!< helpers inside help()
+        std::exception_ptr failure;
+    };
+
+    /** A helper task: replay members until the group stops. */
+    static void
+    help(Team &team)
+    {
+        std::unique_lock<std::mutex> lock(team.mutex);
+        if (team.done)
+            return;
+        ++team.active;
+        while (!team.done) {
+            try {
+                if (!team.machine->replayOne(lock))
+                    team.work.wait(lock);
+            } catch (...) {
+                // The front end rethrows it at its next wait or
+                // window.
+                if (!lock.owns_lock())
+                    lock.lock();
+                if (!team.failure)
+                    team.failure = std::current_exception();
+                break;
+            }
+        }
+        --team.active;
+        team.progress.notify_all();
+    }
+
+    /** Run a detailed window of @p instructions on process @p index
+     *  and publish it. */
+    void
+    record(Window::Kind kind, Count j, std::size_t index,
+           Count instructions)
+    {
+        Window w;
+        w.kind = kind;
+        w.episode = j;
+        w.process = index;
+        front.selectProcess(index);
+        front.resetMeasurement();
+        w.start = front.clock();
+        w.counters = front.run(instructions, 0);
+        w.end = front.clock();
+        publish(std::move(w));
+    }
+
+    /** Hand the calls just logged to @p w and queue it for the
+     *  members; free the windows every open member has replayed. */
+    void
+    publish(Window w)
+    {
+        recorded += log.calls.size();
+        w.calls.swap(log.calls);
+        std::unique_lock<std::mutex> lock(team->mutex);
+        if (team->failure)
+            std::rethrow_exception(team->failure);
+        Count keep = first + windows.size();
+        for (const Replay &r : replays) {
+            if (!r.closed)
+                keep = std::min(keep, r.next);
+        }
+        // Freed call buffers are kept for later windows, so the
+        // front end's heap serves every window.
+        for (; first < keep; ++first) {
+            spare.push_back(std::move(windows.front().calls));
+            spare.back().clear();
+            windows.pop_front();
+        }
+        if (!spare.empty()) {
+            log.calls.swap(spare.back());
+            spare.pop_back();
+        }
+        windows.push_back(std::move(w));
+        team->work.notify_all();
+        if (team->active == 0) {
+            // No helper has started: replay on this thread, window by
+            // window, as a lone thread would.
+            const obs::Stopwatch clock;
+            while (team->active == 0 && replayOne(lock)) {
+            }
+            synced += clock.seconds();
+        }
+    }
+
     /**
-     * Replay the detailed window just logged on @p r and build its
-     * counters into @p out.  @return false if the member left the
-     * group: its watchdog expired (failed), or its clock reached
-     * its slice end on an instruction where the front end did not
-     * switch (it must run solo).
+     * Claim the open, idle member furthest behind that has windows
+     * to replay, and replay those published so far.  Called and
+     * returns with the team mutex held through @p lock, which it
+     * drops while replaying.  @return false if no member was
+     * claimable.
      */
     bool
-    replayWindow(Replay &r, const SimResult &window, Cycles start,
-                 SimResult &out)
+    replayOne(std::unique_lock<std::mutex> &lock)
+    {
+        const Count published = first + windows.size();
+        Replay *r = nullptr;
+        for (Replay &c : replays) {
+            if (!c.closed && !c.busy && c.next < published &&
+                (!r || c.next < r->next))
+                r = &c;
+        }
+        if (!r)
+            return false;
+        r->busy = true;
+        Count last = r->last;
+        bool stays = true;
+        do {
+            const Window &w = windows[r->next - first];
+            lock.unlock();
+            const obs::Stopwatch clock;
+            stays = replay(*r, w, last);
+            if (!stays)
+                r->back.reset();
+            r->seconds += clock.seconds();
+            lock.lock();
+            ++r->next;
+            r->last = last;
+        } while (stays && r->next < published && !team->done);
+        r->closed = !stays;
+        r->busy = false;
+        team->progress.notify_all();
+        return true;
+    }
+
+    /**
+     * Replay window @p w on @p r; a body window's episode then goes
+     * to account(), which sets @p last.  @return false once the
+     * member is done with the group: its estimate is final, or it
+     * left (replayWindow).
+     */
+    bool
+    replay(Replay &r, const Window &w, Count &last)
+    {
+        switch (w.kind) {
+          case Window::Warm:
+            for (const BackEndCall &c : w.calls)
+                r.back->replay<false>(c, r.stalled);
+            return true;
+          case Window::Head:
+            return replayWindow(r, w, r.head);
+          case Window::Body:
+            break;
+        }
+        if (!replayWindow(r, w, r.body))
+            return false;
+        last = account(r.index, w.episode, w.process, r.head, r.body);
+        return last > w.episode;
+    }
+
+    /**
+     * Replay detailed window @p w on @p r and build its counters
+     * into @p out.  @return false if the member left the group: its
+     * watchdog expired (failed), or its clock reached its slice end
+     * on an instruction where the front end did not switch (it must
+     * run solo).
+     */
+    bool
+    replayWindow(Replay &r, const Window &w, SimResult &out)
     {
         BackEnd &back = *r.back;
         back.resetStats();
         const Cycles before = r.stalled;
-        Cycles sliceEnd = start + r.stalled + slice;
+        Cycles sliceEnd = w.start + r.stalled + slice;
         // The stall totals before the last four calls: a marker
         // needs the total before its instruction's first call, and
         // one instruction makes at most three.
         std::array<Cycles, 4> prior{};
         std::size_t made = 0;
-        for (const BackEndCall &c : log.calls) {
+        for (const BackEndCall &c : w.calls) {
             if (c.op != BackEndOp::Instruction) {
                 prior[made++ % prior.size()] = r.stalled;
                 r.stalled += back.replay<true>(c, r.stalled);
@@ -596,10 +904,10 @@ class GroupMachine final : public EpisodeMachine
             if (c.flag)
                 sliceEnd = c.at + c.arg + r.stalled + slice;
         }
-        if (front.clock() + r.stalled >= sliceEnd)
+        if (w.end + r.stalled >= sliceEnd)
             return leave(r, false);
 
-        out = window;
+        out = w.counters;
         out.configName = r.member->config.name;
         out.cycles += r.stalled - before;
         SimResult below;
@@ -616,28 +924,27 @@ class GroupMachine final : public EpisodeMachine
         return false;
     }
 
-    /** Run @p fn(m, replay) for every open member m, timed into its
-     *  seconds; a closed member's back end is freed instead. */
-    template <class Fn>
-    void
-    eachOpen(Fn &&fn)
-    {
-        for (std::size_t m = 0; m < replays.size(); ++m) {
-            Replay &r = replays[m];
-            if (!open[m]) {
-                r.back.reset();
-                continue;
-            }
-            const obs::Stopwatch clock;
-            fn(m, r);
-            r.member->seconds += clock.seconds();
-        }
-    }
-
     Simulator front;
     BackEndLog log;
-    std::vector<Replay> replays;
     Cycles slice;
+    ReplayHelpers helpers;
+    Account account;
+    std::vector<Replay> replays;
+
+    /** @name Guarded by the team mutex */
+    ///@{
+    std::deque<Window> windows; //!< windows first, first + 1, ...
+    Count first = 0;
+    ///@}
+
+    /** @name The front end's own */
+    ///@{
+    std::vector<std::vector<BackEndCall>> spare;
+    std::uint64_t recorded = 0;
+    double synced = 0.0;
+    ///@}
+
+    std::shared_ptr<Team> team;
 };
 
 } // namespace
@@ -688,11 +995,23 @@ runSampled(const SystemConfig &config, const SamplingConfig &plan,
                   warmup_instructions);
 }
 
-void
+GroupStats &
+GroupStats::operator+=(const GroupStats &other)
+{
+    frontEndSeconds += other.frontEndSeconds;
+    replaySeconds += other.replaySeconds;
+    recordedCalls += other.recordedCalls;
+    return *this;
+}
+
+GroupStats
 runSampledGroup(std::vector<SampledMember> &members,
                 const SamplingConfig &plan, Count total_instructions,
-                unsigned mp_level, Count warmup_instructions)
+                unsigned mp_level, Count warmup_instructions,
+                const ReplayHelpers &helpers)
 {
+    const obs::Stopwatch wall;
+    GroupStats stats;
     const auto fail = [](SampledMember &m) {
         m.failed = true;
         m.result = SimResult{};
@@ -726,7 +1045,7 @@ runSampledGroup(std::vector<SampledMember> &members,
         // workload.
         for (SampledMember &m : members)
             solo(m);
-        return;
+        return stats;
     }
 
     // A configuration whose back end does not stand up fails alone,
@@ -745,17 +1064,20 @@ runSampledGroup(std::vector<SampledMember> &members,
             fail(m);
     }
     if (live.empty())
-        return;
+        return stats;
 
     std::vector<MemberEstimate> ests;
     {
         GroupMachine machine(
             live, std::move(backs),
             Workload::standard(mp_level, warmup_instructions +
-                                             total_instructions));
+                                             total_instructions),
+            helpers);
         ests = runEpisodes(machine, s, plan,
                            live.front()->config.timeSliceCycles,
                            warmup_instructions);
+        stats = machine.stats();
+        stats.frontEndSeconds = wall.seconds() - machine.syncSeconds();
     }
     for (std::size_t i = 0; i < live.size(); ++i) {
         SampledMember &m = *live[i];
@@ -767,6 +1089,7 @@ runSampledGroup(std::vector<SampledMember> &members,
             m.result = finish(std::move(ests[i]), s, plan,
                               warmup_instructions);
     }
+    return stats;
 }
 
 } // namespace gaas::core

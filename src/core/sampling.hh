@@ -40,6 +40,8 @@
 #ifndef GAAS_CORE_SAMPLING_HH
 #define GAAS_CORE_SAMPLING_HH
 
+#include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -164,9 +166,37 @@ struct SampledMember
      *  guard, or the budget cannot fit the episode schedule. */
     bool ranSolo = false;
     /** Host seconds of this member's own work: its back-end
-     *  replays, or its solo run. */
+     *  replays, on whichever threads ran them, or its solo run. */
     double seconds = 0.0;
     ///@}
+};
+
+/** Threads a grouped run may replay its members on besides the
+ *  calling one (a sweep's pool workers). */
+struct ReplayHelpers
+{
+    /** Helper tasks to start (at most one per member); 0 replays
+     *  every member on the calling thread. */
+    unsigned count = 0;
+    /** Runs one task, once, on another thread.  A task that starts
+     *  after its group has finished returns at once. */
+    std::function<void(std::function<void()>)> spawn;
+};
+
+/** Where a grouped run's host time went. */
+struct GroupStats
+{
+    /** The front-end pass on the calling thread: building the
+     *  workload, front end and back ends, and recording every
+     *  window; its replays and waits excluded. */
+    double frontEndSeconds = 0.0;
+    /** Back-end replays, summed over every thread that ran them. */
+    double replaySeconds = 0.0;
+    /** Back-end calls and Instruction markers the front end
+     *  recorded (BackEndLog). */
+    std::uint64_t recordedCalls = 0;
+
+    GroupStats &operator+=(const GroupStats &other);
 };
 
 /**
@@ -180,24 +210,31 @@ struct SampledMember
  * front end: warm windows run on the stall-free clock, and a
  * detailed window is far shorter than a time slice.  So one
  * recording front end (Simulator::recordBackEnd) walks the union of
- * the members' episode schedules, and each member's BackEnd replays
- * every window's back-end calls on its own clock: call k at its
- * front-end time plus the stalls that back end returned before it.
- * The one controller turns each member's windows into exactly the
- * result runSampled gives it.  One guard keeps that exact: a member
- * whose own clock reaches its slice end on an instruction where the
- * front end did not switch is re-run solo, and so is every member
- * when the budget cannot fit the schedule.
+ * the members' episode schedules, once, and each member's BackEnd
+ * replays every window's back-end calls on its own clock: call k at
+ * its front-end time plus the stalls that back end returned before
+ * it.  The one controller turns each member's windows into exactly
+ * the result runSampled gives it.  One guard keeps that exact: a
+ * member whose own clock reaches its slice end on an instruction
+ * where the front end did not switch is re-run solo, and so is every
+ * member when the budget cannot fit the schedule.
+ *
+ * The front end keeps each window until every open member has
+ * replayed it, and records ahead while @p helpers replay the members
+ * in window order; it waits for them only where a member's sizing
+ * round closes.  Results do not depend on the helper count.
  *
  * A member's own failure (its configuration does not validate, or
  * its watchdog expires) fails only that member, with the code and
  * message its solo run would give.  An error of the shared front
  * end (workload, trace) throws.
  */
-void runSampledGroup(std::vector<SampledMember> &members,
-                     const SamplingConfig &plan,
-                     Count total_instructions, unsigned mp_level = 8,
-                     Count warmup_instructions = 0);
+GroupStats runSampledGroup(std::vector<SampledMember> &members,
+                           const SamplingConfig &plan,
+                           Count total_instructions,
+                           unsigned mp_level = 8,
+                           Count warmup_instructions = 0,
+                           const ReplayHelpers &helpers = {});
 
 } // namespace gaas::core
 

@@ -224,45 +224,29 @@ sharesFrontEnd(const SweepJob &a, const SweepJob &b)
 
 std::vector<std::vector<std::size_t>>
 sweepUnits(const std::vector<SweepJob> &jobs,
-           const std::vector<std::size_t> &todo, unsigned workers)
+           const std::vector<std::size_t> &todo)
 {
-    // Group by front end, each group in submission order.
-    std::vector<std::vector<std::size_t>> groups;
+    // One unit per front end, in submission order; units come out
+    // ordered by their first job.
+    std::vector<std::vector<std::size_t>> units;
     for (const std::size_t i : todo) {
-        auto g = std::find_if(groups.begin(), groups.end(),
-                              [&](const std::vector<std::size_t> &grp) {
-                                  return sharesFrontEnd(jobs[grp.front()],
+        auto u = std::find_if(units.begin(), units.end(),
+                              [&](const std::vector<std::size_t> &unit) {
+                                  return sharesFrontEnd(jobs[unit.front()],
                                                         jobs[i]);
                               });
-        if (g == groups.end())
-            groups.push_back({i});
+        if (u == units.end())
+            units.push_back({i});
         else
-            g->push_back(i);
+            u->push_back(i);
     }
-    // Deal each group round-robin into min(workers, size) units.
-    // Ladders walk their size axis in submission order, so dealing
-    // (rather than cutting contiguous runs) spreads the largest L2s,
-    // and the points that grow to the most episodes, over all units:
-    // no one unit holds every big back end at once.
-    std::vector<std::vector<std::size_t>> units;
-    for (const std::vector<std::size_t> &grp : groups) {
-        const std::size_t parts =
-            std::min<std::size_t>(std::max(workers, 1u), grp.size());
-        const std::size_t first = units.size();
-        units.resize(first + parts);
-        for (std::size_t k = 0; k < grp.size(); ++k)
-            units[first + k % parts].push_back(grp[k]);
-    }
-    std::sort(units.begin(), units.end(),
-              [](const auto &a, const auto &b) {
-                  return a.front() < b.front();
-              });
     return units;
 }
 
 std::vector<SweepOutcome>
 runSweepUnit(const std::vector<SweepJob> &jobs,
-             const std::vector<std::size_t> &unit)
+             const std::vector<std::size_t> &unit,
+             const ReplayHelpers &helpers, GroupStats *grouped)
 {
     if (sweepCancelRequested()) {
         std::vector<SweepOutcome> outs;
@@ -297,13 +281,14 @@ runSweepUnit(const std::vector<SweepJob> &jobs,
     const SweepJob &first = jobs[unit.front()];
     ErrorCode code = ErrorCode::Internal;
     std::string error;
+    GroupStats group;
     const bool ran = members.empty() ||
                      captureError(
                          [&] {
-                             runSampledGroup(members, first.sampling,
-                                             first.instructions,
-                                             first.mpLevel,
-                                             first.warmup);
+                             group = runSampledGroup(
+                                 members, first.sampling,
+                                 first.instructions, first.mpLevel,
+                                 first.warmup, helpers);
                          },
                          code, error);
     for (std::size_t m = 0; m < members.size(); ++m) {
@@ -317,19 +302,21 @@ runSweepUnit(const std::vector<SweepJob> &jobs,
         else
             out.result = std::move(members[m].result);
     }
+    if (grouped)
+        *grouped += group;
 
-    // Host time: the shared front-end pass splits evenly over the
-    // unit's jobs, and each adds its own replays, so the jobs sum to
-    // the unit's wall time.  The arena work is the front end's,
+    // Host time: the front-end pass (the whole unit, if it threw)
+    // splits evenly over the unit's jobs, and each adds its own
+    // replays, on whichever threads ran them, or its solo run.  The
+    // jobs sum to the thread-seconds the unit kept busy: its wall
+    // time when no helper ran.  The arena work is the front end's,
     // charged to the first job.
-    double own = 0.0;
-    for (const SampledMember &m : members)
-        own += m.seconds;
     const double share =
-        (wall.seconds() - own) / static_cast<double>(unit.size());
-    for (std::size_t k = 0; k < unit.size(); ++k) {
-        outs[k].stats.simSeconds = share;
-        outs[k].stats.totalSeconds = share;
+        (ran ? group.frontEndSeconds : wall.seconds()) /
+        static_cast<double>(unit.size());
+    for (SweepOutcome &out : outs) {
+        out.stats.simSeconds = share;
+        out.stats.totalSeconds = share;
     }
     for (std::size_t m = 0; m < members.size(); ++m) {
         outs[slot[m]].stats.simSeconds += members[m].seconds;
@@ -437,7 +424,8 @@ namespace
 
 /** The in-process executor: runs sweepUnits() serially below two
  *  workers or two units, else on a ThreadPool whose futures are
- *  gathered in submission order. */
+ *  gathered in submission order.  A grouped unit replays its members
+ *  on workers - 1 helper tasks as well. */
 class ThreadExecutor : public SweepExecutor
 {
   public:
@@ -450,7 +438,7 @@ class ThreadExecutor : public SweepExecutor
     {
         stats.workers = workers;
         const std::vector<std::vector<std::size_t>> units =
-            sweepUnits(jobs, todo, workers);
+            sweepUnits(jobs, todo);
         const auto deliver = [&done](const std::vector<std::size_t> &unit,
                                      std::vector<SweepOutcome> outs) {
             for (std::size_t k = 0; k < unit.size(); ++k)
@@ -458,9 +446,20 @@ class ThreadExecutor : public SweepExecutor
         };
         if (workers <= 1 || units.size() <= 1) {
             // Serial reference path: also the pooled path's ground
-            // truth.
+            // truth.  A lone grouped unit still replays its members on
+            // workers - 1 helper threads.
+            std::optional<ThreadPool> pool;
+            ReplayHelpers helpers;
+            if (workers > 1 && todo.size() > 1) {
+                pool.emplace(workers - 1);
+                helpers = {workers - 1,
+                           [&pool](std::function<void()> task) {
+                               pool->submit(std::move(task));
+                           }};
+            }
             for (const std::vector<std::size_t> &unit : units)
-                deliver(unit, runSweepUnit(jobs, unit));
+                deliver(unit, runSweepUnit(jobs, unit, helpers,
+                                           &stats.grouped));
             return;
         }
 
@@ -468,13 +467,22 @@ class ThreadExecutor : public SweepExecutor
         // its workers before those die, on exception paths too.
         std::mutex id_mutex;
         std::map<std::thread::id, unsigned> worker_ids;
+        std::vector<GroupStats> grouped(units.size());
         ThreadPool pool(workers);
+        // Helper tasks queue behind the units already submitted, so
+        // they take only workers no unit is waiting for.
+        const ReplayHelpers helpers{
+            workers - 1, [&pool](std::function<void()> task) {
+                pool.submit(std::move(task));
+            }};
         std::vector<std::future<std::vector<SweepOutcome>>> futures;
         futures.reserve(units.size());
-        for (const std::vector<std::size_t> &unit : units) {
+        for (std::size_t u = 0; u < units.size(); ++u) {
             const obs::Stopwatch submitted;
-            futures.push_back(pool.submit([&jobs, &unit, &id_mutex,
-                                           &worker_ids, submitted] {
+            futures.push_back(pool.submit([&jobs, &unit = units[u],
+                                           &id_mutex, &worker_ids,
+                                           &group = grouped[u], helpers,
+                                           submitted] {
                 const double wait = submitted.seconds();
                 unsigned worker = 0;
                 {
@@ -490,7 +498,8 @@ class ThreadExecutor : public SweepExecutor
                 }
                 // A cancel drains the queue: units already running
                 // finish, queued ones return immediately.
-                std::vector<SweepOutcome> outs = runSweepUnit(jobs, unit);
+                std::vector<SweepOutcome> outs =
+                    runSweepUnit(jobs, unit, helpers, &group);
                 for (SweepOutcome &out : outs) {
                     out.stats.queueWaitSeconds = wait;
                     out.stats.worker = worker;
@@ -501,8 +510,10 @@ class ThreadExecutor : public SweepExecutor
         // Futures are held in submission order, so gathering them in
         // order restores determinism no matter how the workers
         // interleaved.
-        for (std::size_t u = 0; u < units.size(); ++u)
+        for (std::size_t u = 0; u < units.size(); ++u) {
             deliver(units[u], futures[u].get());
+            stats.grouped += grouped[u];
+        }
     }
 
   private:

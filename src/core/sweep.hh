@@ -12,9 +12,12 @@
  * same jobs.
  *
  * One exception to one-job-one-simulation: the in-process executor
- * runs sampled jobs that share a front end (sharesFrontEnd) as
- * groups, one front-end pass per unit of work (sweepUnits,
- * runSampledGroup), with results byte-identical to solo runs.
+ * runs the sampled jobs that share a front end (sharesFrontEnd) as
+ * one unit of work (sweepUnits): one front-end pass records each
+ * window once, and the members' back ends replay it on the sweep's
+ * other workers while the front end records ahead
+ * (runSampledGroup), with results byte-identical to solo runs at
+ * any worker count.
  *
  * Worker count: the @p workers argument, else GAAS_BENCH_JOBS, else
  * hardware_concurrency.
@@ -220,6 +223,11 @@ struct SweepStats
     std::size_t arenaBytes = 0;
     ///@}
 
+    /** Grouped units' front-end seconds, replay seconds and
+     *  recorded back-end calls, summed (runSweepUnit); all zero when
+     *  no unit grouped jobs. */
+    GroupStats grouped;
+
     /** Per-job telemetry, in submission order. */
     std::vector<SweepJobStats> perJob;
 
@@ -281,30 +289,34 @@ SweepOutcome runSweepJobIsolated(const SweepJob &job);
 bool sharesFrontEnd(const SweepJob &a, const SweepJob &b);
 
 /**
- * Partition @p todo (ascending job indices) into units of work for
- * @p workers threads: the jobs sharing a front end form a group in
- * submission order, dealt round-robin into min(workers, group size)
- * units; every other job is a unit of its own.  Units come back
- * ordered by their first job, each in submission order.
+ * Partition @p todo (ascending job indices) into units of work: the
+ * jobs sharing a front end form one unit, in submission order; every
+ * other job is a unit of its own.  Units come back ordered by their
+ * first job.
  */
 std::vector<std::vector<std::size_t>>
 sweepUnits(const std::vector<SweepJob> &jobs,
-           const std::vector<std::size_t> &todo, unsigned workers);
+           const std::vector<std::size_t> &todo);
 
 /**
  * Run one unit of sweepUnits(), returning one outcome per job in
  * unit order.  A lone job runs through runSweepJobIsolated; a larger
- * unit through runSampledGroup, with per-job semantics kept: the
+ * unit through runSampledGroup, its members replayed on @p helpers
+ * as well as the calling thread, with per-job semantics kept: the
  * `sweep-job` fault counts jobs, an error of the shared front end
  * fails every job of the unit and a member's own error only its
- * job, and each job's sim and total seconds are an even share of
- * the front-end pass plus its own replays, so the unit's jobs sum to
- * its wall time.  If sweepCancelRequested(), every job is
+ * job, and each job's sim and total seconds are an even share of the
+ * front-end pass plus its own replays.  The unit's jobs so sum to
+ * the thread-seconds it kept busy, which is its wall time only
+ * without helpers.  The unit's GroupStats are added to @p grouped
+ * if non-null.  If sweepCancelRequested(), every job is
  * cancelledOutcome() instead.
  */
 std::vector<SweepOutcome>
 runSweepUnit(const std::vector<SweepJob> &jobs,
-             const std::vector<std::size_t> &unit);
+             const std::vector<std::size_t> &unit,
+             const ReplayHelpers &helpers = {},
+             GroupStats *grouped = nullptr);
 
 /**
  * @name Cooperative sweep cancellation

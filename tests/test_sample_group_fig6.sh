@@ -4,9 +4,9 @@
 #
 # Runs `fig6_l2_orgs --sample` three ways at a budget where every
 # point samples:
-#   1. the default thread pool, whose units each share one front-end
-#      pass among several points;
-#   2. GAAS_BENCH_JOBS=1, one unit of all 28 points;
+#   1. the default thread pool: one unit of all 28 points, whose
+#      members replay on helper threads while its front end records;
+#   2. GAAS_BENCH_JOBS=1, the same unit replayed on one thread;
 #   3. --mproc 2, where forked workers run every point solo;
 # and requires byte-identical CSVs and per-point JSON dumps.
 #

@@ -11,11 +11,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <functional>
 #include <memory>
+#include <set>
+#include <sstream>
 #include <string>
 #include <vector>
-
-#include <sstream>
 
 #include "core/config.hh"
 #include "core/stats_dump.hh"
@@ -24,6 +25,7 @@
 #include "core/workload.hh"
 #include "trace/source.hh"
 #include "util/fault.hh"
+#include "util/thread_pool.hh"
 
 namespace gaas::core
 {
@@ -391,6 +393,43 @@ dumpOf(const SimResult &result)
     return os.str();
 }
 
+/**
+ * One group over a budget its schedule fits, with 50k-cycle slices
+ * and a 1% precision target: two members size to 24 episodes and one
+ * to 40, the slice guard sends the 16KW member solo, and a 120-cycle
+ * watchdog fails the 64KW one.
+ */
+std::vector<SweepJob>
+mixedGroup()
+{
+    std::vector<SweepJob> jobs;
+    for (const std::uint64_t size :
+         {16 * 1024, 32 * 1024, 64 * 1024, 256 * 1024, 1024 * 1024}) {
+        SweepJob job;
+        job.config = afterWritePolicy();
+        job.config.l2.cache.sizeWords = size;
+        job.config.timeSliceCycles = 50'000;
+        job.config.name = "mixed " + std::to_string(size / 1024) + "KW";
+        job.mpLevel = 4;
+        job.instructions = 2'000'000;
+        job.warmup = 500'000;
+        job.sampling.enabled = true;
+        job.sampling.targetRelHalfWidth = 0.01;
+        jobs.push_back(std::move(job));
+    }
+    jobs[2].watchdogCycles = 120;
+    return jobs;
+}
+
+/** Tasks for runSweepUnit's helpers, started on @p pool. */
+ReplayHelpers
+helpersOn(ThreadPool &pool, unsigned count)
+{
+    return {count, [&pool](std::function<void()> task) {
+                pool.submit(std::move(task));
+            }};
+}
+
 TEST(Sweep, SampledJobsSharingAFrontEndFormUnits)
 {
     const std::vector<SweepJob> jobs = sampledJobs();
@@ -409,38 +448,74 @@ TEST(Sweep, SampledJobsSharingAFrontEndFormUnits)
     otherBudget.instructions /= 2;
     EXPECT_FALSE(sharesFrontEnd(jobs[0], otherBudget));
 
-    const std::vector<std::size_t> todo = {0, 1, 2, 3, 4, 5, 6};
+    // One unit per front end, each in submission order.
     using Units = std::vector<std::vector<std::size_t>>;
-    EXPECT_EQ(sweepUnits(jobs, todo, 1),
+    EXPECT_EQ(sweepUnits(jobs, {0, 1, 2, 3, 4, 5, 6}),
               (Units{{0, 1, 3}, {2}, {4, 5, 6}}));
-    // Each group is dealt round-robin into min(workers, size) units.
-    EXPECT_EQ(sweepUnits(jobs, todo, 2),
-              (Units{{0, 3}, {1}, {2}, {4, 6}, {5}}));
-    EXPECT_EQ(sweepUnits(jobs, todo, 8),
-              (Units{{0}, {1}, {2}, {3}, {4}, {5}, {6}}));
-    EXPECT_EQ(sweepUnits(jobs, {1, 3, 6}, 4),
-              (Units{{1}, {3}, {6}}));
+    EXPECT_EQ(sweepUnits(jobs, {1, 3, 6}), (Units{{1, 3}, {6}}));
 }
 
 TEST(Sweep, GroupedUnitsMatchSoloJobsAtAnyWorkerCount)
 {
-    const std::vector<SweepJob> jobs = sampledJobs();
-    std::vector<std::string> solo;
+    std::vector<SweepJob> jobs = sampledJobs();
+    const std::vector<SweepJob> mixed = mixedGroup();
+    jobs.insert(jobs.end(), mixed.begin(), mixed.end());
+    std::vector<SweepOutcome> solo;
     for (const SweepJob &job : jobs)
-        solo.push_back(dumpOf(runSweepJob(job)));
+        solo.push_back(runSweepJobIsolated(job));
 
-    for (const unsigned workers : {1u, 2u, 3u}) {
+    std::uint64_t recorded = 0;
+
+    {
+        // The mixed group covers what it should: rounds that close at
+        // different episodes, a member sent solo by the slice guard
+        // and a watchdog failure.
+        std::vector<SampledMember> members(mixed.size());
+        for (std::size_t i = 0; i < mixed.size(); ++i) {
+            members[i].config = mixed[i].config;
+            members[i].watchdogCycles = mixed[i].watchdogCycles;
+        }
+        ThreadPool pool(2);
+        const SweepJob &m0 = mixed.front();
+        recorded = runSampledGroup(members, m0.sampling,
+                                   m0.instructions, m0.mpLevel,
+                                   m0.warmup, helpersOn(pool, 2))
+                       .recordedCalls;
+        std::set<Count> intervals;
+        std::size_t wentSolo = 0, failed = 0;
+        for (const SampledMember &m : members) {
+            if (m.failed)
+                ++failed;
+            else if (m.ranSolo)
+                ++wentSolo;
+            else
+                intervals.insert(m.result.sampling.intervals);
+        }
+        EXPECT_EQ(failed, 1u);
+        EXPECT_GE(wentSolo, 1u);
+        EXPECT_GE(intervals.size(), 2u);
+    }
+
+    for (const unsigned workers : {1u, 2u, 3u, 4u, 7u}) {
         SCOPED_TRACE("workers " + std::to_string(workers));
         SweepStats stats;
         const auto outcomes = runSweepOutcomes(jobs, workers, &stats);
         ASSERT_EQ(outcomes.size(), jobs.size());
-        EXPECT_EQ(stats.okPoints, jobs.size());
+        EXPECT_EQ(stats.failedPoints, 1u);
         for (std::size_t i = 0; i < jobs.size(); ++i) {
             SCOPED_TRACE(jobs[i].config.name);
-            EXPECT_EQ(outcomes[i].status, PointStatus::Ok);
-            EXPECT_EQ(dumpOf(outcomes[i].result), solo[i]);
+            EXPECT_EQ(outcomes[i].status, solo[i].status);
+            EXPECT_EQ(outcomes[i].errorCode, solo[i].errorCode);
+            EXPECT_EQ(outcomes[i].error, solo[i].error);
+            EXPECT_EQ(dumpOf(outcomes[i].result), dumpOf(solo[i].result));
             EXPECT_GT(outcomes[i].stats.simSeconds, 0.0);
         }
+        // Only the mixed group's schedule fits its budget, so only it
+        // records, and its front end runs once at any worker count.
+        EXPECT_GT(recorded, 0u);
+        EXPECT_EQ(stats.grouped.recordedCalls, recorded);
+        EXPECT_GT(stats.grouped.frontEndSeconds, 0.0);
+        EXPECT_GT(stats.grouped.replaySeconds, 0.0);
     }
 }
 
@@ -498,29 +573,53 @@ TEST(Sweep, GroupedUnitFailsFrontEndErrorsEverywhereAndBackEndOnesAlone)
     }
 }
 
+/** A grouped unit's job seconds sum to its wall time when it runs
+ *  alone, and to its busy thread-seconds beside helpers. */
 TEST(Sweep, GroupedUnitTimeSumsToItsWallAndCancelStopsIt)
 {
-    const std::vector<SweepJob> jobs = sampledJobs();
+    // A budget the schedule fits, so the unit records and replays.
+    std::vector<SweepJob> jobs = sampledJobs();
     const std::vector<std::size_t> unit = {4, 5, 6};
-    const obs::Stopwatch wall;
-    const std::vector<SweepOutcome> outs = runSweepUnit(jobs, unit);
-    const double outer = wall.seconds();
-    double sum = 0.0;
-    for (const SweepOutcome &out : outs) {
-        EXPECT_GT(out.stats.simSeconds, 0.0);
-        EXPECT_EQ(out.stats.simSeconds, out.stats.totalSeconds);
-        EXPECT_EQ(out.stats.buildSeconds, 0.0);
-        sum += out.stats.totalSeconds;
+    for (const std::size_t i : unit)
+        jobs[i].instructions = 2'000'000;
+    ThreadPool pool(2);
+    for (const unsigned count : {0u, 2u}) {
+        SCOPED_TRACE("helpers " + std::to_string(count));
+        GroupStats grouped;
+        const obs::Stopwatch wall;
+        const std::vector<SweepOutcome> outs =
+            runSweepUnit(jobs, unit, helpersOn(pool, count), &grouped);
+        const double outer = wall.seconds();
+        double sum = 0.0;
+        for (const SweepOutcome &out : outs) {
+            EXPECT_EQ(out.status, PointStatus::Ok);
+            EXPECT_GT(out.stats.simSeconds, 0.0);
+            EXPECT_EQ(out.stats.simSeconds, out.stats.totalSeconds);
+            EXPECT_EQ(out.stats.buildSeconds, 0.0);
+            sum += out.stats.totalSeconds;
+        }
+        // Each job is a third of the front-end pass plus its own
+        // replays, so the jobs sum to the unit's busy thread-seconds:
+        // at most one thread's worth of its wall per thread, and at
+        // least the wall, less scheduling noise, since the front end
+        // waits only while a helper replays.
+        EXPECT_GT(grouped.frontEndSeconds, 0.0);
+        EXPECT_GT(grouped.replaySeconds, 0.0);
+        EXPECT_GT(grouped.recordedCalls, 0u);
+        EXPECT_NEAR(sum, grouped.frontEndSeconds + grouped.replaySeconds,
+                    1e-9 * sum);
+        EXPECT_LE(sum, (1 + count) * outer);
+        EXPECT_GT(sum, 0.5 * outer);
+        // The front end's arena work is charged once, to the first
+        // job.
+        EXPECT_EQ(outs[1].stats.arenaStreamsReused +
+                      outs[1].stats.arenaStreamsGenerated,
+                  0u);
     }
-    EXPECT_LE(sum, outer);
-    EXPECT_GT(sum, 0.5 * outer);
-    // The front end's arena work is charged once, to the first job.
-    EXPECT_EQ(outs[1].stats.arenaStreamsReused +
-                  outs[1].stats.arenaStreamsGenerated,
-              0u);
 
     requestSweepCancel();
-    const std::vector<SweepOutcome> cancelled = runSweepUnit(jobs, unit);
+    const std::vector<SweepOutcome> cancelled =
+        runSweepUnit(jobs, unit, helpersOn(pool, 2));
     clearSweepCancel();
     for (const SweepOutcome &out : cancelled)
         EXPECT_EQ(out.errorCode, ErrorCode::Cancelled);
