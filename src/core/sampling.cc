@@ -20,6 +20,7 @@
 #include "synth/suite.hh"
 #include "util/error.hh"
 #include "util/logging.hh"
+#include "util/thread_pool.hh"
 
 namespace gaas::core
 {
@@ -528,6 +529,7 @@ class SoloMachine final : public EpisodeMachine
  * The front end records ahead up to the last episode an open member
  * takes part in, so it waits for replays only where a member's round
  * closes; until a helper has started it replays each window itself.
+ * What it recorded ahead for a member that then leaves goes unused.
  */
 class GroupMachine final : public EpisodeMachine
 {
@@ -536,11 +538,11 @@ class GroupMachine final : public EpisodeMachine
      *  from the first member's configuration. */
     GroupMachine(const std::vector<SampledMember *> &members,
                  std::vector<std::unique_ptr<BackEnd>> backs,
-                 Workload workload, const ReplayHelpers &helpers)
+                 Workload workload, ThreadPool *pool, unsigned helpers)
         : EpisodeMachine(members.size()),
           front(members.front()->config, std::move(workload)),
-          slice(members.front()->config.timeSliceCycles),
-          helpers(helpers), team(std::make_shared<Team>())
+          slice(members.front()->config.timeSliceCycles), pool(pool),
+          helpers(pool ? helpers : 0), team(std::make_shared<Team>())
     {
         replays.resize(members.size());
         for (std::size_t i = 0; i < members.size(); ++i) {
@@ -571,9 +573,9 @@ class GroupMachine final : public EpisodeMachine
             r.last = last;
         // A helper beyond one per member would never claim one.
         const std::size_t count =
-            std::min<std::size_t>(helpers.count, replays.size());
+            std::min<std::size_t>(helpers, replays.size());
         for (std::size_t k = 0; k < count; ++k)
-            helpers.spawn([team = team] { help(*team); });
+            pool->submit([team = team] { help(*team); });
     }
 
     void
@@ -927,7 +929,8 @@ class GroupMachine final : public EpisodeMachine
     Simulator front;
     BackEndLog log;
     Cycles slice;
-    ReplayHelpers helpers;
+    ThreadPool *pool;
+    unsigned helpers;
     Account account;
     std::vector<Replay> replays;
 
@@ -1008,7 +1011,7 @@ GroupStats
 runSampledGroup(std::vector<SampledMember> &members,
                 const SamplingConfig &plan, Count total_instructions,
                 unsigned mp_level, Count warmup_instructions,
-                const ReplayHelpers &helpers)
+                ThreadPool *pool, unsigned helpers)
 {
     const obs::Stopwatch wall;
     GroupStats stats;
@@ -1072,7 +1075,7 @@ runSampledGroup(std::vector<SampledMember> &members,
             live, std::move(backs),
             Workload::standard(mp_level, warmup_instructions +
                                              total_instructions),
-            helpers);
+            pool, helpers);
         ests = runEpisodes(machine, s, plan,
                            live.front()->config.timeSliceCycles,
                            warmup_instructions);

@@ -41,7 +41,6 @@
 #define GAAS_CORE_SAMPLING_HH
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -49,6 +48,11 @@
 #include "core/cpi.hh"
 #include "util/error.hh"
 #include "util/types.hh"
+
+namespace gaas
+{
+class ThreadPool;
+} // namespace gaas
 
 namespace gaas::core
 {
@@ -171,18 +175,6 @@ struct SampledMember
     ///@}
 };
 
-/** Threads a grouped run may replay its members on besides the
- *  calling one (a sweep's pool workers). */
-struct ReplayHelpers
-{
-    /** Helper tasks to start (at most one per member); 0 replays
-     *  every member on the calling thread. */
-    unsigned count = 0;
-    /** Runs one task, once, on another thread.  A task that starts
-     *  after its group has finished returns at once. */
-    std::function<void(std::function<void()>)> spawn;
-};
-
 /** Where a grouped run's host time went. */
 struct GroupStats
 {
@@ -193,7 +185,13 @@ struct GroupStats
     /** Back-end replays, summed over every thread that ran them. */
     double replaySeconds = 0.0;
     /** Back-end calls and Instruction markers the front end
-     *  recorded (BackEndLog). */
+     *  recorded (BackEndLog).  The front end records ahead to the
+     *  largest episode an open member is committed to; if that
+     *  member then leaves the group (slice guard, watchdog), what
+     *  was recorded ahead for it goes unused, and how much that was
+     *  depends on how far the helpers let the front end run.  The
+     *  count is fixed when a member that stays runs to the episode
+     *  cap, or when no helper runs. */
     std::uint64_t recordedCalls = 0;
 
     GroupStats &operator+=(const GroupStats &other);
@@ -220,9 +218,11 @@ struct GroupStats
  * member when the budget cannot fit the schedule.
  *
  * The front end keeps each window until every open member has
- * replayed it, and records ahead while @p helpers replay the members
- * in window order; it waits for them only where a member's sizing
- * round closes.  Results do not depend on the helper count.
+ * replayed it, and records ahead while up to @p helpers tasks queued
+ * on @p pool replay the members in window order; it waits for them
+ * only where a member's sizing round closes.  With no pool (or no
+ * helper started yet) the calling thread replays each window as it
+ * records it.  Results do not depend on the helper count.
  *
  * A member's own failure (its configuration does not validate, or
  * its watchdog expires) fails only that member, with the code and
@@ -234,7 +234,8 @@ GroupStats runSampledGroup(std::vector<SampledMember> &members,
                            Count total_instructions,
                            unsigned mp_level = 8,
                            Count warmup_instructions = 0,
-                           const ReplayHelpers &helpers = {});
+                           ThreadPool *pool = nullptr,
+                           unsigned helpers = 0);
 
 } // namespace gaas::core
 

@@ -245,8 +245,8 @@ sweepUnits(const std::vector<SweepJob> &jobs,
 
 std::vector<SweepOutcome>
 runSweepUnit(const std::vector<SweepJob> &jobs,
-             const std::vector<std::size_t> &unit,
-             const ReplayHelpers &helpers, GroupStats *grouped)
+             const std::vector<std::size_t> &unit, ThreadPool *pool,
+             unsigned helpers, GroupStats *grouped)
 {
     if (sweepCancelRequested()) {
         std::vector<SweepOutcome> outs;
@@ -288,7 +288,7 @@ runSweepUnit(const std::vector<SweepJob> &jobs,
                              group = runSampledGroup(
                                  members, first.sampling,
                                  first.instructions, first.mpLevel,
-                                 first.warmup, helpers);
+                                 first.warmup, pool, helpers);
                          },
                          code, error);
     for (std::size_t m = 0; m < members.size(); ++m) {
@@ -305,15 +305,21 @@ runSweepUnit(const std::vector<SweepJob> &jobs,
     if (grouped)
         *grouped += group;
 
-    // Host time: the front-end pass (the whole unit, if it threw)
-    // splits evenly over the unit's jobs, and each adds its own
-    // replays, on whichever threads ran them, or its solo run.  The
-    // jobs sum to the thread-seconds the unit kept busy: its wall
-    // time when no helper ran.  The arena work is the front end's,
-    // charged to the first job.
-    const double share =
-        (ran ? group.frontEndSeconds : wall.seconds()) /
-        static_cast<double>(unit.size());
+    // Host time: the front-end pass splits evenly over the unit's
+    // jobs, and each adds its own replays, on whichever threads ran
+    // them, or its solo run, so the jobs sum to the thread-seconds
+    // the unit kept busy: its wall time when no helper ran.  When no
+    // front end recorded (every member ran solo or failed) or it
+    // threw, the unit's wall less its members' own seconds splits
+    // instead.  The arena work is the front end's, charged to the
+    // first job.
+    double setup = group.frontEndSeconds;
+    if (!ran || group.recordedCalls == 0) {
+        setup = wall.seconds();
+        for (const SampledMember &m : members)
+            setup -= m.seconds;
+    }
+    const double share = setup / static_cast<double>(unit.size());
     for (SweepOutcome &out : outs) {
         out.stats.simSeconds = share;
         out.stats.totalSeconds = share;
@@ -423,9 +429,10 @@ namespace
 {
 
 /** The in-process executor: runs sweepUnits() serially below two
- *  workers or two units, else on a ThreadPool whose futures are
- *  gathered in submission order.  A grouped unit replays its members
- *  on workers - 1 helper tasks as well. */
+ *  workers or two jobs, a lone grouped unit on the calling thread,
+ *  else on a ThreadPool whose futures are gathered in submission
+ *  order.  A grouped unit replays its members on workers - 1 helper
+ *  tasks of the pool as well. */
 class ThreadExecutor : public SweepExecutor
 {
   public:
@@ -444,22 +451,24 @@ class ThreadExecutor : public SweepExecutor
             for (std::size_t k = 0; k < unit.size(); ++k)
                 done(unit[k], std::move(outs[k]));
         };
-        if (workers <= 1 || units.size() <= 1) {
+        if (workers <= 1 || todo.size() <= 1) {
             // Serial reference path: also the pooled path's ground
-            // truth.  A lone grouped unit still replays its members on
-            // workers - 1 helper threads.
-            std::optional<ThreadPool> pool;
-            ReplayHelpers helpers;
-            if (workers > 1 && todo.size() > 1) {
-                pool.emplace(workers - 1);
-                helpers = {workers - 1,
-                           [&pool](std::function<void()> task) {
-                               pool->submit(std::move(task));
-                           }};
-            }
+            // truth.
             for (const std::vector<std::size_t> &unit : units)
-                deliver(unit, runSweepUnit(jobs, unit, helpers,
+                deliver(unit, runSweepUnit(jobs, unit, nullptr, 0,
                                            &stats.grouped));
+            return;
+        }
+        if (units.size() == 1) {
+            // One grouped unit: its front end stays on this thread and
+            // a pool of workers - 1 runs only helpers.  On perfbench
+            // sampled-ladder (4 vCPUs) that read a median 0.080 s
+            // against 0.087 s with the unit on a pool thread, faster
+            // in 9 of 10 alternating pairs.
+            ThreadPool pool(workers - 1);
+            deliver(units.front(),
+                    runSweepUnit(jobs, units.front(), &pool, workers - 1,
+                                 &stats.grouped));
             return;
         }
 
@@ -469,19 +478,14 @@ class ThreadExecutor : public SweepExecutor
         std::map<std::thread::id, unsigned> worker_ids;
         std::vector<GroupStats> grouped(units.size());
         ThreadPool pool(workers);
-        // Helper tasks queue behind the units already submitted, so
-        // they take only workers no unit is waiting for.
-        const ReplayHelpers helpers{
-            workers - 1, [&pool](std::function<void()> task) {
-                pool.submit(std::move(task));
-            }};
         std::vector<std::future<std::vector<SweepOutcome>>> futures;
         futures.reserve(units.size());
         for (std::size_t u = 0; u < units.size(); ++u) {
             const obs::Stopwatch submitted;
             futures.push_back(pool.submit([&jobs, &unit = units[u],
                                            &id_mutex, &worker_ids,
-                                           &group = grouped[u], helpers,
+                                           &group = grouped[u], &pool,
+                                           helpers = workers - 1,
                                            submitted] {
                 const double wait = submitted.seconds();
                 unsigned worker = 0;
@@ -497,9 +501,12 @@ class ThreadExecutor : public SweepExecutor
                             .first->second);
                 }
                 // A cancel drains the queue: units already running
-                // finish, queued ones return immediately.
+                // finish, queued ones return immediately.  A grouped
+                // unit's helper tasks queue behind the units already
+                // submitted, so they take only workers no unit is
+                // waiting for.
                 std::vector<SweepOutcome> outs =
-                    runSweepUnit(jobs, unit, helpers, &group);
+                    runSweepUnit(jobs, unit, &pool, helpers, &group);
                 for (SweepOutcome &out : outs) {
                     out.stats.queueWaitSeconds = wait;
                     out.stats.worker = worker;

@@ -301,21 +301,21 @@ sweepUnits(const std::vector<SweepJob> &jobs,
 /**
  * Run one unit of sweepUnits(), returning one outcome per job in
  * unit order.  A lone job runs through runSweepJobIsolated; a larger
- * unit through runSampledGroup, its members replayed on @p helpers
- * as well as the calling thread, with per-job semantics kept: the
- * `sweep-job` fault counts jobs, an error of the shared front end
- * fails every job of the unit and a member's own error only its
- * job, and each job's sim and total seconds are an even share of the
- * front-end pass plus its own replays.  The unit's jobs so sum to
- * the thread-seconds it kept busy, which is its wall time only
- * without helpers.  The unit's GroupStats are added to @p grouped
- * if non-null.  If sweepCancelRequested(), every job is
- * cancelledOutcome() instead.
+ * unit through runSampledGroup, its members replayed on up to
+ * @p helpers tasks queued on @p pool (none if null) as well as the
+ * calling thread, with per-job semantics kept: the `sweep-job` fault
+ * counts jobs, an error of the shared front end fails every job of
+ * the unit and a member's own error only its job, and each job's sim
+ * and total seconds are an even share of the front-end pass plus its
+ * own replays.  The unit's jobs so sum to the thread-seconds it kept
+ * busy, which is its wall time only without helpers.  The unit's
+ * GroupStats are added to @p grouped if non-null.  If
+ * sweepCancelRequested(), every job is cancelledOutcome() instead.
  */
 std::vector<SweepOutcome>
 runSweepUnit(const std::vector<SweepJob> &jobs,
              const std::vector<std::size_t> &unit,
-             const ReplayHelpers &helpers = {},
+             ThreadPool *pool = nullptr, unsigned helpers = 0,
              GroupStats *grouped = nullptr);
 
 /**

@@ -4,8 +4,9 @@
 #
 # Runs `fig6_l2_orgs --sample` three ways at a budget where every
 # point samples:
-#   1. the default thread pool: one unit of all 28 points, whose
-#      members replay on helper threads while its front end records;
+#   1. a thread pool of 4 workers, set so the helpers run on any
+#      host: one unit of all 28 points, whose members replay on 3
+#      helper tasks while its front end records;
 #   2. GAAS_BENCH_JOBS=1, the same unit replayed on one thread;
 #   3. --mproc 2, where forked workers run every point solo;
 # and requires byte-identical CSVs and per-point JSON dumps.
@@ -38,7 +39,7 @@ run() {
         || fail "$name run exited nonzero"
 }
 
-run pool "$FIG6"
+GAAS_BENCH_JOBS=4 run pool "$FIG6"
 GAAS_BENCH_JOBS=1 run serial "$FIG6"
 run mproc "$FIG6" --mproc 2
 grep -q "worker process(es)" "$WORK/mproc.out" \

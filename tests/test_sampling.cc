@@ -6,7 +6,8 @@
  * contract -- on seeded Fig. 6 points the full-detail CPI lies
  * within the sampled run's reported 95% confidence interval -- and
  * grouped runs (runSampledGroup) dumping byte-identical stats to solo
- * runs, guard fallbacks and watchdog failures included.
+ * runs, guard fallbacks and watchdog failures included, on one thread
+ * and with pool helpers replaying the members.
  */
 
 #include <gtest/gtest.h>
@@ -23,6 +24,7 @@
 #include "core/simulator.hh"
 #include "core/stats_dump.hh"
 #include "core/workload.hh"
+#include "util/thread_pool.hh"
 
 namespace gaas::core
 {
@@ -437,6 +439,60 @@ TEST(SampledGroup, WatchdogFailsOnlyTheMembersItTrips)
     EXPECT_EQ(members[1].errorCode, ErrorCode::Watchdog);
     EXPECT_FALSE(members[2].failed);
     EXPECT_TRUE(members[3].failed);
+}
+
+/**
+ * Three of the groups above, replayed by pool helpers while the front
+ * end records ahead, end exactly as they do on one thread, and so as
+ * their solo runs: ladder members that grow past the floor, members
+ * the slice guard sends solo, and members their watchdog fails.
+ */
+TEST(SampledGroupOnHelpers, EndAsOnOneThread)
+{
+    struct Case
+    {
+        std::vector<SystemConfig> configs;
+        Count total;
+        unsigned mp;
+        Count warmup;
+        std::vector<Cycles> watchdogs;
+    };
+    std::vector<SystemConfig> shortSlices;
+    for (const std::uint64_t size : {16 * 1024, 64 * 1024, 1024 * 1024}) {
+        shortSlices.push_back(fig6Point(size, L2Org::Unified, 1, 6));
+        shortSlices.back().timeSliceCycles = 20'000;
+    }
+    const Case cases[] = {
+        {fig6Ladder(), 4'000'000, 8, 2'000'000, {}},
+        {shortSlices, 2'000'000, 4, 500'000, {}},
+        {{fig6Point(16 * 1024, L2Org::Unified, 1, 6),
+          fig6Point(64 * 1024, L2Org::Unified, 1, 6),
+          fig6Point(256 * 1024, L2Org::LogicalSplit, 1, 6),
+          fig6Point(1024 * 1024, L2Org::Unified, 1, 6)},
+         2'000'000, 8, 1'000'000, {0, 120, 1'000'000, 120}},
+    };
+    ThreadPool pool(3);
+    for (const Case &c : cases) {
+        std::vector<SampledMember> alone(c.configs.size());
+        for (std::size_t i = 0; i < alone.size(); ++i) {
+            alone[i].config = c.configs[i];
+            if (!c.watchdogs.empty())
+                alone[i].watchdogCycles = c.watchdogs[i];
+        }
+        std::vector<SampledMember> helped = alone;
+        runSampledGroup(alone, defaultPlan(), c.total, c.mp, c.warmup);
+        const GroupStats stats = runSampledGroup(
+            helped, defaultPlan(), c.total, c.mp, c.warmup, &pool, 3);
+        EXPECT_GT(stats.recordedCalls, 0u);
+        for (std::size_t i = 0; i < alone.size(); ++i) {
+            SCOPED_TRACE(alone[i].config.name);
+            EXPECT_EQ(helped[i].failed, alone[i].failed);
+            EXPECT_EQ(helped[i].ranSolo, alone[i].ranSolo);
+            EXPECT_EQ(helped[i].errorCode, alone[i].errorCode);
+            EXPECT_EQ(helped[i].error, alone[i].error);
+            EXPECT_EQ(dumpOf(helped[i].result), dumpOf(alone[i].result));
+        }
+    }
 }
 
 /** Members must share a front end; the group refuses one that

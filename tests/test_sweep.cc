@@ -11,11 +11,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <functional>
 #include <memory>
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/config.hh"
@@ -421,15 +421,6 @@ mixedGroup()
     return jobs;
 }
 
-/** Tasks for runSweepUnit's helpers, started on @p pool. */
-ReplayHelpers
-helpersOn(ThreadPool &pool, unsigned count)
-{
-    return {count, [&pool](std::function<void()> task) {
-                pool.submit(std::move(task));
-            }};
-}
-
 TEST(Sweep, SampledJobsSharingAFrontEndFormUnits)
 {
     const std::vector<SweepJob> jobs = sampledJobs();
@@ -469,7 +460,11 @@ TEST(Sweep, GroupedUnitsMatchSoloJobsAtAnyWorkerCount)
     {
         // The mixed group covers what it should: rounds that close at
         // different episodes, a member sent solo by the slice guard
-        // and a watchdog failure.
+        // and a watchdog failure.  A member that stays runs to the
+        // episode cap, which no commitment exceeds, so the front end
+        // records episodes up to the cap however far it ran ahead of
+        // the members that left: the recorded calls cannot depend on
+        // the worker count.
         std::vector<SampledMember> members(mixed.size());
         for (std::size_t i = 0; i < mixed.size(); ++i) {
             members[i].config = mixed[i].config;
@@ -479,7 +474,7 @@ TEST(Sweep, GroupedUnitsMatchSoloJobsAtAnyWorkerCount)
         const SweepJob &m0 = mixed.front();
         recorded = runSampledGroup(members, m0.sampling,
                                    m0.instructions, m0.mpLevel,
-                                   m0.warmup, helpersOn(pool, 2))
+                                   m0.warmup, &pool, 2)
                        .recordedCalls;
         std::set<Count> intervals;
         std::size_t wentSolo = 0, failed = 0;
@@ -493,21 +488,31 @@ TEST(Sweep, GroupedUnitsMatchSoloJobsAtAnyWorkerCount)
         }
         EXPECT_EQ(failed, 1u);
         EXPECT_GE(wentSolo, 1u);
-        EXPECT_GE(intervals.size(), 2u);
+        ASSERT_GE(intervals.size(), 2u);
+        EXPECT_EQ(*intervals.rbegin(), m0.sampling.maxIntervals);
     }
 
-    for (const unsigned workers : {1u, 2u, 3u, 4u, 7u}) {
-        SCOPED_TRACE("workers " + std::to_string(workers));
+    // Every worker count on all the jobs, whose grouped units queue
+    // their helpers on the shared pool, and the mixed group alone, one
+    // unit on the calling thread beside a pool of helpers.
+    const std::size_t mixedFrom = jobs.size() - mixed.size();
+    const std::pair<std::size_t, unsigned> runs[] = {
+        {0, 1}, {0, 2}, {0, 3}, {0, 4}, {0, 7}, {mixedFrom, 4}};
+    for (const auto &[from, workers] : runs) {
+        SCOPED_TRACE("jobs from " + std::to_string(from) + ", workers " +
+                     std::to_string(workers));
+        const std::vector<SweepJob> set(jobs.begin() + from, jobs.end());
         SweepStats stats;
-        const auto outcomes = runSweepOutcomes(jobs, workers, &stats);
-        ASSERT_EQ(outcomes.size(), jobs.size());
+        const auto outcomes = runSweepOutcomes(set, workers, &stats);
+        ASSERT_EQ(outcomes.size(), set.size());
         EXPECT_EQ(stats.failedPoints, 1u);
-        for (std::size_t i = 0; i < jobs.size(); ++i) {
-            SCOPED_TRACE(jobs[i].config.name);
-            EXPECT_EQ(outcomes[i].status, solo[i].status);
-            EXPECT_EQ(outcomes[i].errorCode, solo[i].errorCode);
-            EXPECT_EQ(outcomes[i].error, solo[i].error);
-            EXPECT_EQ(dumpOf(outcomes[i].result), dumpOf(solo[i].result));
+        for (std::size_t i = 0; i < set.size(); ++i) {
+            SCOPED_TRACE(set[i].config.name);
+            const SweepOutcome &alone = solo[from + i];
+            EXPECT_EQ(outcomes[i].status, alone.status);
+            EXPECT_EQ(outcomes[i].errorCode, alone.errorCode);
+            EXPECT_EQ(outcomes[i].error, alone.error);
+            EXPECT_EQ(dumpOf(outcomes[i].result), dumpOf(alone.result));
             EXPECT_GT(outcomes[i].stats.simSeconds, 0.0);
         }
         // Only the mixed group's schedule fits its budget, so only it
@@ -537,6 +542,8 @@ TEST(Sweep, GroupedUnitCountsFaultsPerJob)
     EXPECT_EQ(outs[1].errorCode, ErrorCode::Internal);
     EXPECT_EQ(outs[1].error, expected);
     EXPECT_EQ(outs[1].result.configName, jobs[1].config.name);
+    // The failed job still takes its share of the unit's setup.
+    EXPECT_GT(outs[1].stats.totalSeconds, 0.0);
     EXPECT_EQ(outs[2].status, PointStatus::Ok);
     EXPECT_EQ(dumpOf(outs[2].result), dumpOf(runSweepJob(jobs[3])));
 }
@@ -588,7 +595,7 @@ TEST(Sweep, GroupedUnitTimeSumsToItsWallAndCancelStopsIt)
         GroupStats grouped;
         const obs::Stopwatch wall;
         const std::vector<SweepOutcome> outs =
-            runSweepUnit(jobs, unit, helpersOn(pool, count), &grouped);
+            runSweepUnit(jobs, unit, &pool, count, &grouped);
         const double outer = wall.seconds();
         double sum = 0.0;
         for (const SweepOutcome &out : outs) {
@@ -619,7 +626,7 @@ TEST(Sweep, GroupedUnitTimeSumsToItsWallAndCancelStopsIt)
 
     requestSweepCancel();
     const std::vector<SweepOutcome> cancelled =
-        runSweepUnit(jobs, unit, helpersOn(pool, 2));
+        runSweepUnit(jobs, unit, &pool, 2);
     clearSweepCancel();
     for (const SweepOutcome &out : cancelled)
         EXPECT_EQ(out.errorCode, ErrorCode::Cancelled);
