@@ -429,10 +429,10 @@ namespace
 {
 
 /** The in-process executor: runs sweepUnits() serially below two
- *  workers or two jobs, a lone grouped unit on the calling thread,
- *  else on a ThreadPool whose futures are gathered in submission
- *  order.  A grouped unit replays its members on workers - 1 helper
- *  tasks of the pool as well. */
+ *  workers or two jobs, else on a ThreadPool whose futures are
+ *  gathered in submission order.  A grouped unit replays its members
+ *  on workers - 1 helper tasks of the same pool as well, a lone unit
+ *  included. */
 class ThreadExecutor : public SweepExecutor
 {
   public:
@@ -457,18 +457,6 @@ class ThreadExecutor : public SweepExecutor
             for (const std::vector<std::size_t> &unit : units)
                 deliver(unit, runSweepUnit(jobs, unit, nullptr, 0,
                                            &stats.grouped));
-            return;
-        }
-        if (units.size() == 1) {
-            // One grouped unit: its front end stays on this thread and
-            // a pool of workers - 1 runs only helpers.  On perfbench
-            // sampled-ladder (4 vCPUs) that read a median 0.080 s
-            // against 0.087 s with the unit on a pool thread, faster
-            // in 9 of 10 alternating pairs.
-            ThreadPool pool(workers - 1);
-            deliver(units.front(),
-                    runSweepUnit(jobs, units.front(), &pool, workers - 1,
-                                 &stats.grouped));
             return;
         }
 

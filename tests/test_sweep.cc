@@ -493,8 +493,8 @@ TEST(Sweep, GroupedUnitsMatchSoloJobsAtAnyWorkerCount)
     }
 
     // Every worker count on all the jobs, whose grouped units queue
-    // their helpers on the shared pool, and the mixed group alone, one
-    // unit on the calling thread beside a pool of helpers.
+    // their helpers behind other units on the shared pool, and the
+    // mixed group alone, whose helpers wait behind none.
     const std::size_t mixedFrom = jobs.size() - mixed.size();
     const std::pair<std::size_t, unsigned> runs[] = {
         {0, 1}, {0, 2}, {0, 3}, {0, 4}, {0, 7}, {mixedFrom, 4}};
