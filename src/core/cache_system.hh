@@ -24,8 +24,8 @@
  * over an AccessSpec that fixes the L1 geometry (direct-mapped or
  * set-associative) and the write policy at compile time, so the
  * specialized simulate loops carry no per-reference policy branches.
- * The L1 *hit* paths live here in the header and inline into the
- * simulate loop; every miss path is a non-inlined out-of-line call
+ * The L1 *hit* paths live here in the header and are pinned inline
+ * into the simulate loop; every miss path is a non-inlined call
  * (misses are rare and their code would otherwise crowd the hit
  * path out of the host I-cache).  GenericAccessSpec instantiates
  * the exact same code with runtime config reads, so the generic and
@@ -352,17 +352,24 @@ class CacheSystem
                                          partial_word);
     }
 
-    /** @name Specialized access paths (see file comment) */
+    /** @name Specialized access paths (see file comment)
+     *  Always inlined, with the MMU translation and TLB probe below
+     *  them, so the simulate loops run their hit paths without a
+     *  call (Simulator::stepInstruction says why).
+     */
     ///@{
     template <class Spec>
-    Cycles ifetchT(Cycles now, Pid pid, Addr vaddr);
+    [[gnu::always_inline]] Cycles ifetchT(Cycles now, Pid pid,
+                                          Addr vaddr);
 
     template <class Spec>
-    Cycles loadT(Cycles now, Pid pid, Addr vaddr);
+    [[gnu::always_inline]] Cycles loadT(Cycles now, Pid pid,
+                                        Addr vaddr);
 
     template <class Spec>
-    Cycles storeT(Cycles now, Pid pid, Addr vaddr,
-                  bool partial_word);
+    [[gnu::always_inline]] Cycles storeT(Cycles now, Pid pid,
+                                         Addr vaddr,
+                                         bool partial_word);
     ///@}
 
     /** Data-side L2 tag-set software prefetch, for the batched
@@ -519,7 +526,7 @@ class CacheSystem
 // ifetch/load/store; the golden byte-identity harness depends on it.
 
 template <class Spec>
-Cycles
+inline Cycles
 CacheSystem::ifetchT(Cycles now, Pid pid, Addr vaddr)
 {
     constexpr bool M = Spec::measure;
@@ -541,7 +548,7 @@ CacheSystem::ifetchT(Cycles now, Pid pid, Addr vaddr)
 }
 
 template <class Spec>
-Cycles
+inline Cycles
 CacheSystem::loadT(Cycles now, Pid pid, Addr vaddr)
 {
     constexpr bool M = Spec::measure;
@@ -574,7 +581,7 @@ CacheSystem::loadT(Cycles now, Pid pid, Addr vaddr)
 }
 
 template <class Spec>
-Cycles
+inline Cycles
 CacheSystem::storeT(Cycles now, Pid pid, Addr vaddr,
                     bool partial_word)
 {

@@ -140,7 +140,7 @@ Simulator::refill(ProcState &p)
 }
 
 template <class Spec>
-bool
+inline bool
 Simulator::stepInstruction(ProcState &p, Cycles now, Cycles &cycles,
                            bool &syscall)
 {
@@ -198,8 +198,6 @@ Simulator::stepInstruction(ProcState &p, Cycles now, Cycles &cycles,
             }
         }
     }
-
-    ++p.instructions;
     return true;
 }
 

@@ -142,7 +142,6 @@ class Simulator
         Process proc;
         FractionAccumulator stallAcc;
         bool alive = true;
-        Count instructions = 0;
 
         /**
          * @name Refill buffer ([bufPos..bufLen) pending)
@@ -164,14 +163,26 @@ class Simulator
      * Execute one instruction of @p p at time @p now, through the
      * access path selected by @p Spec.
      *
+     * Always inlined, so each runLoopT instantiation is one flat
+     * loop: left to its heuristics, GCC 12 at -O3 called this out
+     * of line from 32 of the 36 loops, and which ones was an
+     * accident of their size.  The access paths, the MMU
+     * translation and the TLB probe it reaches are pinned too:
+     * what runs out is the inliner's growth budget for this file,
+     * so pinning one level only moves the call to the next one
+     * down (DESIGN §6, "Hot core").  The miss paths stay out of
+     * line.
+     *
      * @param cycles   filled with the instruction's total cycles
      *                 (base cycles only under a WarmSpec)
      * @param syscall  true if the instruction was a system call
      * @retval false   the process's trace is exhausted
      */
     template <class Spec>
-    bool stepInstruction(ProcState &p, Cycles now, Cycles &cycles,
-                         bool &syscall);
+    [[gnu::always_inline]] bool stepInstruction(ProcState &p,
+                                                Cycles now,
+                                                Cycles &cycles,
+                                                bool &syscall);
 
     /** Advance the scheduler/machine by up to @p n instructions
      *  (dispatches to the runLoopT selected at construction). */

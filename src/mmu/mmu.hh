@@ -43,14 +43,14 @@ class Mmu
     explicit Mmu(const MmuConfig &config);
 
     /** Translate an instruction-fetch address for process @p pid. */
-    TranslateResult
+    [[gnu::always_inline]] TranslateResult
     translateInst(Pid pid, Addr vaddr)
     {
         return translate(itlb, pid, vaddr);
     }
 
     /** Translate a data address for process @p pid. */
-    TranslateResult
+    [[gnu::always_inline]] TranslateResult
     translateData(Pid pid, Addr vaddr)
     {
         return translate(dtlb, pid, vaddr);
@@ -73,9 +73,11 @@ class Mmu
     /** One reference's translation work: TLB probe + page table.
      *  A TLB hit serves the translation from the entry's cached
      *  frame number; only misses consult the page table (and
-     *  backfill the refilled entry).  Inline for the same reason
-     *  Tlb::access is. */
-    TranslateResult
+     *  backfill the refilled entry).  Always inlined, with the two
+     *  wrappers above, for the reason Tlb::access is: without the
+     *  attribute GCC 12 called it out of line from the simulate
+     *  loops. */
+    [[gnu::always_inline]] TranslateResult
     translate(Tlb &tlb, Pid pid, Addr vaddr)
     {
         TranslateResult res;

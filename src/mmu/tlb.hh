@@ -77,14 +77,17 @@ class Tlb
      * load, and both TLBs of the study being 2-way gets a fully
      * unrolled probe that skips victim bookkeeping on hits.
      *
-     * Inline: this runs once per simulated reference, and the
-     * specialized simulate loops want it folded into their body
-     * instead of paying a cross-TU call.
+     * Always inlined, like Mmu::translate and the CacheSystem access
+     * paths that call it: this runs once per simulated reference.
+     * Being defined in the header is not enough to put it in the
+     * simulate loops' body; GCC 12 at -O3 runs out of inlining
+     * budget for simulator.cc's 36 loops and calls whichever level
+     * of the chain is left unpinned out of line (DESIGN §6).
      *
      * @param pfn filled with the cached frame number on a hit
      * @retval true the translation was present
      */
-    bool
+    [[gnu::always_inline]] bool
     access(Pid pid, std::uint64_t vpn, std::uint64_t &pfn)
     {
         ++tlbStats.accesses;

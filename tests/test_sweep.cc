@@ -524,10 +524,22 @@ TEST(Sweep, GroupedUnitsMatchSoloJobsAtAnyWorkerCount)
     }
 }
 
+/** sampledJobs() with @p unit's jobs given a budget the sampling
+ *  schedule fits, so the unit records and replays instead of running
+ *  every job solo. */
+std::vector<SweepJob>
+recordingJobs(const std::vector<std::size_t> &unit)
+{
+    std::vector<SweepJob> jobs = sampledJobs();
+    for (const std::size_t i : unit)
+        jobs[i].instructions = 2'000'000;
+    return jobs;
+}
+
 TEST(Sweep, GroupedUnitCountsFaultsPerJob)
 {
-    const std::vector<SweepJob> jobs = sampledJobs();
     const std::vector<std::size_t> unit = {0, 1, 3};
+    const std::vector<SweepJob> jobs = recordingJobs(unit);
     std::string expected;
     {
         // The message a solo job's injected fault carries.
@@ -535,7 +547,10 @@ TEST(Sweep, GroupedUnitCountsFaultsPerJob)
         expected = runSweepJobIsolated(jobs[1]).error;
     }
     FaultGuard guard("sweep-job:2");
-    const std::vector<SweepOutcome> outs = runSweepUnit(jobs, unit);
+    GroupStats grouped;
+    const std::vector<SweepOutcome> outs =
+        runSweepUnit(jobs, unit, nullptr, 0, &grouped);
+    EXPECT_GT(grouped.recordedCalls, 0u);
     ASSERT_EQ(outs.size(), 3u);
     EXPECT_EQ(outs[0].status, PointStatus::Ok);
     EXPECT_EQ(outs[1].status, PointStatus::Failed);
@@ -550,13 +565,16 @@ TEST(Sweep, GroupedUnitCountsFaultsPerJob)
 
 TEST(Sweep, GroupedUnitFailsFrontEndErrorsEverywhereAndBackEndOnesAlone)
 {
-    std::vector<SweepJob> jobs = sampledJobs();
     const std::vector<std::size_t> unit = {0, 1, 3};
+    std::vector<SweepJob> jobs = recordingJobs(unit);
 
     // A back-end error: an L2 access time of 0 fails its own job, as
-    // it would alone, and the rest of the group carries on.
+    // it would alone, and the rest of the group records and replays.
     jobs[1].config.l2.accessTime = 0;
-    std::vector<SweepOutcome> outs = runSweepUnit(jobs, unit);
+    GroupStats grouped;
+    std::vector<SweepOutcome> outs =
+        runSweepUnit(jobs, unit, nullptr, 0, &grouped);
+    EXPECT_GT(grouped.recordedCalls, 0u);
     const SweepOutcome alone = runSweepJobIsolated(jobs[1]);
     ASSERT_EQ(alone.status, PointStatus::Failed);
     EXPECT_EQ(outs[0].status, PointStatus::Ok);
@@ -567,7 +585,7 @@ TEST(Sweep, GroupedUnitFailsFrontEndErrorsEverywhereAndBackEndOnesAlone)
 
     // A front-end error -- a plan no schedule can run -- fails every
     // job of the unit, each with its solo error.
-    jobs = sampledJobs();
+    jobs = recordingJobs(unit);
     for (const std::size_t i : unit)
         jobs[i].sampling.headInstructions = 0;
     outs = runSweepUnit(jobs, unit);
@@ -584,11 +602,8 @@ TEST(Sweep, GroupedUnitFailsFrontEndErrorsEverywhereAndBackEndOnesAlone)
  *  alone, and to its busy thread-seconds beside helpers. */
 TEST(Sweep, GroupedUnitTimeSumsToItsWallAndCancelStopsIt)
 {
-    // A budget the schedule fits, so the unit records and replays.
-    std::vector<SweepJob> jobs = sampledJobs();
     const std::vector<std::size_t> unit = {4, 5, 6};
-    for (const std::size_t i : unit)
-        jobs[i].instructions = 2'000'000;
+    const std::vector<SweepJob> jobs = recordingJobs(unit);
     ThreadPool pool(2);
     for (const unsigned count : {0u, 2u}) {
         SCOPED_TRACE("helpers " + std::to_string(count));
