@@ -21,7 +21,7 @@ symbols=$("$nm" -C "$lib") || {
 defined=$(printf '%s\n' "$symbols" | awk '$2 ~ /^[TtWw]$/')
 
 loops=$(printf '%s\n' "$defined" |
-    grep -c 'gaas::core::Simulator::runLoopT<')
+    grep -cE 'gaas::core::Simulator::runLoopT<.*>\([^()]*\)$')
 if [ "$loops" -eq 0 ]; then
     echo "FAIL: no Simulator::runLoopT instantiation in $lib"
     exit 1
