@@ -1,6 +1,5 @@
 #include "simulator.hh"
 
-#include <cstdlib>
 #include <ios>
 
 #include "obs/metrics.hh"
@@ -10,19 +9,6 @@
 
 namespace gaas::core
 {
-
-namespace
-{
-
-/** GAAS_SIM_GENERIC=1 forces the generic access path everywhere. */
-bool
-envForcesGeneric()
-{
-    const char *v = std::getenv("GAAS_SIM_GENERIC");
-    return v != nullptr && v[0] != '\0' && v[0] != '0';
-}
-
-} // namespace
 
 Simulator::Simulator(const SystemConfig &config, Workload workload)
     : configName(config.name), sys(config)
@@ -39,15 +25,13 @@ Simulator::Simulator(const SystemConfig &config, Workload workload)
     }
     alive = procs.size();
     sliceEnd = sys.config().timeSliceCycles;
-
-    forceGeneric = envForcesGeneric();
     selectLoops();
 }
 
 void
 Simulator::setForceGenericPath(bool force)
 {
-    forceGeneric = force || envForcesGeneric();
+    forceGeneric = force;
     selectLoops();
 }
 

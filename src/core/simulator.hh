@@ -109,8 +109,7 @@ class Simulator
      * the compile-time specialized simulate loop the configuration
      * would normally select.  The two paths are bit-identical by
      * construction; the equivalence tests prove it through this
-     * switch.  Honoured from the environment too: set
-     * GAAS_SIM_GENERIC=1 to force the generic path process-wide.
+     * switch.
      */
     void setForceGenericPath(bool force);
 
@@ -248,7 +247,7 @@ class Simulator
     ///@{
     LoopFn loopFn = nullptr;
     LoopFn warmFn = nullptr;
-    bool forceGeneric = false; //!< setter or GAAS_SIM_GENERIC
+    bool forceGeneric = false; //!< setForceGenericPath()
     bool genericPath = true;   //!< what pickLoop() last chose
     /** Write-through stores probe L2 every time; prefetch those
      *  sets at batch-refill (not while recording: no L2 is probed). */

@@ -119,11 +119,6 @@ dumpStats(const SimResult &r, std::ostream &os)
           case obs::Kind::Value:
             e.value(entry.name, entry.value, entry.desc);
             break;
-          case obs::Kind::Buckets:
-            // Bucket vectors (histograms) have no flat-format line
-            // per bucket; the moments registered alongside them
-            // cover the flat dump.  (SimResult registers none.)
-            break;
         }
     }
     os.flush();

@@ -126,14 +126,6 @@ toJson(const Registry &reg)
           case Kind::Value:
             place(e.name, JsonValue::number(e.value));
             break;
-          case Kind::Buckets: {
-            JsonValue arr = JsonValue::array();
-            arr.items.reserve(e.buckets.size());
-            for (Count c : e.buckets)
-                arr.items.push_back(JsonValue::number(c));
-            place(e.name, std::move(arr));
-            break;
-          }
         }
     }
     return root;

@@ -46,40 +46,6 @@ Registry::value(std::string name, double v, std::string desc)
     push(std::move(e));
 }
 
-void
-Registry::sampleStat(const std::string &name,
-                     const stats::SampleStat &s,
-                     const std::string &desc)
-{
-    counter(name + ".count", s.count(), desc + ": samples");
-    value(name + ".mean", s.mean(), desc + ": mean");
-    value(name + ".stddev", s.stddev(), desc + ": stddev");
-    value(name + ".min", s.min(), desc + ": minimum");
-    value(name + ".max", s.max(), desc + ": maximum");
-}
-
-void
-Registry::histogram(const std::string &name,
-                    const stats::Histogram &h,
-                    const std::string &desc)
-{
-    value(name + ".bucket_width", h.bucketWidth(),
-          desc + ": bucket width");
-    counter(name + ".underflow", h.underflow(),
-            desc + ": samples below bucket 0");
-    Entry e;
-    e.name = name + ".buckets";
-    e.desc = desc + ": per-bucket counts";
-    e.kind = Kind::Buckets;
-    e.buckets.reserve(h.bucketCount());
-    for (std::size_t i = 0; i < h.bucketCount(); ++i)
-        e.buckets.push_back(h.bucket(i));
-    push(std::move(e));
-    counter(name + ".overflow", h.overflow(),
-            desc + ": samples beyond the last bucket");
-    sampleStat(name, h.moments(), desc);
-}
-
 const Entry *
 Registry::find(std::string_view name) const
 {

@@ -30,7 +30,6 @@
 #include <string_view>
 #include <vector>
 
-#include "stats/distribution.hh"
 #include "util/types.hh"
 
 namespace gaas::obs
@@ -41,7 +40,6 @@ enum class Kind
 {
     Counter, //!< monotonically counted events (uint64)
     Value,   //!< a derived or sampled scalar (double gauge)
-    Buckets, //!< an ordered list of counts (histogram buckets)
 };
 
 /** One named statistic captured at registration time. */
@@ -53,7 +51,6 @@ struct Entry
     Kind kind = Kind::Counter;
     Count count = 0;
     double value = 0.0;
-    std::vector<Count> buckets{};
 };
 
 /**
@@ -73,24 +70,6 @@ class Registry
 
     /** Register a scalar gauge / derived value. */
     void value(std::string name, double v, std::string desc);
-
-    /**
-     * Register the moments of a SampleStat as `<name>.count`,
-     * `<name>.mean`, `<name>.stddev`, `<name>.min`, `<name>.max`.
-     */
-    void sampleStat(const std::string &name,
-                    const stats::SampleStat &s,
-                    const std::string &desc);
-
-    /**
-     * Register a Histogram: `<name>.bucket_width`,
-     * `<name>.underflow`, `<name>.buckets` (ordered counts),
-     * `<name>.overflow`, plus the SampleStat moments.  Both tails are
-     * always present so negative and out-of-range samples are visible
-     * in every dump.
-     */
-    void histogram(const std::string &name, const stats::Histogram &h,
-                   const std::string &desc);
 
     const std::vector<Entry> &entries() const { return items; }
 

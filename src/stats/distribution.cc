@@ -2,8 +2,6 @@
 
 #include <cmath>
 
-#include "util/logging.hh"
-
 namespace gaas::stats
 {
 
@@ -43,101 +41,6 @@ SampleStat::merge(const SampleStat &other)
         lo = other.lo;
     if (other.hi > hi)
         hi = other.hi;
-}
-
-Histogram::Histogram(double bucket_width, std::size_t bucket_count)
-    : width(bucket_width), counts(bucket_count, 0)
-{
-    if (bucket_width <= 0.0)
-        gaas_fatal("Histogram bucket width must be positive");
-    if (bucket_count == 0)
-        gaas_fatal("Histogram needs at least one bucket");
-}
-
-void
-Histogram::add(double x)
-{
-    sample.add(x);
-    if (x < 0.0) {
-        ++underflowCount;
-        return;
-    }
-    const auto idx = static_cast<std::size_t>(x / width);
-    if (idx >= counts.size())
-        ++overflowCount;
-    else
-        ++counts[idx];
-}
-
-double
-Histogram::cdf(double x) const
-{
-    const std::uint64_t n = sample.count();
-    if (n == 0)
-        return 0.0;
-    if (x < 0.0) {
-        return static_cast<double>(underflowCount) /
-               static_cast<double>(n);
-    }
-    // Bucket i lies (at least partly) below x iff its lower edge
-    // i*width < x, i.e. for the first ceil(x/width) buckets.  Using
-    // ceil (not floor with an inclusive bound) keeps the CDF exact at
-    // bucket boundaries: cdf(k*width) counts exactly the samples in
-    // buckets 0..k-1 plus the underflow tail, which are precisely
-    // the samples < k*width.
-    const double buckets_below = std::ceil(x / width);
-    std::uint64_t below = underflowCount;
-    const std::size_t limit =
-        buckets_below >= static_cast<double>(counts.size())
-            ? counts.size()
-            : static_cast<std::size_t>(buckets_below);
-    for (std::size_t i = 0; i < limit; ++i)
-        below += counts[i];
-    if (buckets_below > static_cast<double>(counts.size()))
-        below += overflowCount;
-    return static_cast<double>(below) / static_cast<double>(n);
-}
-
-double
-Histogram::quantile(double q) const
-{
-    const std::uint64_t n = sample.count();
-    if (n == 0)
-        return 0.0;
-    if (q < 0.0)
-        q = 0.0;
-    if (q > 1.0)
-        q = 1.0;
-    // Rank of the order statistic the quantile asks for, 1-based.
-    // ceil (not truncation) keeps this consistent with cdf(): the
-    // q-quantile is the smallest edge x with cdf-mass >= q, so for
-    // q*n fractional we must step up to the next whole sample, and
-    // q = 0 still asks for the smallest sample (rank 1) rather than
-    // an empty prefix (a truncated rank 0 made quantile(0) return
-    // 0.0 even when every sample was large).
-    const double scaled = q * static_cast<double>(n);
-    std::uint64_t target = static_cast<std::uint64_t>(std::ceil(scaled));
-    if (target == 0)
-        target = 1;
-    std::uint64_t cum = underflowCount;
-    if (cum >= target)
-        return 0.0;
-    for (std::size_t i = 0; i < counts.size(); ++i) {
-        cum += counts[i];
-        if (cum >= target)
-            return width * static_cast<double>(i + 1);
-    }
-    return width * static_cast<double>(counts.size());
-}
-
-void
-Histogram::reset()
-{
-    for (auto &c : counts)
-        c = 0;
-    underflowCount = 0;
-    overflowCount = 0;
-    sample.reset();
 }
 
 } // namespace gaas::stats

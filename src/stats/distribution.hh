@@ -1,11 +1,7 @@
 /**
  * @file
- * Scalar sample statistics and bucketed distributions.
- *
- * The simulator uses these to characterise workloads (basic-block
- * lengths, reuse distances, write-buffer occupancy) and the test suite
- * uses them to assert statistical properties of the synthetic trace
- * generator.
+ * Scalar sample statistics: the running moments sampled simulation
+ * (core/sampling) estimates CPI and its confidence interval from.
  */
 
 #ifndef GAAS_STATS_DISTRIBUTION_HH
@@ -13,7 +9,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <vector>
 
 namespace gaas::stats
 {
@@ -78,66 +73,6 @@ class SampleStat
     double m2 = 0.0;
     double lo = std::numeric_limits<double>::infinity();
     double hi = -std::numeric_limits<double>::infinity();
-};
-
-/**
- * Fixed-width bucketed histogram over [0, bucketWidth * bucketCount),
- * with underflow and overflow tail buckets; also tracks the
- * SampleStat moments.  Regular bucket @p i covers the half-open range
- * [i * width, (i + 1) * width).
- */
-class Histogram
-{
-  public:
-    /**
-     * @param bucket_width width of each bucket (> 0)
-     * @param bucket_count number of regular buckets (> 0)
-     */
-    Histogram(double bucket_width, std::size_t bucket_count);
-
-    /** Add one sample (negative samples count into the underflow
-     *  tail, never into bucket 0). */
-    void add(double x);
-
-    /** Count in regular bucket @p i. */
-    std::uint64_t bucket(std::size_t i) const { return counts.at(i); }
-
-    /** Count of samples below 0 (below the first regular bucket). */
-    std::uint64_t underflow() const { return underflowCount; }
-
-    /** Count of samples beyond the last regular bucket. */
-    std::uint64_t overflow() const { return overflowCount; }
-
-    std::size_t bucketCount() const { return counts.size(); }
-    double bucketWidth() const { return width; }
-
-    const SampleStat &moments() const { return sample; }
-
-    /**
-     * Empirical CDF approximated from the buckets: the fraction of
-     * samples in the underflow tail plus every bucket whose lower
-     * edge lies below @p x (a partially covered bucket counts in
-     * full).  Exact for P(sample < x) whenever @p x is a bucket
-     * boundary; for @p x < 0 returns only the underflow fraction.
-     */
-    double cdf(double x) const;
-
-    /** Smallest bucket upper edge whose CDF covers the rank
-     *  ceil(q * count) (clamped to at least rank 1, so q = 0 asks for
-     *  the smallest sample), consistent with the cdf() boundary
-     *  convention.  Returns 0 when the quantile falls in the
-     *  underflow tail and the max edge when it falls in the overflow
-     *  tail; @p q is clamped to [0, 1]. */
-    double quantile(double q) const;
-
-    void reset();
-
-  private:
-    double width;
-    std::vector<std::uint64_t> counts;
-    std::uint64_t underflowCount = 0;
-    std::uint64_t overflowCount = 0;
-    SampleStat sample;
 };
 
 } // namespace gaas::stats

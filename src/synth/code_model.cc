@@ -120,7 +120,7 @@ CodeModel::buildSeq(std::uint32_t proc_id, unsigned depth,
             // Deterministic build: use buildRng, not walkRng (the
             // walk stream must replay identically after reset()).
             node.meanIters = 1.0 + static_cast<double>(
-                buildRng.nextGeometric(params.meanLoopIters));
+                GeometricSampler(params.meanLoopIters).draw(buildRng));
             node.children = buildSeq(proc_id, depth + 1, child_budget);
             budget_words += child_budget; // return unused share
             if (node.children.empty())
@@ -135,8 +135,8 @@ CodeModel::buildSeq(std::uint32_t proc_id, unsigned depth,
             // nearby (low rank) procedures are the hot ones.
             const std::uint64_t span =
                 params.procCount - proc_id - 1;
-            const std::uint64_t rank = buildRng.nextParetoIndex(
-                params.callZipfAlpha, span);
+            const std::uint64_t rank =
+                ParetoSampler(params.callZipfAlpha, span).draw(buildRng);
             node.callee = proc_id + 1 + static_cast<std::uint32_t>(rank);
             nodes.push_back(std::move(node));
             seq.push_back(static_cast<std::uint32_t>(nodes.size() - 1));
@@ -145,7 +145,7 @@ CodeModel::buildSeq(std::uint32_t proc_id, unsigned depth,
             Node node;
             node.kind = NodeKind::Run;
             std::uint64_t len =
-                buildRng.nextGeometric(params.meanRunLen);
+                GeometricSampler(params.meanRunLen).draw(buildRng);
             len = std::min<std::uint64_t>(len, budget_words);
             node.runLen = static_cast<std::uint32_t>(std::max<
                 std::uint64_t>(len, 1));
@@ -247,7 +247,7 @@ CodeModel::walkToNextRun()
             break;
           case NodeKind::Loop: {
             std::uint64_t iters =
-                walkRng.nextGeometric(node.meanIters);
+                GeometricSampler(node.meanIters).draw(walkRng);
             stack.push_back(Frame{top.procId, &node.children, 0,
                                   std::max<std::uint64_t>(iters, 1)});
             break;

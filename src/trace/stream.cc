@@ -15,28 +15,20 @@ namespace
 {
 
 /**
- * Blocks each idle stream keeps from its cursor on: the block it
- * stopped in and the next, so a stream switched back in near the
- * end of its block does not wait for the next one.  With one block,
- * perfbench trace-stream's simulator spent about 4% of its run
- * waiting for such blocks on a 4-vCPU VM.
+ * Blocks each stream keeps from its cursor on: the block it is in
+ * and the next, so a stream switched back in near the end of its
+ * block does not wait for the next one.  With one block, perfbench
+ * trace-stream's simulator spent about 4% of its run waiting for
+ * such blocks on a 4-vCPU VM.
  */
-constexpr std::uint64_t kIdleWindow = 2;
-
-/**
- * Blocks past the active stream's cursor the decoders fill: its
- * next block, ready, and one being decoded.  Its window thus has a
- * standalone stream's three blocks.
- */
-constexpr std::uint64_t kLookahead = 2;
+constexpr std::uint64_t kWindow = 2;
 
 /** Reclaim classes, cheapest first (BlockStore::claimOf). */
 enum Claim : int
 {
     kEmpty,
     kUnwanted,
-    kIdle,
-    kActive,
+    kWanted,
 };
 
 } // namespace
@@ -109,17 +101,14 @@ BlockStore::BlockStore(const std::vector<std::string> &paths,
         decoderCount = std::min(decoderCount,
                                 (cap - 2 * slotBytes) / bufferBytes);
 
-    // Slots: the idle streams' windows and the active stream's
-    // cursor block and lookahead, but never more than the files
+    // Slots: every stream's window, but never more than the files
     // have blocks, nor more than fit beside the decode buffers.
-    std::uint64_t want =
-        (paths.size() - 1) * kIdleWindow + 1 + kLookahead;
+    std::uint64_t want = paths.size() * kWindow;
     want = std::min(want, std::max<std::uint64_t>(2, blocks));
     if (slotBytes > 0)
         want = std::min<std::uint64_t>(
             want, (cap - decoderCount * bufferBytes) / slotBytes);
     const auto slotCount = static_cast<std::size_t>(want);
-    lookahead = std::min<std::uint64_t>(kLookahead, slotCount - 1);
 
     slots.resize(slotCount);
     for (Slot &slot : slots)
@@ -180,53 +169,13 @@ BlockStore::find(std::size_t stream, std::uint64_t block) const
 }
 
 BlockStore::Buffer *
-BlockStore::idleBuffer(std::size_t stream, std::uint64_t block)
+BlockStore::idleBuffer()
 {
-    Buffer *best = nullptr;
     for (Buffer &buffer : buffers) {
-        if (buffer.busy)
-            continue;
-        if (buffer.read && buffer.readStream == stream &&
-            buffer.readBlock == block)
+        if (!buffer.busy)
             return &buffer;
-        if (!best || (best->read && !buffer.read))
-            best = &buffer;
     }
-    return best;
-}
-
-bool
-BlockStore::readAhead(std::unique_lock<std::mutex> &lock)
-{
-    const std::size_t stream = active;
-    const Stream &st = streams[stream];
-    const std::uint64_t block = st.cursor + lookahead + 1;
-    if (block >= st.file->blockCount() ||
-        find(stream, block) < slots.size())
-        return false;
-    for (const Buffer &buffer : buffers) {
-        if (buffer.readStream == stream && buffer.readBlock == block)
-            return false; // read already, or tried and failed
-    }
-    Buffer *buffer = idleBuffer(stream, block);
-    if (!buffer)
-        return false;
-    buffer->busy = true;
-    buffer->read = false;
-    lock.unlock();
-    bool read = true;
-    try {
-        st.file->readBlock(block, buffer->payload);
-    } catch (const std::exception &) {
-        read = false; // its decode reads it again and reports it
-    }
-    lock.lock();
-    buffer->busy = false;
-    buffer->read = read;
-    buffer->readStream = stream;
-    buffer->readBlock = block;
-    ready.notify_all(); // a consumer may wait for a free buffer
-    return true;
+    return nullptr;
 }
 
 int
@@ -234,23 +183,10 @@ BlockStore::claimOf(const Slot &slot) const
 {
     if (slot.state == SlotState::Empty)
         return kEmpty;
-    const Stream &st = streams[slot.stream];
-    const bool isActive = slot.stream == active;
-    const std::uint64_t window = isActive ? 1 + lookahead : kIdleWindow;
-    if (slot.block < st.cursor || slot.block - st.cursor >= window)
+    const std::uint64_t cursor = streams[slot.stream].cursor;
+    if (slot.block < cursor || slot.block - cursor >= kWindow)
         return kUnwanted;
-    return isActive ? kActive : kIdle;
-}
-
-bool
-BlockStore::settling() const
-{
-    for (const Slot &slot : slots) {
-        if (slot.state == SlotState::Decoding &&
-            claimOf(slot) == kUnwanted)
-            return true;
-    }
-    return false;
+    return kWanted;
 }
 
 std::size_t
@@ -295,11 +231,7 @@ BlockStore::decode(std::unique_lock<std::mutex> &lock, Buffer &buffer,
     slot.block = block;
     slot.state = SlotState::Decoding;
     slot.referenced = true;
-    const bool haveRead = buffer.read && buffer.readStream == stream &&
-                          buffer.readBlock == block;
     buffer.busy = true;
-    buffer.read = false;
-    buffer.readBlock = ~std::uint64_t{0};
     lock.unlock();
 
     const Stream &st = streams[stream];
@@ -309,8 +241,7 @@ BlockStore::decode(std::unique_lock<std::mutex> &lock, Buffer &buffer,
     ErrorCode code = ErrorCode::TraceIO;
     std::string error;
     try {
-        if (!haveRead)
-            file.readBlock(block, buffer.payload);
+        file.readBlock(block, buffer.payload);
         const v3::BlockContext ctx{&file.path(), block,
                                    file.payloadOffset(block)};
         if (file.packable()) {
@@ -345,42 +276,23 @@ BlockStore::decode(std::unique_lock<std::mutex> &lock, Buffer &buffer,
     slot.error = std::move(error);
     ++decoded;
     ready.notify_all();
-    work.notify_one(); // a buffer is free, a reclaim may be due
+    work.notify_one(); // a buffer is free, a slot may have settled
 }
 
 std::size_t
-BlockStore::nextJob(std::size_t &stream, std::uint64_t &block,
-                    bool &stalled)
+BlockStore::nextJob(std::size_t &stream, std::uint64_t &block)
 {
-    stalled = false;
-    // The active stream's window first: its cursor block and its
-    // lookahead, into a slot no one wants, else an idle stream's --
-    // but a block decoded for a stream that has moved on will free
-    // its slot soon, so wait for that decode instead.
-    const Stream &st = streams[active];
-    std::uint64_t end =
-        std::min(st.cursor + lookahead + 1, st.file->blockCount());
-    for (block = st.cursor; block < end; ++block) {
-        if (find(active, block) < slots.size())
-            continue;
-        stream = active;
-        std::size_t i = victim(kUnwanted);
-        if (i == slots.size() && !settling()) {
-            i = victim(kIdle);
-            stalled = i == slots.size();
-        }
-        return i;
-    }
-    // Then the idle streams' windows, only into slots no one wants:
+    // Every stream's window, the read stream's first and then those
+    // the round robin reads after it, into a slot no window wants:
     // this fills every stream's first blocks before the simulator
-    // reaches them and refills a window a miss took.
-    for (stream = 0; stream < streams.size(); ++stream) {
-        const Stream &idle = streams[stream];
-        end = std::min(idle.cursor + kIdleWindow,
-                       idle.file->blockCount());
-        for (block = idle.cursor; block < end; ++block) {
-            if (stream != active &&
-                find(stream, block) == slots.size())
+    // reaches them and refills a window a consumer's miss took.
+    for (std::size_t k = 0; k < streams.size(); ++k) {
+        stream = (active + k) % streams.size();
+        const Stream &st = streams[stream];
+        const std::uint64_t end =
+            std::min(st.cursor + kWindow, st.file->blockCount());
+        for (block = st.cursor; block < end; ++block) {
+            if (find(stream, block) == slots.size())
                 return victim(kUnwanted);
         }
     }
@@ -390,25 +302,20 @@ BlockStore::nextJob(std::size_t &stream, std::uint64_t &block,
 void
 BlockStore::decoderLoop()
 {
+    // A job waits for a pin, which moves a window, or for the end of
+    // a decode, which frees a buffer and settles a slot.  An unpin
+    // moves no window, so only consumers wait for one.
     std::unique_lock<std::mutex> lock(m);
     while (!stopping) {
         std::size_t stream = 0;
         std::uint64_t block = 0;
-        bool stalled = false;
-        const std::size_t i = idleBuffer(0, 0)
-                                  ? nextJob(stream, block, stalled)
-                                  : slots.size();
-        if (i < slots.size()) {
-            decode(lock, *idleBuffer(stream, block), i, stream, block);
-            continue;
-        }
-        if (readAhead(lock))
-            continue;
-        // Only a job waiting for pinned slots needs unpin() to wake
-        // it; everything else changes with a pin or a decode.
-        waiting += stalled;
-        work.wait(lock);
-        waiting -= stalled;
+        Buffer *buffer = idleBuffer();
+        const std::size_t i =
+            buffer ? nextJob(stream, block) : slots.size();
+        if (i < slots.size())
+            decode(lock, *buffer, i, stream, block);
+        else
+            work.wait(lock);
     }
 }
 
@@ -418,9 +325,10 @@ BlockStore::pin(std::size_t stream, std::uint64_t block)
     std::unique_lock<std::mutex> lock(m);
     Stream &st = streams[stream];
     if (active != stream || st.cursor != block) {
-        // The lookahead moved: wake a decoder, outside the lock so
-        // it does not block on it at once.  One is enough: a decoder
-        // that finishes a block looks for the next job itself.
+        // The read stream or its window moved: wake a decoder,
+        // outside the lock so it does not block on it at once.  One
+        // is enough: a decoder that finishes a block looks for the
+        // next job itself.
         active = stream;
         st.cursor = block;
         lock.unlock();
@@ -448,13 +356,13 @@ BlockStore::pin(std::size_t stream, std::uint64_t block)
         }
         // No one has started it: decode it here rather than sleep.
         // Without a free buffer, wait for a decode to end; without a
-        // slot to reclaim, for one to unpin.
-        Buffer *buffer = idleBuffer(stream, block);
+        // slot to reclaim, for one to unpin or settle.
+        Buffer *buffer = idleBuffer();
         if (!buffer) {
             ready.wait(lock);
             continue;
         }
-        i = victim(kActive);
+        i = victim(kWanted);
         if (i == slots.size()) {
             ++waiting;
             ready.wait(lock);
@@ -469,10 +377,8 @@ void
 BlockStore::unpin(std::size_t i)
 {
     std::lock_guard<std::mutex> lock(m);
-    if (--slots[i].pins == 0 && waiting != 0) {
+    if (--slots[i].pins == 0 && waiting != 0)
         ready.notify_all();
-        work.notify_all();
-    }
 }
 
 BlockStore::Pin::Pin(BlockStore &store_, std::size_t slot_)

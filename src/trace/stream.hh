@@ -7,33 +7,30 @@
  * The paper multiplexes one pixie trace per benchmark round robin
  * into one simulator (Section 3), so one stream is read at a time.
  * The store keeps fixed slots, each one decoded block of packed
- * words (trace/packed.hh) keyed by (stream, block).  A consumer pins
- * a slot while it copies out of it; unpinned slots are reclaimed by
- * clock (second chance), cheapest class first: empty, outside its
- * stream's window, an idle stream's window, the active window.  The
- * stream pinned last is the active one, and its window is its cursor
- * block and the two after; every other stream's is its cursor block
- * and the next, so a process switched back in finds its next block
- * decoded.  A seek or a wrap just asks for another key.
+ * words (trace/packed.hh) keyed by (stream, block).  Every stream's
+ * window is its cursor block and the next, so a process switched
+ * back in finds the block it stopped in and the one after decoded.
+ * A consumer pins a slot while it copies out of it; unpinned slots
+ * are reclaimed by clock (second chance), cheapest class first:
+ * empty, outside every window, inside one.  A seek or a wrap just
+ * asks for another key.
  *
  * A pool of min(streams, max(1, hardware threads - 1)) decoder
- * threads fills the windows, each decode holding one of as many
- * decode buffers (a block's payload, plus MemRef scratch for an
- * unpackable file).  An idle decoder reads and checks the payload of
- * the block past the active window ahead of time, so that once a
- * slot frees only the decode remains.  A consumer whose block no
- * decoder has started decodes it on its own thread instead of
- * sleeping.
+ * threads fills the windows, the read stream's first, into empty or
+ * unwanted slots only, each decode holding one of as many decode
+ * buffers (a block's payload, plus MemRef scratch for an unpackable
+ * file).  A consumer whose block no decoder has started decodes it
+ * on its own thread instead of sleeping.
  *
- * Sizing is by need, not by ceiling: the windows' slots (two per
- * stream and one more, never more than the files have blocks) and
- * one buffer per decoder.  The ceiling -- the cap given, else
- * GAAS_TRACE_STREAM_MB (64 MiB when unset), for the whole store --
- * only caps that: a store that does not fit gets fewer decoders and
- * slots, whose idle streams' blocks are then reclaimed and decoded
- * again, and a ceiling below two slots and one buffer is a TraceIO
- * error naming that minimum.  A standalone StreamSource owns a
- * one-stream store: three slots and one decoder.
+ * Sizing is by need, not by ceiling: two slots per stream, never
+ * more than the files have blocks, and one buffer per decoder.  The
+ * ceiling -- the cap given, else GAAS_TRACE_STREAM_MB (64 MiB when
+ * unset), for the whole store -- only caps that: a store that does
+ * not fit gets fewer decoders and slots, whose windows' blocks are
+ * then reclaimed and decoded again, and a ceiling below two slots
+ * and one buffer is a TraceIO error naming that minimum.  A
+ * standalone StreamSource owns a one-stream store: two slots and
+ * one decoder.
  *
  * The words a stream yields are bit-identical to the packed reads of
  * a TraceV3Reader over the same file, and -- for a file written from
@@ -77,8 +74,8 @@ struct StreamOptions
     /**
      * Cap on the stream's buffer bytes; 0 means streamBudgetBytes()
      * (GAAS_TRACE_STREAM_MB MiB, default 64).  A standalone stream
-     * holds three decoded blocks, or two if the cap has room for no
-     * more; a cap too small for two is an error.
+     * holds two decoded blocks, and a cap too small for them is an
+     * error.
      */
     std::size_t memoryBudgetBytes = 0;
 };
@@ -152,7 +149,7 @@ class BlockStore
 
     /**
      * Pin block @p block of stream @p stream, which becomes that
-     * stream's cursor and the active stream.  Waits while a decoder
+     * stream's cursor and the read stream.  Waits while a decoder
      * decodes the block, and decodes it on this thread if no one has
      * started it.  Throws the block's SimError if it fails to read or
      * decode; other blocks and streams are unaffected.
@@ -195,9 +192,6 @@ class BlockStore
         std::vector<unsigned char> payload;
         std::vector<MemRef> scratch; //!< unpackable files only
         bool busy = false;
-        bool read = false; //!< payload holds the block below, checked
-        std::size_t readStream = 0; //!< the block last read ahead
-        std::uint64_t readBlock = ~std::uint64_t{0};
     };
 
     void decoderLoop();
@@ -205,35 +199,23 @@ class BlockStore
     /**
      * The decoders' next job: set @p stream and @p block and return
      * the slot to decode it into, or slots.size() if there is none
-     * now; @p stalled says that only pinned slots stand in the way.
+     * now.
      */
-    std::size_t nextJob(std::size_t &stream, std::uint64_t &block,
-                        bool &stalled);
+    std::size_t nextJob(std::size_t &stream, std::uint64_t &block);
 
     /** The slot holding (or decoding) @p block of @p stream, or
      *  slots.size(). */
     std::size_t find(std::size_t stream, std::uint64_t block) const;
 
-    /** A free buffer, best one that already read @p block of
-     *  @p stream, else one that read nothing. */
-    Buffer *idleBuffer(std::size_t stream, std::uint64_t block);
+    /** A buffer no decode holds, or nullptr. */
+    Buffer *idleBuffer();
 
-    /** Read the block past the active window into a free buffer, so
-     *  that its decode, once a slot frees, waits for no read; false
-     *  if there is nothing to read.  Called and returns with @p lock
-     *  held, drops it meanwhile. */
-    bool readAhead(std::unique_lock<std::mutex> &lock);
-
-    /** Reclaim class of an unpinned, settled slot; lower goes first. */
+    /** Reclaim class of a slot; lower goes first. */
     int claimOf(const Slot &slot) const;
 
-    /** A slot to reclaim, no dearer than class @p worst, picked by
-     *  the clock; slots.size() if there is none. */
+    /** An unpinned, settled slot to reclaim, no dearer than class
+     *  @p worst, picked by the clock; slots.size() if there is none. */
     std::size_t victim(int worst);
-
-    /** Whether a slot being decoded holds a block no stream wants
-     *  any more (so it will be cheap to reclaim once settled). */
-    bool settling() const;
 
     /** Decode @p block of @p stream into slot @p i with @p buffer;
      *  called and returns with @p lock held, drops it meanwhile. */
@@ -249,16 +231,15 @@ class BlockStore
     std::vector<Slot> slots;
     std::vector<Buffer> buffers;
     std::size_t bytes = 0;
-    std::uint64_t lookahead = 0; //!< blocks past the active cursor
 
     // Guarded by m (Slot::words contents: by the slot's state).
     mutable std::mutex m;
     std::condition_variable work;  //!< decoders wait here
     std::condition_variable ready; //!< consumers wait here
-    std::size_t active = 0;
+    std::size_t active = 0; //!< the read stream: the one pinned last
     std::size_t hand = 0;
     std::uint64_t decoded = 0;
-    unsigned waiting = 0; //!< threads waiting for a slot to unpin
+    unsigned waiting = 0; //!< consumers waiting for a slot to unpin
     bool stopping = false;
 
     std::vector<std::thread> decoders;
@@ -291,8 +272,7 @@ class StreamSource : public TraceSource
     /** The store's buffer bytes (<= the ceiling). */
     std::size_t bufferBytes() const { return store->bufferBytes(); }
 
-    /** The store's decoded-block slots: 3 for a standalone stream, or
-     *  2 under a ceiling with room for no more. */
+    /** The store's decoded-block slots: 2 for a standalone stream. */
     std::size_t slotCount() const { return store->slotCount(); }
 
     /** Blocks the store decoded so far (telemetry). */

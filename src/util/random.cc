@@ -53,58 +53,16 @@ Rng::nextBounded(std::uint64_t bound)
 }
 
 std::uint64_t
-Rng::nextGeometric(double mean)
-{
-    if (mean <= 1.0)
-        return 1;
-    // P(X = k) = (1-p)^(k-1) p with p = 1/mean; inverse transform.
-    const double p = 1.0 / mean;
-    double u = nextDouble();
-    // Guard against log(0).
-    if (u >= 1.0)
-        u = 0x1.fffffffffffffp-1;
-    double k = std::floor(std::log1p(-u) / std::log1p(-p)) + 1.0;
-    if (k < 1.0)
-        k = 1.0;
-    // Clamp to a sane upper bound so pathological draws cannot wedge
-    // a trace generator loop.
-    if (k > 1e12)
-        k = 1e12;
-    return static_cast<std::uint64_t>(k);
-}
-
-std::uint64_t
-Rng::nextParetoIndex(double alpha, std::uint64_t bound)
-{
-    if (bound == 0)
-        gaas_panic("Rng::nextParetoIndex called with bound 0");
-    if (bound == 1)
-        return 0;
-    if (alpha <= 0.0)
-        return nextBounded(bound);
-    // Inverse-transform a truncated Pareto over [1, bound + 1):
-    //   x = (1 - u (1 - B^-alpha))^(-1/alpha), index = floor(x) - 1.
-    const double b = static_cast<double>(bound);
-    const double tail = std::pow(b, -alpha);
-    double u = nextDouble();
-    double x = std::pow(1.0 - u * (1.0 - tail), -1.0 / alpha);
-    auto idx = static_cast<std::uint64_t>(x) - 1;
-    if (idx >= bound)
-        idx = bound - 1;
-    return idx;
-}
-
-std::uint64_t
 ParetoSampler::draw(Rng &rng) const
 {
-    // Mirrors Rng::nextParetoIndex case for case; the cached tail
-    // and negInvAlpha replace the per-draw std::pow / division.
     if (bound == 0)
         gaas_panic("ParetoSampler::draw with bound 0");
     if (bound == 1)
         return 0;
     if (alpha <= 0.0)
         return rng.nextBounded(bound);
+    // Inverse-transform a truncated Pareto over [1, bound + 1):
+    //   x = (1 - u (1 - B^-alpha))^(-1/alpha), index = floor(x) - 1.
     double u = rng.nextDouble();
     double x = std::pow(1.0 - u * (1.0 - tail), negInvAlpha);
     auto idx = static_cast<std::uint64_t>(x) - 1;

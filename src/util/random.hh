@@ -76,28 +76,6 @@ class Rng
     }
 
     /**
-     * Geometric draw with mean @p mean (support {1, 2, ...}).
-     *
-     * Used for basic-block lengths and loop trip counts, which the
-     * code model treats as geometrically distributed around the
-     * per-benchmark average.
-     */
-    std::uint64_t nextGeometric(double mean);
-
-    /**
-     * Bounded Pareto-tail draw over [0, bound): returns an index whose
-     * probability decays as a power law with shape @p alpha.
-     *
-     * This is the workhorse of the data-reference model: drawing a
-     * "line popularity rank" from a heavy-tailed distribution gives
-     * address streams whose miss ratio keeps improving with cache size
-     * over several orders of magnitude -- the behaviour Table 2 of the
-     * paper shows for the L2 sweep.  Smaller alpha = heavier tail =
-     * a larger working set.
-     */
-    std::uint64_t nextParetoIndex(double alpha, std::uint64_t bound);
-
-    /**
      * Pick an index from a small table of cumulative weights
      * (cumulative[i] is the inclusive upper edge of class i, with
      * cumulative.back() == 1.0).
@@ -138,16 +116,19 @@ bernoulliThreshold(double p)
 }
 
 /**
- * Precomputed bounded-Pareto sampler over [0, bound).
+ * Bounded Pareto-tail sampler over [0, bound): each draw is an index
+ * whose probability decays as a power law with shape alpha.
  *
- * Rng::nextParetoIndex recomputes the bound^-alpha tail term (a
- * std::pow) and the -1/alpha exponent on every draw even though both
- * depend only on the distribution, not the draw.  The synthetic data
- * model draws from a handful of fixed (alpha, bound) pairs millions
- * of times per simulation, so hoisting them is one of the largest
- * single wins in the trace-generation hot path.  draw() is
- * bit-identical to nextParetoIndex(alpha, bound) for the same Rng
- * state: the cached terms are computed by the same expressions.
+ * This is the workhorse of the data-reference model: drawing a
+ * "line popularity rank" from a heavy-tailed distribution gives
+ * address streams whose miss ratio keeps improving with cache size
+ * over several orders of magnitude -- the behaviour Table 2 of the
+ * paper shows for the L2 sweep.  Smaller alpha = heavier tail = a
+ * larger working set.  The bound^-alpha tail term (a std::pow) and
+ * the -1/alpha exponent depend only on the distribution, so they are
+ * computed once here rather than per draw: the data model draws from
+ * a handful of fixed (alpha, bound) pairs millions of times per
+ * simulation.
  */
 class ParetoSampler
 {
@@ -163,8 +144,8 @@ class ParetoSampler
         }
     }
 
-    /** One draw; consumes exactly the PRNG state
-     *  nextParetoIndex(alpha, bound) would. */
+    /** One draw: one nextDouble(), or one nextBounded(bound) for
+     *  alpha <= 0 (uniform), or none for bound 1. */
     std::uint64_t draw(Rng &rng) const;
 
   private:
@@ -175,10 +156,11 @@ class ParetoSampler
 };
 
 /**
- * Precomputed geometric sampler with a fixed mean (support {1, 2,
- * ...}).  Caches the log1p(-1/mean) denominator that
- * Rng::nextGeometric recomputes per draw; draw() is bit-identical to
- * nextGeometric(mean) for the same Rng state.
+ * Geometric sampler with a fixed mean (support {1, 2, ...}): P(X = k)
+ * = (1-p)^(k-1) p with p = 1/mean, drawn by inverse transform.  The
+ * code model draws basic-block lengths and loop trip counts from it,
+ * geometrically distributed around the per-benchmark average.  The
+ * log1p(-1/mean) denominator is computed once.
  */
 class GeometricSampler
 {
@@ -191,19 +173,21 @@ class GeometricSampler
             denom = std::log1p(-(1.0 / mean));
     }
 
-    /** One draw; consumes exactly the PRNG state
-     *  nextGeometric(mean) would. */
+    /** One draw: one nextDouble(), or none for a mean <= 1. */
     std::uint64_t
     draw(Rng &rng) const
     {
         if (mean <= 1.0)
             return 1;
         double u = rng.nextDouble();
+        // Guard against log(0).
         if (u >= 1.0)
             u = 0x1.fffffffffffffp-1;
         double k = std::floor(std::log1p(-u) / denom) + 1.0;
         if (k < 1.0)
             k = 1.0;
+        // Clamp to a sane upper bound so pathological draws cannot
+        // wedge a trace generator loop.
         if (k > 1e12)
             k = 1e12;
         return static_cast<std::uint64_t>(k);

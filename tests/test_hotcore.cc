@@ -16,7 +16,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -309,22 +308,6 @@ TEST(HotCore, MixedGeometryFallsBackToGeneric)
     cfg.l1d.assoc = 2; // mixed: dm I-side, 2-way D-side
     Simulator sim(cfg, randomWorkload(7, 1'000));
     EXPECT_TRUE(sim.usingGenericPath());
-}
-
-TEST(HotCore, EnvKnobForcesGenericPath)
-{
-    ::setenv("GAAS_SIM_GENERIC", "1", 1);
-    {
-        Simulator sim(configFor(1, WritePolicy::WriteBack),
-                      randomWorkload(3, 1'000));
-        EXPECT_TRUE(sim.usingGenericPath());
-    }
-    ::unsetenv("GAAS_SIM_GENERIC");
-    {
-        Simulator sim(configFor(1, WritePolicy::WriteBack),
-                      randomWorkload(3, 1'000));
-        EXPECT_FALSE(sim.usingGenericPath());
-    }
 }
 
 } // namespace

@@ -1,9 +1,9 @@
 /**
  * @file
- * Tests for the observability layer: registry ordering and expansion,
- * the JSON exporter's exact byte format, parse/re-emit round-trips,
- * the SimResult stats schema, serial-vs-parallel dump identity, and
- * the wall-clock timers.
+ * Tests for the observability layer: registry ordering, the JSON
+ * exporter's exact byte format, parse/re-emit round-trips, the
+ * SimResult stats schema, serial-vs-parallel dump identity, and the
+ * wall-clock timers.
  */
 
 #include <gtest/gtest.h>
@@ -18,7 +18,6 @@
 #include "core/sweep.hh"
 #include "obs/json.hh"
 #include "obs/metrics.hh"
-#include "stats/distribution.hh"
 #include "util/logging.hh"
 
 namespace gaas
@@ -58,48 +57,6 @@ TEST(Registry, DuplicateNameIsFatal)
     EXPECT_THROW(r.counter("dup", 2, "second"), FatalError);
 }
 
-TEST(Registry, SampleStatExpandsToMoments)
-{
-    stats::SampleStat s;
-    s.add(2.0);
-    s.add(4.0);
-
-    obs::Registry r;
-    r.sampleStat("occ", s, "occupancy");
-    ASSERT_EQ(r.entries().size(), 5u);
-    EXPECT_EQ(r.entries()[0].name, "occ.count");
-    EXPECT_EQ(r.entries()[0].count, 2u);
-    EXPECT_EQ(r.entries()[1].name, "occ.mean");
-    EXPECT_DOUBLE_EQ(r.entries()[1].value, 3.0);
-    EXPECT_EQ(r.entries()[2].name, "occ.stddev");
-    EXPECT_EQ(r.entries()[3].name, "occ.min");
-    EXPECT_EQ(r.entries()[4].name, "occ.max");
-    EXPECT_DOUBLE_EQ(r.entries()[4].value, 4.0);
-}
-
-TEST(Registry, HistogramRegistersBothTails)
-{
-    stats::Histogram h(1.0, 4);
-    for (double x : {-2.0, 0.5, 3.5, 9.0})
-        h.add(x);
-
-    obs::Registry r;
-    r.histogram("dist", h, "a distribution");
-
-    const obs::Entry *under = r.find("dist.underflow");
-    ASSERT_NE(under, nullptr);
-    EXPECT_EQ(under->count, 1u);
-    const obs::Entry *over = r.find("dist.overflow");
-    ASSERT_NE(over, nullptr);
-    EXPECT_EQ(over->count, 1u);
-    const obs::Entry *buckets = r.find("dist.buckets");
-    ASSERT_NE(buckets, nullptr);
-    EXPECT_EQ(buckets->kind, obs::Kind::Buckets);
-    const std::vector<Count> want{1, 0, 0, 1};
-    EXPECT_EQ(buckets->buckets, want);
-    EXPECT_NE(r.find("dist.mean"), nullptr);
-}
-
 TEST(Json, ExporterGoldenSnapshot)
 {
     obs::Registry r;
@@ -117,20 +74,6 @@ TEST(Json, ExporterGoldenSnapshot)
               "    \"loads\": 7\n"
               "  }\n"
               "}\n");
-}
-
-TEST(Json, HistogramBecomesInlineArray)
-{
-    stats::Histogram h(2.0, 3);
-    h.add(1.0);
-    h.add(5.0);
-
-    obs::Registry r;
-    r.histogram("d", h, "demo");
-    const std::string text = obs::writeJsonString(obs::toJson(r));
-    EXPECT_NE(text.find("\"buckets\": [1, 0, 1]"), std::string::npos)
-        << text;
-    EXPECT_NE(text.find("\"bucket_width\": 2"), std::string::npos);
 }
 
 TEST(Json, NonFiniteValuesBecomeNull)

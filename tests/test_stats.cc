@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit tests for the stats package: tables and distributions.
+ * Unit tests for the stats package: tables and sample statistics.
  */
 
 #include <gtest/gtest.h>
@@ -164,97 +164,6 @@ TEST(SampleStat, RandomizedAddAndMergeMatchTwoPassReference)
     EXPECT_NEAR(merged.sampleVariance(), sampleVar,
                 1e-9 * sampleVar);
     EXPECT_NEAR(merged.stdError(), stdErr, 1e-9 * stdErr);
-}
-
-TEST(Histogram, BucketsAndBothTails)
-{
-    Histogram h(1.0, 10);
-    for (int i = 0; i < 5; ++i)
-        h.add(static_cast<double>(i));
-    h.add(100.0);
-    h.add(-1.0); // counts into the underflow tail, not bucket 0
-    EXPECT_EQ(h.bucket(0), 1u);
-    EXPECT_EQ(h.bucket(4), 1u);
-    EXPECT_EQ(h.underflow(), 1u);
-    EXPECT_EQ(h.overflow(), 1u);
-    EXPECT_EQ(h.moments().count(), 7u);
-    EXPECT_DOUBLE_EQ(h.moments().min(), -1.0);
-
-    h.reset();
-    EXPECT_EQ(h.underflow(), 0u);
-    EXPECT_EQ(h.overflow(), 0u);
-    EXPECT_EQ(h.moments().count(), 0u);
-}
-
-TEST(Histogram, CdfAndQuantile)
-{
-    Histogram h(1.0, 100);
-    for (int i = 0; i < 100; ++i)
-        h.add(static_cast<double>(i));
-    // Samples sit on bucket lower edges, so the CDF is exact at
-    // bucket boundaries: P(x < 49) is exactly 49/100.
-    EXPECT_DOUBLE_EQ(h.cdf(49.0), 0.49);
-    EXPECT_DOUBLE_EQ(h.cdf(49.5), 0.50);
-    EXPECT_DOUBLE_EQ(h.cdf(100.0), 1.0);
-    EXPECT_NEAR(h.quantile(0.5), 50.0, 1.5);
-    EXPECT_NEAR(h.quantile(0.9), 90.0, 1.5);
-}
-
-TEST(Histogram, CdfCountsBothTailsExactly)
-{
-    Histogram h(1.0, 10);
-    for (double x : {-3.0, -0.5, 0.0, 9.0, 10.0, 100.0})
-        h.add(x);
-    EXPECT_EQ(h.underflow(), 2u);
-    EXPECT_EQ(h.bucket(0), 1u);
-    EXPECT_EQ(h.bucket(9), 1u);
-    EXPECT_EQ(h.overflow(), 2u);
-
-    // Below zero only the underflow tail counts.
-    EXPECT_DOUBLE_EQ(h.cdf(-1.0), 2.0 / 6.0);
-    // x == 0 is a bucket boundary: bucket 0 is NOT below it.
-    EXPECT_DOUBLE_EQ(h.cdf(0.0), 2.0 / 6.0);
-    // The top boundary excludes the overflow tail ...
-    EXPECT_DOUBLE_EQ(h.cdf(10.0), 4.0 / 6.0);
-    // ... which only enters past the covered range.
-    EXPECT_DOUBLE_EQ(h.cdf(11.0), 1.0);
-
-    // A quantile that lands in the underflow tail pins to 0.
-    EXPECT_DOUBLE_EQ(h.quantile(0.1), 0.0);
-}
-
-TEST(Histogram, QuantileUsesCeilRank)
-{
-    // A single sample far from zero: every quantile -- including
-    // q = 0, whose rank must floor at 1, not truncate to an empty
-    // prefix -- names that sample's bucket upper edge.
-    Histogram h(1.0, 100);
-    h.add(41.5);
-    EXPECT_DOUBLE_EQ(h.quantile(0.0), 42.0);
-    EXPECT_DOUBLE_EQ(h.quantile(0.5), 42.0);
-    EXPECT_DOUBLE_EQ(h.quantile(1.0), 42.0);
-}
-
-TEST(Histogram, QuantileStepsAtExactRankBoundaries)
-{
-    Histogram h(1.0, 10);
-    for (double v : {0.5, 1.5, 2.5, 3.5})
-        h.add(v);
-    // rank = ceil(q * 4): q in (0, 1/4] names the 1st order
-    // statistic, (1/4, 2/4] the 2nd, and so on -- the boundary
-    // itself must NOT step up.
-    EXPECT_DOUBLE_EQ(h.quantile(0.25), 1.0);
-    EXPECT_DOUBLE_EQ(h.quantile(0.26), 2.0);
-    EXPECT_DOUBLE_EQ(h.quantile(0.5), 2.0);
-    EXPECT_DOUBLE_EQ(h.quantile(0.75), 3.0);
-    EXPECT_DOUBLE_EQ(h.quantile(0.76), 4.0);
-    EXPECT_DOUBLE_EQ(h.quantile(1.0), 4.0);
-}
-
-TEST(Histogram, RejectsBadConfig)
-{
-    EXPECT_THROW(Histogram(0.0, 10), FatalError);
-    EXPECT_THROW(Histogram(1.0, 0), FatalError);
 }
 
 TEST(Table, AlignedOutputContainsCells)

@@ -414,14 +414,13 @@ TEST_F(StreamTest, MinimalCeilingStillDrainsWithTwoSlots)
     const auto refs = packableTrace(1000);
     const std::string path = writeV3("min.v3", refs, 64);
 
-    // The minimum is two decoded blocks and one decode buffer: a
-    // default-budget stream's bytes less its third block of 64
-    // words.  Exactly that ceiling drains with two slots.
+    // The minimum is two decoded blocks and one decode buffer: all
+    // a default-budget stream holds.  Exactly that ceiling drains.
     std::size_t minBytes = 0;
     {
         StreamSource probe(path);
-        ASSERT_EQ(probe.slotCount(), 3u);
-        minBytes = probe.bufferBytes() - 64 * sizeof(std::uint32_t);
+        ASSERT_EQ(probe.slotCount(), 2u);
+        minBytes = probe.bufferBytes();
     }
     StreamOptions options;
     options.memoryBudgetBytes = minBytes;
@@ -447,16 +446,16 @@ TEST_F(StreamTest, MinimalCeilingStillDrainsWithTwoSlots)
 TEST_F(StreamTest, CeilingIsACapNotASize)
 {
     // A roomier ceiling buys no deeper prefetch: under the default
-    // 64 MiB and under 1 GiB the stream holds the drained block, the
-    // next one and the one being decoded.
+    // 64 MiB and under 1 GiB the stream holds the drained block and
+    // the next one.
     const auto refs = packableTrace(1000);
     const std::string path = writeV3("cap.v3", refs, 64);
     StreamSource byDefault(path);
     StreamOptions options;
     options.memoryBudgetBytes = std::size_t{1} << 30;
     StreamSource roomy(path, options);
-    EXPECT_EQ(byDefault.slotCount(), 3u);
-    EXPECT_EQ(roomy.slotCount(), 3u);
+    EXPECT_EQ(byDefault.slotCount(), 2u);
+    EXPECT_EQ(roomy.slotCount(), 2u);
     EXPECT_EQ(roomy.bufferBytes(), byDefault.bufferBytes());
     EXPECT_EQ(drainAll(roomy), refs);
 }
@@ -571,6 +570,53 @@ TEST_F(StreamTest, MoreStreamsThanSlotsReplayByteIdentically)
     EXPECT_GT(store->blocksDecoded(), 6u * 8u);
 }
 
+/** Return once @p store's decoders are idle: its decode count has
+ *  not moved over three polls 2 ms apart. */
+void
+waitForDecoders(const BlockStore &store)
+{
+    std::uint64_t last = store.blocksDecoded();
+    for (int still = 0; still < 3;) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        const std::uint64_t now = store.blocksDecoded();
+        still = now == last ? still + 1 : 0;
+        last = now;
+    }
+}
+
+TEST_F(StreamTest, RoundRobinDecodesEachBlockOnce)
+{
+    // Four streams of eight blocks read round robin, as the simulator
+    // multiplexes its processes, with the decoders idle before each
+    // turn.  Every window fits the store, so whatever the turn length
+    // each block is decoded once, and every decoded block is read.
+    std::vector<std::string> paths;
+    for (unsigned i = 0; i < 4; ++i) {
+        paths.push_back(
+            writeV3(fileName("rr", i), saltedTrace(512, i), 64));
+    }
+    for (const std::size_t turn : {std::size_t{40}, std::size_t{100}}) {
+        SCOPED_TRACE("turn " + std::to_string(turn));
+        auto store = std::make_shared<BlockStore>(paths);
+        std::vector<std::unique_ptr<StreamSource>> streams;
+        for (std::size_t i = 0; i < paths.size(); ++i)
+            streams.push_back(std::make_unique<StreamSource>(store, i));
+        std::vector<std::vector<MemRef>> got(paths.size());
+        for (bool more = true; more;) {
+            more = false;
+            for (std::size_t i = 0; i < paths.size(); ++i) {
+                waitForDecoders(*store);
+                const std::vector<MemRef> part = collect(*streams[i], turn);
+                got[i].insert(got[i].end(), part.begin(), part.end());
+                more = more || part.size() == turn;
+            }
+        }
+        for (unsigned i = 0; i < paths.size(); ++i)
+            EXPECT_EQ(got[i], saltedTrace(512, i)) << "stream " << i;
+        EXPECT_EQ(store->blocksDecoded(), 4u * 8u);
+    }
+}
+
 TEST_F(StreamTest, PinnedBlockSurvivesOtherStreamsChurn)
 {
     // Stream 0's block 2 stays pinned while four other streams drain
@@ -663,9 +709,9 @@ TEST_F(StreamTest, CorruptBlockFailsOnlyItsOwnStream)
 
 TEST_F(StreamTest, FailedReadAheadIsNotRetried)
 {
-    // Reading block 0 of a standalone stream decodes blocks 0-2 and
-    // reads block 3's payload ahead; that read fails its checksum.
-    // The decoder must then go idle rather than read block 3 again
+    // Reading into block 2 of a standalone stream puts block 3 in its
+    // window, and the decoder decodes it ahead; it fails its checksum.
+    // The decoder must then go idle rather than decode block 3 again
     // and again: half a second later the process has used next to
     // no CPU.  Reading on still reports the block's error.
     const std::string path = writeV3("ahead.v3", saltedTrace(512, 3), 64);
@@ -680,7 +726,7 @@ TEST_F(StreamTest, FailedReadAheadIsNotRetried)
         f.put(static_cast<char>(byte ^ 0x5a));
     }
     StreamSource stream(path);
-    ASSERT_EQ(collect(stream, 10).size(), 10u);
+    ASSERT_EQ(collect(stream, 150).size(), 150u);
     const std::clock_t before = std::clock();
     std::this_thread::sleep_for(std::chrono::milliseconds(500));
     const double cpuSeconds =

@@ -10,7 +10,9 @@
 # pipeline's memory is bounded by the ceiling, not the trace length.
 # Then drains it under a 2 MiB and a 256 MiB ceiling: the ceiling is
 # a cap, not a size, so the two peaks must lie within 1 MiB of each
-# other.
+# other.  Each drain reads the file once in order, so it must decode
+# every block exactly once: blocks_decoded equals the block count
+# `tracepack info` reports.
 
 set -eu
 
@@ -19,9 +21,26 @@ dir=$(mktemp -d "${TMPDIR:-/tmp}/gaas_stream_rss.XXXXXX")
 trap 'rm -rf "$dir"' EXIT INT TERM
 
 "$TRACEPACK" synth "$dir/big.v3" --instructions 20000000 --seed 11
+blocks=$("$TRACEPACK" info "$dir/big.v3" \
+    | sed -n 's/^  block size: .*(\([0-9]*\) blocks)$/\1/p')
+if [ -z "$blocks" ]; then
+    echo "FAIL: could not parse tracepack info output" >&2
+    exit 1
+fi
+
+# Fail unless drain output $2 decoded each block once; $1 names it.
+check_decodes() {
+    decoded=$(echo "$2" | sed -n 's/^blocks_decoded: \([0-9]*\)$/\1/p')
+    if [ "$decoded" != "$blocks" ]; then
+        echo "FAIL: the drain under a $1 ceiling decoded" \
+             "'$decoded' blocks of a $blocks-block file" >&2
+        exit 1
+    fi
+}
 
 out=$("$TRACEPACK" drain "$dir/big.v3" --stream-mb 8)
 echo "$out"
+check_decodes "8 MiB" "$out"
 
 records=$(echo "$out" | sed -n 's/^drained \([0-9]*\) records.*/\1/p')
 rss=$(echo "$out" | sed -n 's/^peak_rss_kb: \([0-9]*\)$/\1/p')
@@ -44,10 +63,12 @@ if [ "$rss" -gt 65536 ]; then
     exit 1
 fi
 
-# peak_rss_kb of a drain under a $1 MiB ceiling.
+# peak_rss_kb of a drain under a $1 MiB ceiling, which must decode
+# each block once.
 drain_rss() {
-    "$TRACEPACK" drain "$dir/big.v3" --stream-mb "$1" \
-        | sed -n 's/^peak_rss_kb: \([0-9]*\)$/\1/p'
+    drained=$("$TRACEPACK" drain "$dir/big.v3" --stream-mb "$1")
+    check_decodes "$1 MiB" "$drained"
+    echo "$drained" | sed -n 's/^peak_rss_kb: \([0-9]*\)$/\1/p'
 }
 small=$(drain_rss 2)
 large=$(drain_rss 256)

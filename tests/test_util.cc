@@ -145,10 +145,11 @@ TEST(Rng, GeometricMeanApproximatelyCorrect)
 {
     Rng rng(42);
     const double target = 12.0;
+    const GeometricSampler geometric(target);
     double sum = 0;
     const int n = 200000;
     for (int i = 0; i < n; ++i)
-        sum += static_cast<double>(rng.nextGeometric(target));
+        sum += static_cast<double>(geometric.draw(rng));
     const double mean = sum / n;
     EXPECT_NEAR(mean, target, 0.25);
 }
@@ -156,24 +157,27 @@ TEST(Rng, GeometricMeanApproximatelyCorrect)
 TEST(Rng, GeometricDegenerateMeanIsOne)
 {
     Rng rng(5);
+    const GeometricSampler geometric(0.5);
     for (int i = 0; i < 100; ++i)
-        EXPECT_EQ(rng.nextGeometric(0.5), 1u);
+        EXPECT_EQ(geometric.draw(rng), 1u);
 }
 
 TEST(Rng, ParetoIndexInBounds)
 {
     Rng rng(21);
+    const ParetoSampler pareto(0.9, 1000);
     for (int i = 0; i < 20000; ++i)
-        EXPECT_LT(rng.nextParetoIndex(0.9, 1000), 1000u);
+        EXPECT_LT(pareto.draw(rng), 1000u);
 }
 
 TEST(Rng, ParetoIsSkewedTowardZero)
 {
     Rng rng(22);
+    const ParetoSampler pareto(1.0, 1 << 20);
     const int n = 100000;
     int low = 0;
     for (int i = 0; i < n; ++i) {
-        if (rng.nextParetoIndex(1.0, 1 << 20) < 16)
+        if (pareto.draw(rng) < 16)
             ++low;
     }
     // A heavy-tailed rank distribution puts a large share of mass on
@@ -184,12 +188,14 @@ TEST(Rng, ParetoIsSkewedTowardZero)
 TEST(Rng, ParetoSmallerAlphaHasHeavierTail)
 {
     Rng a(31), b(31);
+    const ParetoSampler light(1.5, 1 << 20);
+    const ParetoSampler heavy(0.6, 1 << 20);
     const int n = 100000;
     std::uint64_t deep_light = 0, deep_heavy = 0;
     for (int i = 0; i < n; ++i) {
-        if (a.nextParetoIndex(1.5, 1 << 20) > 4096)
+        if (light.draw(a) > 4096)
             ++deep_light;
-        if (b.nextParetoIndex(0.6, 1 << 20) > 4096)
+        if (heavy.draw(b) > 4096)
             ++deep_heavy;
     }
     EXPECT_GT(deep_heavy, deep_light);

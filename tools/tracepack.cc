@@ -23,8 +23,9 @@
  * into a v3 file -- the cheap way to make multi-gigabyte test
  * inputs.  `verify` fully decodes a file, exercising every checksum.
  * `info` prints the validated header.  `drain` replays a file
- * through the bounded-memory StreamSource and reports refs/s plus
- * peak RSS (VmHWM) -- the probe the RSS-ceiling shell test uses.
+ * through the bounded-memory StreamSource and reports refs/s, the
+ * blocks it decoded and peak RSS (VmHWM) -- the probe the
+ * RSS-ceiling shell test uses.
  */
 
 #include <chrono>
@@ -223,6 +224,7 @@ cmdDrain(const std::string &path, std::uint64_t stream_mb)
                                    static_cast<double>(n) / secs)
                              : 0)
               << '\n'
+              << "blocks_decoded: " << src.blocksDecoded() << '\n'
               << "peak_rss_kb: " << peakRssKb() << '\n';
     return 0;
 }
